@@ -2,13 +2,19 @@
 
 Every kernel maps an (R, n) matrix of samples (one replication per row) to a
 length-R vector of statistic values plus, where the statistic can be
-undefined, a boolean degeneracy mask.  The per-sample public tests wrap these
-kernels; the Monte Carlo engine and the resampling study consume them
-directly.  Rows flagged degenerate carry unusable values and must be scored
-as non-rejections by callers.
+undefined, a boolean degeneracy mask.  The Monte Carlo engine
+(``power``) and the resampling study (``regression.resample_power_study``)
+consume them directly.  The per-sample public tests in ``stattests`` do not
+call these kernels: they compute each statistic from its own scalar formula,
+and the tests hold the two routes to agreement row by row.  Rows flagged
+degenerate carry unusable values and must be scored as non-rejections by
+callers.
 
-The kernels assume continuous data (no ties, no exact zeros); the public
-signed-rank test handles ties and zeros separately.
+Rows may contain ties and exact zeros (resampled rows always have ties).
+Order statistics come from one sort per row and equal numpy's ``median`` and
+type-7 ``quantile`` bit for bit; the signed-rank kernel gives tied absolute
+values their mid-ranks and ranks exact zeros without counting them.  Rows
+must be finite.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -69,13 +74,30 @@ class MedianPieces:
     degenerate: np.ndarray  # rows with no usable scale
 
 
+def _type7_quantile(s: np.ndarray, q: float) -> np.ndarray:
+    """Type-7 quantile of each row of the row-sorted matrix s, computed with
+    numpy's own lerp form so that it equals np.quantile(..., axis=1)."""
+    n = s.shape[1]
+    v = (n - 1) * q
+    lo = math.floor(v)
+    g = v - lo
+    a = s[:, lo]
+    b = s[:, min(lo + 1, n - 1)]
+    d = b - a
+    return b - d * (1.0 - g) if g >= 0.5 else a + d * g
+
+
 def median_pieces(x: np.ndarray) -> MedianPieces:
     rows, n = x.shape
     mean = x.mean(axis=1)
-    med = np.median(x, axis=1)
+    s = np.sort(x, axis=1)
+    # np.median's own reduction (the mean of the middle one or two entries),
+    # which also maps a -0.0 middle entry to +0.0.
+    mid = n // 2
+    med = np.mean(s[:, mid - 1 + n % 2 : mid + 1], axis=1)
     sd = x.std(axis=1, ddof=1)
-    q1, q3 = np.quantile(x, [0.25, 0.75], axis=1)
-    iqr = q3 - q1
+    iqr = _type7_quantile(s, 0.75) - _type7_quantile(s, 0.25)
+    del s  # free the sorted copy before the KDE's temporaries
     spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
     degen = spread <= 0.0
     h = 0.9 * np.where(degen, 1.0, spread) * n ** (-0.2)
@@ -131,14 +153,46 @@ def sym_tn(p: MedianPieces):
 
 
 def wilcoxon_z(x: np.ndarray) -> np.ndarray:
-    """Normal-approximation signed-rank statistic, mid-ranks, no continuity
-    correction.  Assumes continuous rows (ties and zeros have measure zero)."""
+    """Normal-approximation signed-rank statistic of each row, without
+    continuity or tie correction of the variance.
+
+    |x| is ranked over all n entries of the row; tied absolute values get
+    their mid-ranks (scipy's ``average`` method).  W+ sums the ranks of the
+    strictly positive entries, so exact zeros (of either sign) are ranked but
+    not counted, and n includes them.
+    """
     rows, n = x.shape
-    ranks = rankdata(np.abs(x), axis=1)
-    wplus = np.where(x > 0.0, ranks, 0.0).sum(axis=1)
+    # One sort per row of the key bits(|x|) << 1 | (x > 0): a non-negative
+    # double's bit pattern orders like its value and fits in 63 bits, so the
+    # key sorts by |x| and carries each entry's sign in its low bit.
+    key = np.abs(np.asarray(x, dtype=np.float64)).view(np.uint64) << np.uint64(1)
+    key |= x > 0.0
+    key.sort(axis=1)
+    positive = (key & np.uint64(1)).astype(bool)
+    key >>= np.uint64(1)
+    # Twice W+, in integers: ordinal ranks first, then mid-ranks on the rows
+    # that have ties.  Ranks are half-integers, so W+ is exact either way.
+    wplus2 = 2 * (positive * np.arange(1, n + 1)).sum(axis=1)
+    tied = np.flatnonzero((key[:, 1:] == key[:, :-1]).any(axis=1))
+    wplus2[tied] = _twice_midrank_sum(key[tied], positive[tied])
     mean = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0
-    return (wplus - mean) / math.sqrt(var)
+    return (wplus2 / 2.0 - mean) / math.sqrt(var)
+
+
+def _twice_midrank_sum(v: np.ndarray, selected: np.ndarray) -> np.ndarray:
+    """Per row of the row-sorted v, twice the sum of the mid-ranks of the
+    selected entries.  An entry at 0-based position j in a run of equal
+    values spanning positions first..last has mid-rank (first + last) / 2 + 1."""
+    rows, n = v.shape
+    j = np.arange(n, dtype=np.int32)
+    # starts[:, j] marks a run starting at j; starts[:, j + 1] one ending at j.
+    starts = np.ones((rows, n + 1), dtype=bool)
+    np.not_equal(v[:, 1:], v[:, :-1], out=starts[:, 1:-1])
+    first = np.maximum.accumulate(np.where(starts[:, :-1], j, 0), axis=1)
+    last = np.minimum.accumulate(np.where(starts[:, :0:-1], j[::-1], n), axis=1)
+    first += last[:, ::-1]
+    return (first * selected).sum(axis=1) + 2 * np.count_nonzero(selected, axis=1)
 
 
 def bootstrap_mean_reject(

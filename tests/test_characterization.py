@@ -248,6 +248,22 @@ def test_np_dominance_on_random_pairs():
     assert worst <= 1e-12
 
 
+def test_verify_propositions_counts_checks_run():
+    rows = verify_propositions(seed=99, n_models=5, n_pairs=7)
+    cases = {r["name"]: r["cases"] for r in rows}
+    assert cases == {
+        "ratio-level-identity": 5,
+        "joint-level-identity": 5,
+        "moment-identity": 10,  # the ratio and its perturbation, per model
+        "mp-condition": 7,  # 5 models, the counter-model, the doubled statistic
+        "sufficiency-calibration": 7,  # 5 models, the merged and relabeled statistics
+        "conditional-dominance": 11,  # 2 per model, the inapplicable pair
+        "ancillary-refinement": 21,  # 20 product models, the counter-model
+        "np-dominance": 7,
+    }
+    assert all(r["passed"] for r in rows)
+
+
 def test_verify_propositions_small_run():
     rows = verify_propositions(seed=99, n_models=10, n_pairs=25)
     names = [r["name"] for r in rows]
