@@ -4,27 +4,41 @@ Every kernel maps an (R, n) matrix of samples (one replication per row) to a
 length-R vector of statistic values plus, where the statistic can be
 undefined, a boolean degeneracy mask.  The Monte Carlo engine
 (``power``) and the resampling study (``regression.resample_power_study``)
-consume them directly.  The per-sample public tests in ``stattests`` do not
-call these kernels: they compute each statistic from its own scalar formula,
-and the tests hold the two routes to agreement row by row.  Rows flagged
-degenerate carry unusable values and must be scored as non-rejections by
-callers.
+consume them directly.  The signed-rank test in ``stattests`` calls
+``signed_rank`` on its one sample; the other per-sample public tests compute
+each statistic from its own scalar formula, and the tests hold the two
+routes to agreement row by row.  Rows flagged degenerate carry unusable
+values and must be scored as non-rejections by callers; zero-range rows are
+always degenerate.
 
 Rows may contain ties and exact zeros (resampled rows always have ties).
 Order statistics come from one sort per row and equal numpy's ``median`` and
-type-7 ``quantile`` bit for bit; the signed-rank kernel gives tied absolute
-values their mid-ranks and ranks exact zeros without counting them.  Rows
-must be finite.
+type-7 ``quantile`` bit for bit; the signed-rank kernel drops exact zeros and
+gives tied absolute values their mid-ranks.  Rows must be finite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+def normal_upper(alpha: float) -> float:
+    """Upper critical value z with P(Z > z) = alpha; the chi-square(1)
+    critical value at level alpha is normal_upper(alpha / 2) ** 2."""
+    return -NormalDist().inv_cdf(alpha)
+
+
+def normal_sf(x):
+    """Upper tail P(Z > x) of the standard normal, elementwise; the
+    chi-square(1) tail of s ** 2 is 2 * normal_sf(abs(s))."""
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
 def mean_to(x: np.ndarray, sigma: float) -> np.ndarray:
@@ -51,7 +65,7 @@ def mean_tn(x: np.ndarray, sigma: float, variant: str = "quartic"):
     var_known = ((dd - c_known) ** 2).mean(axis=1)
     c_s = s2**2 if variant == "quartic" else s2
     var_s = ((dd - c_s[:, None]) ** 2).mean(axis=1)
-    degen = (s2 <= 0.0) | (var_known <= 0.0) | (var_s <= 0.0)
+    degen = (np.ptp(x, axis=1) == 0.0) | (var_known <= 0.0) | (var_s <= 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = 1.0 - mu3**2 / (s2 * var_s)
         degen |= ~np.isfinite(delta) | (delta <= 0.0)
@@ -97,9 +111,11 @@ def median_pieces(x: np.ndarray) -> MedianPieces:
     med = np.mean(s[:, mid - 1 + n % 2 : mid + 1], axis=1)
     sd = x.std(axis=1, ddof=1)
     iqr = _type7_quantile(s, 0.75) - _type7_quantile(s, 0.25)
+    # A zero-range row can still get a tiny positive sd from rounding.
+    flat = s[:, 0] == s[:, -1]
     del s  # free the sorted copy before the KDE's temporaries
     spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
-    degen = spread <= 0.0
+    degen = (spread <= 0.0) | flat
     h = 0.9 * np.where(degen, 1.0, spread) * n ** (-0.2)
     u = (med[:, None] - x) / h[:, None]
     fhat = np.exp(-0.5 * u * u).mean(axis=1) / (h * _SQRT_2PI)
@@ -124,7 +140,7 @@ def median_tn(p: MedianPieces):
 
 
 def sym_to(p: MedianPieces):
-    degen = p.s <= 0.0
+    degen = p.degenerate.copy()
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = math.sqrt(p.n) * p.mean / p.s
     stat = np.where(degen, -np.inf, stat)
@@ -152,14 +168,15 @@ def sym_tn(p: MedianPieces):
     return tn, degen
 
 
-def wilcoxon_z(x: np.ndarray) -> np.ndarray:
-    """Normal-approximation signed-rank statistic of each row, without
-    continuity or tie correction of the variance.
+def signed_rank(x: np.ndarray):
+    """Normal-approximation signed-rank test of each row, returned as the
+    arrays (z, w_plus, n_used, tie_correction).
 
-    |x| is ranked over all n entries of the row; tied absolute values get
-    their mid-ranks (scipy's ``average`` method).  W+ sums the ranks of the
-    strictly positive entries, so exact zeros (of either sign) are ranked but
-    not counted, and n includes them.
+    Exact zeros (of either sign) are dropped, so n_used counts the nonzero
+    entries.  Tied |x| get mid-ranks, W+ sums the ranks of the positive
+    entries, and the variance n(n+1)(2n+1)/24 loses the tie correction
+    sum(t^3 - t)/48 over runs of t equal |x|.  No continuity correction.
+    Rows with fewer than 5 nonzero entries get z = NaN.
     """
     rows, n = x.shape
     # One sort per row of the key bits(|x|) << 1 | (x > 0): a non-negative
@@ -170,29 +187,54 @@ def wilcoxon_z(x: np.ndarray) -> np.ndarray:
     key.sort(axis=1)
     positive = (key & np.uint64(1)).astype(bool)
     key >>= np.uint64(1)
-    # Twice W+, in integers: ordinal ranks first, then mid-ranks on the rows
-    # that have ties.  Ranks are half-integers, so W+ is exact either way.
+    # Twice W+ over all n entries, in integers: ordinal ranks, then mid-ranks
+    # on the rows that have ties.  Ranks are half-integers, so W+ is exact.
     wplus2 = 2 * (positive * np.arange(1, n + 1)).sum(axis=1)
+    ties = np.zeros(rows, dtype=np.int64)
     tied = np.flatnonzero((key[:, 1:] == key[:, :-1]).any(axis=1))
-    wplus2[tied] = _twice_midrank_sum(key[tied], positive[tied])
-    mean = n * (n + 1) / 4.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0
-    return (wplus2 / 2.0 - mean) / math.sqrt(var)
+    wplus2[tied], ties[tied] = _tied_rank_sums(key[tied], positive[tied])
+    # Zeros sort first and are never positive: dropping z0 of them lowers each
+    # positive entry's rank by z0 and removes their run from the tie sum.
+    m = np.full(rows, n)
+    has_zero = np.flatnonzero(key[:, 0] == 0)
+    z0 = np.count_nonzero(key[has_zero] == 0, axis=1)
+    m[has_zero] -= z0
+    wplus2[has_zero] -= 2 * z0 * np.count_nonzero(positive[has_zero], axis=1)
+    ties[has_zero] -= z0**3 - z0
+    tie_correction = ties / 48.0
+    var = m * (m + 1) * (2 * m + 1) / 24.0 - tie_correction
+    w_plus = wplus2 / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = (w_plus - m * (m + 1) / 4.0) / np.sqrt(var)
+    z[m < 5] = np.nan
+    return z, w_plus, m, tie_correction
 
 
-def _twice_midrank_sum(v: np.ndarray, selected: np.ndarray) -> np.ndarray:
-    """Per row of the row-sorted v, twice the sum of the mid-ranks of the
-    selected entries.  An entry at 0-based position j in a run of equal
-    values spanning positions first..last has mid-rank (first + last) / 2 + 1."""
+def wilcoxon_z(x: np.ndarray) -> np.ndarray:
+    """The z column of signed_rank: zeros dropped, mid-ranks, tie-corrected
+    variance, NaN for rows with fewer than 5 nonzero entries."""
+    return signed_rank(x)[0]
+
+
+def _tied_rank_sums(v: np.ndarray, selected: np.ndarray):
+    """Per row of the row-sorted v: twice the sum of the mid-ranks of the
+    selected entries, and sum(t^3 - t) over the runs of t equal values.
+
+    An entry at 0-based position j in a run spanning positions first..last
+    has mid-rank (first + last) / 2 + 1.  With d = last - first = t - 1,
+    each of the run's t entries adds d (d + 2), which sums to t^3 - t."""
     rows, n = v.shape
-    j = np.arange(n, dtype=np.int32)
+    # d (d + 2) < n^2 must fit the index dtype.
+    j = np.arange(n, dtype=np.int32 if n <= 46340 else np.int64)
     # starts[:, j] marks a run starting at j; starts[:, j + 1] one ending at j.
     starts = np.ones((rows, n + 1), dtype=bool)
     np.not_equal(v[:, 1:], v[:, :-1], out=starts[:, 1:-1])
     first = np.maximum.accumulate(np.where(starts[:, :-1], j, 0), axis=1)
-    last = np.minimum.accumulate(np.where(starts[:, :0:-1], j[::-1], n), axis=1)
-    first += last[:, ::-1]
-    return (first * selected).sum(axis=1) + 2 * np.count_nonzero(selected, axis=1)
+    last = np.minimum.accumulate(np.where(starts[:, :0:-1], j[::-1], n), axis=1)[:, ::-1]
+    d = last - first
+    ties = (d * (d + 2)).sum(axis=1)
+    first += last
+    return (first * selected).sum(axis=1) + 2 * np.count_nonzero(selected, axis=1), ties
 
 
 def bootstrap_mean_reject(

@@ -222,8 +222,6 @@ def _normal_sd2_params():
 
 def _exphalf_minus_lognormal_params():
     # X = e^{1/2} - L with L lognormal(0, 1): E L^k = e^{k^2/2}.
-    from scipy.stats import norm
-
     m1 = math.exp(0.5)
     var = (_E - 1.0) * _E
     mu3_l = math.exp(4.5) - 3.0 * math.exp(2.5) + 2.0 * math.exp(1.5)
@@ -236,8 +234,8 @@ def _exphalf_minus_lognormal_params():
         median=m1 - 1.0,
         # Density of e^{1/2} - L at its median equals the lognormal density at 1.
         density_at_median=1.0 / _SQRT_2PI,
-        # E|L - 1| = e^{1/2} (2 Phi(1) - 1).
-        mean_abs_dev_about_median=m1 * (2.0 * norm.cdf(1.0) - 1.0),
+        # E|L - 1| = e^{1/2} (2 Phi(1) - 1) = e^{1/2} erf(1/sqrt(2)).
+        mean_abs_dev_about_median=m1 * math.erf(1.0 / math.sqrt(2.0)),
     )
 
 

@@ -58,13 +58,13 @@ def bandwidth_nrd0(x) -> float:
     """Rule-of-thumb bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5).
 
     A zero IQR falls back to the sd; a constant sample has no scale and is an
-    error.
+    error, even where rounding leaves its sd a little above zero.
     """
     arr = _as_sample(x, min_n=2)
     sd = float(np.std(arr, ddof=1))
     iqr = quantile_type7(arr, 0.75) - quantile_type7(arr, 0.25)
     spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    if spread <= 0:
+    if spread <= 0 or np.ptp(arr) == 0.0:
         raise ValueError("constant sample has no usable scale")
     return 0.9 * spread * arr.size ** (-0.2)
 

@@ -21,8 +21,9 @@ coordinates, never on the worker schedule, and rates are reduced from
 integer rejection counts, so any thread count yields identical output.
 
 The bootstrap test has no scalar statistic (its threshold is resampled per
-replication), so its Pow is defined as PowA; the signed-rank rows of the
-reported tables follow the same convention.
+replication), so its Pow is defined as PowA; by the tables' convention so
+is the signed-rank test's.  estimate_power and reproduce_table score every
+cell through one function, so both give a cell the same estimate.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from . import _kernels
 from .designs import DesignId, RandomStream, design_params, sample_design_matrix
@@ -135,18 +135,23 @@ class StudyPlan:
         if not ns or any(n < 10 for n in ns):
             raise ValueError("sample sizes must be >= 10")
         object.__setattr__(self, "ns", ns)
-        if self.reps < 1000:
-            raise ValueError("reps must be >= 1000 for reportable output")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if int(math.floor(self.alpha * self.reps + 1e-9)) < 1:
-            raise ValueError("alpha * reps must be at least 1")
-        if self.moment_variant not in ("quartic", "quadratic"):
-            raise ValueError("moment_variant must be 'quartic' or 'quadratic'")
-        if self.bootstrap_b < 100:
-            raise ValueError("bootstrap_b must be >= 100")
-        if self.root_seed < 0:
-            raise ValueError("root_seed must be non-negative")
+        _check_run(self.reps, self.alpha, self.moment_variant, self.bootstrap_b, self.root_seed)
+
+
+def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
+    """Checks shared by every public driver; each error names its parameter."""
+    if reps < 1000:
+        raise ValueError(f"reps must be >= 1000 for reportable output, got {reps}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    if int(math.floor(alpha * reps + 1e-9)) < 1:
+        raise ValueError(f"alpha * reps must be at least 1, got alpha={alpha}, reps={reps}")
+    if moment_variant not in ("quartic", "quadratic"):
+        raise ValueError(f"moment_variant must be 'quartic' or 'quadratic', got {moment_variant!r}")
+    if bootstrap_b < 100:
+        raise ValueError(f"bootstrap_b must be >= 100, got {bootstrap_b}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -313,45 +318,31 @@ def _mc_se(p, reps):
     return math.sqrt(p * (1.0 - p) / reps)
 
 
-def _finish(powa_count, pow_count, reps, degen_count, threshold):
-    powa = powa_count / reps
-    pw = pow_count / reps
+def _score_cell(test, cell, null_cell, alpha):
+    """PowerEstimate of one cell.  TB (by its decisions) and W (by the
+    asymptotic rule) report Pow := PowA; every other test's Pow uses the
+    rank threshold of its matched null cell."""
+    if cell.degen.all():
+        raise RuntimeError("all replications are degenerate")
+    reps = cell.degen.size
+    threshold = math.nan
+    if test == "TB":
+        powa_count = pow_count = int(np.count_nonzero(cell.reject))
+    else:
+        powa_count = pow_count = int(np.count_nonzero(cell.stats > _kernels.normal_upper(alpha)))
+        if test != "W":
+            threshold = _rejection_rank_threshold(null_cell.stats, alpha)
+            pow_count = int(np.count_nonzero(cell.stats > threshold))
+    powa, pw = powa_count / reps, pow_count / reps
     return PowerEstimate(
         powa=powa,
         pow=pw,
         reps=reps,
-        degenerate_count=degen_count,
+        degenerate_count=int(cell.degen.sum()),
         mc_se_powa=_mc_se(powa, reps),
         mc_se_pow=_mc_se(pw, reps),
         null_quantile_used=threshold,
     )
-
-
-def _check_not_all_degenerate(cell):
-    if cell.degen.all():
-        raise RuntimeError("all replications are degenerate")
-
-
-def _estimate_quantile(cell, null_cell, alpha):
-    _check_not_all_degenerate(cell)
-    z = norm.ppf(1.0 - alpha)
-    thr = _rejection_rank_threshold(null_cell.stats, alpha)
-    powa_count = int(np.count_nonzero(cell.stats > z))
-    pow_count = int(np.count_nonzero(cell.stats > thr))
-    return _finish(powa_count, pow_count, cell.stats.size, int(cell.degen.sum()), thr)
-
-
-def _estimate_asymptotic(cell, alpha):
-    _check_not_all_degenerate(cell)
-    z = norm.ppf(1.0 - alpha)
-    count = int(np.count_nonzero(cell.stats > z))
-    return _finish(count, count, cell.stats.size, int(cell.degen.sum()), math.nan)
-
-
-def _estimate_decision(cell):
-    _check_not_all_degenerate(cell)
-    count = int(np.count_nonzero(cell.reject))
-    return _finish(count, count, cell.degen.size, int(cell.degen.sum()), math.nan)
 
 
 def estimate_power(plan: StudyPlan, threads: int = 1) -> dict:
@@ -360,7 +351,8 @@ def estimate_power(plan: StudyPlan, threads: int = 1) -> dict:
     Pow thresholds come from replications of plan.design_null drawn on the
     null design's own stream paths, so they are independent of the evaluated
     replications whenever the pair differs; when the pair coincides, the
-    evaluated vector is its own threshold source and Pow is exact.
+    evaluated vector is its own threshold source and Pow is exact.  W and TB
+    report Pow := PowA, exactly as reproduce_table scores the same cell.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -378,10 +370,7 @@ def estimate_power(plan: StudyPlan, threads: int = 1) -> dict:
     for n in plan.ns:
         null_cell = store[(0, n)][plan.test]
         eval_cell = null_cell if same else store[(1, n)][plan.test]
-        if plan.test == "TB":
-            out[n] = _estimate_decision(eval_cell)
-        else:
-            out[n] = _estimate_quantile(eval_cell, null_cell, plan.alpha)
+        out[n] = _score_cell(plan.test, eval_cell, null_cell, plan.alpha)
     return out
 
 
@@ -425,10 +414,7 @@ def null_quantile(
     """
     if null_design.hypothesis != 0:
         raise ValueError("null_quantile needs a hypothesis-0 design")
-    if reps < 1000:
-        raise ValueError("reps must be >= 1000")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _check_run(reps, alpha, "quartic", 1000, seed)
     stats, degen = statistic_sample(test, null_design, n, reps, seed)
     if degen.all():
         raise RuntimeError("all replications are degenerate")
@@ -487,16 +473,7 @@ def reproduce_table(
     """
     grid = table_grid(table)
     table = str(table)
-    if reps < 1000:
-        raise ValueError("reps must be >= 1000")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if int(math.floor(alpha * reps + 1e-9)) < 1:
-        raise ValueError("alpha * reps must be at least 1")
-    if moment_variant not in ("quartic", "quadratic"):
-        raise ValueError("moment_variant must be 'quartic' or 'quadratic'")
-    if bootstrap_b < 100:
-        raise ValueError("bootstrap_b must be >= 100")
+    _check_run(reps, alpha, moment_variant, bootstrap_b, seed)
     if threads < 1:
         raise ValueError("threads must be >= 1")
 
@@ -514,13 +491,7 @@ def reproduce_table(
             for t in grid["tests"]:
                 ests = []
                 for n in grid["ns"]:
-                    cell = store[(m, hyp, n)][t]
-                    if t == "TB":
-                        est = _estimate_decision(cell)
-                    elif t == "W":
-                        est = _estimate_asymptotic(cell, alpha)
-                    else:
-                        est = _estimate_quantile(cell, store[(m, 0, n)][t], alpha)
+                    est = _score_cell(t, store[(m, hyp, n)][t], store[(m, 0, n)][t], alpha)
                     ests.append((n, est))
                 rows.append(TableRow(design=did, test=t, estimates=tuple(ests)))
     return TableReport(
@@ -592,11 +563,11 @@ def toy_power_curve(a_grid, mu1=5.0, sigma1=1.0, sigma2=4.0, alpha=0.05):
         raise ValueError("alpha must lie strictly between 0 and 1")
     a = np.asarray(a_grid, dtype=float)
     v1, v2 = sigma1**2, sigma2**2
-    z = norm.ppf(1.0 - alpha)
+    z = _kernels.normal_upper(alpha)
     sd = np.sqrt((0.5 + a) ** 2 * v1 + (0.5 - a) ** 2 * v2)
     sd0 = math.sqrt(0.25 * (v1 + v2))
-    power = norm.sf(z - mu1 / sd)
-    p0 = norm.sf(z - mu1 / sd0)
+    power = _kernels.normal_sf(z - mu1 / sd)
+    p0 = _kernels.normal_sf(z - mu1 / sd0)
     cov = 0.5 * (v1 - v2) + a * (v1 + v2)
     return np.column_stack([a, power - p0, cov])
 
@@ -617,7 +588,7 @@ def toy_three_obs_powers(mu_grid, sigma1=1.0, sigma2=4.0, sigma3=3.0, alpha=0.05
         raise ValueError("alpha must lie strictly between 0 and 1")
     mu = np.asarray(mu_grid, dtype=float)
     v1, v2, v3 = sigma1**2, sigma2**2, sigma3**2
-    z = norm.ppf(1.0 - alpha)
+    z = _kernels.normal_upper(alpha)
     sd_plain = math.sqrt((v1 + v2 + v3) / 9.0)
     gamma = (v2 - v1) / (3.0 * (v1 + v2))
     sd_decor = math.sqrt(
@@ -626,6 +597,6 @@ def toy_three_obs_powers(mu_grid, sigma1=1.0, sigma2=4.0, sigma3=3.0, alpha=0.05
     sd_weighted = math.sqrt(1.0 / (1.0 / v1 + 1.0 / v2 + 1.0 / v3))
 
     def p(sd):
-        return norm.sf(z - mu / sd)
+        return _kernels.normal_sf(z - mu / sd)
 
     return np.column_stack([mu, p(sd_plain), p(sd_decor), p(sd_weighted)])

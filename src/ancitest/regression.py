@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import _kernels
 from .designs import RandomStream
@@ -305,7 +304,7 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     gen = RandomStream(int(seed), ("resample", int(n_b))).generator()
-    crit = float(chi2.isf(alpha, df=1))
+    crit = _kernels.normal_upper(alpha / 2.0) ** 2
     counts = {"W": 0, "To2": 0, "TN2": 0}
     block = max(1, (1 << 22) // n_b)
     done = 0

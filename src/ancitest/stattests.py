@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
 
+from . import _kernels
 from .designs import RandomStream
 from .empirical import bandwidth_nrd0, kde_at, sample_median, sample_moments
 
@@ -67,13 +67,13 @@ def _check_alpha(alpha):
 
 
 def _one_sided_outcome(stat, alpha, components):
-    z = float(norm.isf(alpha))
+    z = _kernels.normal_upper(alpha)
     return TestOutcome(
         statistic=float(stat),
         threshold=z,
         side=ONE_SIDED_UPPER,
         reject=bool(stat > z),
-        p_value=float(norm.sf(stat)),
+        p_value=float(_kernels.normal_sf(stat)),
         components=components,
     )
 
@@ -117,7 +117,7 @@ def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "qua
     m_known = sample_moments(arr, sigma_known=sigma, variant=variant)
     m_self = sample_moments(arr, variant=variant)
     s2, mu3 = m_known.s2, m_known.mu3_hat
-    if s2 <= 0:
+    if s2 <= 0 or np.ptp(arr) == 0.0:
         raise DegenerateStatistic("constant sample")
     if m_known.var_sq_hat <= 0:
         raise DegenerateStatistic("zero squared-deviation variance (known sigma)")
@@ -275,7 +275,7 @@ def two_sided(outcome: TestOutcome, alpha: float = 0.05) -> TestOutcome:
     if outcome.side != ONE_SIDED_UPPER:
         raise ValueError("two_sided requires a one-sided normal-referenced outcome")
     stat = outcome.statistic**2
-    threshold = float(chi2.isf(alpha, df=1))
+    threshold = _kernels.normal_upper(alpha / 2.0) ** 2
     components = dict(outcome.components)
     components["signed_statistic"] = outcome.statistic
     return TestOutcome(
@@ -283,39 +283,28 @@ def two_sided(outcome: TestOutcome, alpha: float = 0.05) -> TestOutcome:
         threshold=threshold,
         side=TWO_SIDED_CHI2,
         reject=bool(stat > threshold),
-        p_value=float(chi2.sf(stat, df=1)),
+        p_value=float(2.0 * _kernels.normal_sf(abs(outcome.statistic))),
         components=components,
     )
 
 
 def wilcoxon_signed_rank(x, side: str = ONE_SIDED_UPPER, alpha: float = 0.05) -> TestOutcome:
-    """Signed-rank test via the normal approximation.
+    """Signed-rank test via the normal approximation, computed by
+    ``_kernels.signed_rank`` on the one sample.
 
-    Exact zeros are removed; at least five nonzero observations are
+    Exact zeros are dropped; at least five nonzero observations are
     required.  Ties in the absolute values receive mid-ranks and the
-    approximation variance gets the usual tie correction.  No continuity
-    correction is applied.
+    approximation variance gets the tie correction sum(t^3 - t)/48.  No
+    continuity correction is applied.
     """
     arr = _clean(x, 1)
     _check_alpha(alpha)
     if side not in (ONE_SIDED_UPPER, "two_sided"):
         raise ValueError("side must be 'one_sided_upper' or 'two_sided'")
-    nz = arr[arr != 0.0]
-    if nz.size == 0:
-        raise ValueError("all observations are zero")
-    if nz.size < 5:
+    if np.count_nonzero(arr) < 5:
         raise ValueError("need at least 5 nonzero observations")
-    n = nz.size
-    absx = np.abs(nz)
-    ranks = rankdata(absx)
-    wplus = float(ranks[nz > 0].sum())
-    mean = n * (n + 1) / 4.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0
-    _, counts = np.unique(absx, return_counts=True)
-    tie_corr = float(np.sum(counts.astype(float) ** 3 - counts) / 48.0)
-    var -= tie_corr
-    z = (wplus - mean) / math.sqrt(var)
-    components = {"w_plus": wplus, "n_used": n, "tie_correction": tie_corr}
+    z, wplus, n, tie_corr = (v[0] for v in _kernels.signed_rank(arr[None, :]))
+    components = {"w_plus": float(wplus), "n_used": int(n), "tie_correction": float(tie_corr)}
     one_sided = _one_sided_outcome(z, alpha, components)
     if side == ONE_SIDED_UPPER:
         return one_sided

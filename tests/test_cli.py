@@ -212,3 +212,14 @@ def test_thread_env_var_only_sets_default(tmp_path):
     r3 = run_cli(*common, "--out", str(c), env_extra={"ANCITEST_THREADS": "soup"})
     assert r3.returncode == 0
     assert c.read_bytes() == a.read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test oracle only; the package must run without it.
+    code = (
+        "import sys, ancitest.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -59,6 +59,8 @@ def test_bandwidth_nrd0_guards():
     with pytest.raises(ValueError):
         bandwidth_nrd0(np.array([2.0, 2.0, 2.0]))
     with pytest.raises(ValueError):
+        bandwidth_nrd0(np.full(50, 0.7))  # sd rounds to about 2e-16, not 0
+    with pytest.raises(ValueError):
         bandwidth_nrd0(np.array([1.0]))
 
 

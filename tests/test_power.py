@@ -187,16 +187,18 @@ def test_study_plan_validation():
         StudyPlan(**{**good, "design_alt": DesignId("1", 1, 2)})  # family mismatch
     with pytest.raises(ValueError):
         StudyPlan(**{**good, "design_alt": DesignId("2", 1, 1)})  # table mismatch
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="reps"):
         StudyPlan(**{**good, "reps": 999})
     with pytest.raises(ValueError):
         StudyPlan(**{**good, "ns": (9,)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha"):
         StudyPlan(**{**good, "alpha": 0.00001})  # floor(alpha reps) < 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="moment_variant"):
         StudyPlan(**{**good, "moment_variant": "fixed"})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bootstrap_b"):
         StudyPlan(**{**good, "bootstrap_b": 50})
+    with pytest.raises(ValueError, match="seed"):
+        StudyPlan(**{**good, "root_seed": -1})
 
 
 def test_table_grid_contract():
@@ -234,6 +236,25 @@ def test_reproduce_table_two_shape_and_conventions():
     assert 0.0 <= cell.powa <= 1.0
     with pytest.raises(KeyError):
         rep.cell("D_11", "TN", 60)
+
+
+@pytest.mark.parametrize("table, index", [("2", 1), ("3", 4)])
+def test_both_drivers_give_one_score_per_cell(table, index):
+    # Both drivers draw a cell from the same stream paths and score it
+    # through one function, so their estimates are equal, W included.
+    n, reps, seed = 50, 2000, 4
+    report = reproduce_table(table, reps=reps, seed=seed)
+    null, alt = DesignId(table, 0, index), DesignId(table, 1, index)
+    for test in table_grid(table)["tests"]:
+        est = estimate_power(_plan(test, null, alt, (n,), reps, seed=seed))[n]
+        assert repr(est) == repr(report.cell(alt.label, test, n))
+
+
+def test_drivers_reject_a_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed"):
+        reproduce_table("2", reps=1000, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        null_quantile("To", DesignId("2", 0, 1), 50, 1000, 0.05, seed=-1)
 
 
 def test_reproduce_table_render_byte_identical_across_threads():

@@ -1,9 +1,11 @@
 """Scalar test statistics: hand-worked oracles, algebraic identities, and
 agreement between the scalar implementations and the batched kernels.
 
-The batched kernels in _kernels are the simulation engine's fast path; every
-statistic they produce must match the scalar definitions row by row, so the
-two routes are never collapsed here.
+The batched kernels in _kernels are the simulation engine's fast path.  The
+mean, median and symmetry statistics keep their own scalar formulas, and
+every kernel value must match them row by row.  The signed-rank test's
+scalar route is the kernel itself (``_kernels.signed_rank`` on one row), so
+its reference is scipy's ``wilcoxon``, used here as a test oracle only.
 """
 
 import math
@@ -176,6 +178,26 @@ def test_median_test_TN_degenerate_reasons():
     assert exc.value.reason == "constant sample"
     out = median_test_TN(np.array([-1.0, -1.0, 1.0, 1.0]))
     assert np.isfinite(out.statistic)
+
+
+@pytest.mark.parametrize(
+    "test",
+    [
+        median_test_To,
+        median_test_TN,
+        lambda x: modified_mean_test(x, sigma=1.0),
+        lambda x: symmetry_test(x, "To"),
+        lambda x: symmetry_test(x, "T1"),
+        lambda x: symmetry_test(x, "TN"),
+    ],
+    ids=["median_To", "median_TN", "modified_mean", "symmetry_To", "symmetry_T1", "symmetry_TN"],
+)
+def test_zero_range_sample_is_degenerate(test):
+    # The mean of 50 copies of 0.7 is not exact, so the sd comes out near
+    # 2e-16 instead of 0; the zero range still makes the sample degenerate.
+    with pytest.raises(DegenerateStatistic) as exc:
+        test(np.full(50, 0.7))
+    assert exc.value.reason == "constant sample"
 
 
 def test_two_sided_wraps_one_sided():
