@@ -5,7 +5,10 @@ Continuous density identities reduce to exact point-mass identities on a
 finite outcome space, so every claim here is checked by enumeration, with a
 1e-12 tolerance absorbing floating-point error only.  Exact size alpha on a
 discrete space requires randomizing at the boundary level of the statistic;
-best_level_power implements that randomized threshold test.
+level_powers implements that randomized threshold test.  Its power is
+piecewise linear in alpha with one knot per level, so each statistic's
+level table is built once and the whole alpha grid is read from it;
+best_level_power is the one-alpha case.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "check_prop_3_1",
     "coarsening_counter_model",
     "default_alpha_grid",
+    "level_powers",
     "likelihood_ratio",
     "product_model",
     "random_model",
@@ -102,31 +106,56 @@ def _levels(values: np.ndarray):
     return [(u, values == u) for u in uniq]
 
 
-def best_level_power(model: DiscreteModel, t: FiniteStatistic, alpha: float) -> float:
-    """Power of the exact size-alpha randomized threshold test based on t.
+def _level_table(model: DiscreteModel, t: FiniteStatistic):
+    """Null and alternative mass of each level of t, in decreasing t order.
 
-    Outcomes are taken level by level in decreasing t order; the boundary
-    level is accepted with the fractional probability that makes the null
-    rejection mass exactly alpha.
+    Each mass is summed as f[t == u].sum() sums it: bincount adds in outcome
+    order, which is numpy's own order below 8 terms; a level of 8 or more
+    outcomes is re-summed by numpy, whose pairwise sum groups those terms.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
     f0, f1 = model.arrays()
     values = t.array()
     if values.size != f0.size:
         raise ValueError("statistic length does not match the model")
-    power = 0.0
-    size = 0.0
-    for u, mask in reversed(_levels(values)):
-        p0 = f0[mask].sum()
-        p1 = f1[mask].sum()
-        if size + p0 <= alpha:
-            power += p1
-            size += p0
-        else:
-            power += (alpha - size) / p0 * p1
-            return float(power)
-    return float(power)
+    _, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
+    p0 = np.bincount(inv, weights=f0)
+    p1 = np.bincount(inv, weights=f1)
+    for k in np.flatnonzero(counts >= 8):
+        p0[k] = f0[inv == k].sum()
+        p1[k] = f1[inv == k].sum()
+    return p0[::-1], p1[::-1]
+
+
+def level_powers(model: DiscreteModel, t: FiniteStatistic, alphas) -> np.ndarray:
+    """Powers of the exact size-alpha randomized threshold tests based on t,
+    one per entry of the alpha vector.
+
+    Outcomes are taken level by level in decreasing t order; the boundary
+    level is accepted with the fractional probability that makes the null
+    rejection mass exactly alpha.  The level table of (model, t) is built
+    once: with cumulative sizes c0 and powers c1 (both starting at 0), j
+    levels are taken in full while c0[j] <= alpha, and the power is
+    c1[j] + (alpha - c0[j]) / p0[j] * p1[j], or c1 of all levels once alpha
+    reaches the total null mass.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise ValueError("alphas must be a non-empty vector")
+    if not np.all((alphas > 0.0) & (alphas < 1.0)):
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    p0, p1 = _level_table(model, t)
+    c0 = np.concatenate(([0.0], np.cumsum(p0)))
+    c1 = np.concatenate(([0.0], np.cumsum(p1)))
+    j = np.searchsorted(c0[1:], alphas, side="right")
+    b = np.minimum(j, p0.size - 1)
+    partial = c1[j] + (alphas - c0[j]) / p0[b] * p1[b]
+    return np.where(j < p0.size, partial, c1[-1])
+
+
+def best_level_power(model: DiscreteModel, t: FiniteStatistic, alpha: float) -> float:
+    """Power of the exact size-alpha randomized threshold test based on t:
+    level_powers at the single level alpha, from the same level table."""
+    return float(level_powers(model, t, [alpha])[0])
 
 
 def check_prop_1_1(model: DiscreteModel) -> dict:
@@ -170,15 +199,14 @@ def check_prop_2_2(model: DiscreteModel, t: FiniteStatistic, alpha_grid=None) ->
     tv = t.array()
     condition_violation = float(np.max(np.abs(f1 - tv * f0)))
     lam = likelihood_ratio(model)
-    power_gap = max(
-        abs(best_level_power(model, t, a) - best_level_power(model, lam, a))
-        for a in alpha_grid
-    )
+    power_gap = float(np.max(
+        np.abs(level_powers(model, t, alpha_grid) - level_powers(model, lam, alpha_grid))
+    ))
     return {
         "condition_holds": condition_violation <= TOL,
         "is_mp": power_gap <= TOL,
         "condition_violation": condition_violation,
-        "max_power_gap": float(power_gap),
+        "max_power_gap": power_gap,
     }
 
 
@@ -238,14 +266,12 @@ def check_prop_2_4(
                 worst = max(worst, abs(f1[mask].sum() - u * f0[mask].sum()))
     if worst > TOL:
         return {"applicable": False, "hypothesis_violation": float(worst), "dominates": None}
-    gap = min(
-        best_level_power(model, t1, a) - best_level_power(model, t2, a) for a in alpha_grid
-    )
+    gap = float(np.min(level_powers(model, t1, alpha_grid) - level_powers(model, t2, alpha_grid)))
     return {
         "applicable": True,
         "hypothesis_violation": float(worst),
         "dominates": gap >= -TOL,
-        "min_power_gap": float(gap),
+        "min_power_gap": gap,
     }
 
 
@@ -273,15 +299,14 @@ def check_prop_2_5(model: DiscreteModel, t: FiniteStatistic, alpha_grid=None) ->
         if abs(p1 / p0 - u) > TOL:
             calibrated = False
     lam = likelihood_ratio(model)
-    power_gap = max(
-        abs(best_level_power(model, t, a) - best_level_power(model, lam, a))
-        for a in alpha_grid
-    )
+    power_gap = float(np.max(
+        np.abs(level_powers(model, t, alpha_grid) - level_powers(model, lam, alpha_grid))
+    ))
     return {
         "sufficient": sufficient,
         "calibrated": calibrated,
         "is_mp": power_gap <= TOL,
-        "max_power_gap": float(power_gap),
+        "max_power_gap": power_gap,
     }
 
 
@@ -340,11 +365,9 @@ def check_prop_3_1(
     if any(ratios[i + 1] < ratios[i] - TOL for i in range(len(ratios) - 1)):
         return {"premises_ok": False, "failed_premise": "monotone_ratio", "dominates": None}
 
-    gap = min(
-        best_level_power(model, tn, al) - best_level_power(model, t, al) for al in alpha_grid
-    )
+    gap = float(np.min(level_powers(model, tn, alpha_grid) - level_powers(model, t, alpha_grid)))
     return {"premises_ok": True, "failed_premise": None, "dominates": gap >= -TOL,
-            "min_power_gap": float(gap)}
+            "min_power_gap": gap}
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +439,12 @@ def verify_propositions(seed: int = 20260815, n_models: int = 100, n_pairs: int 
     random models come from np.random.default_rng(seed), not from the
     RandomStream layout of the Monte Carlo engine.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if n_models < 1:
+        raise ValueError(f"n_models must be >= 1, got {n_models}")
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     gen = np.random.default_rng(seed)
     grid = default_alpha_grid()
     rows = []
@@ -523,9 +552,8 @@ def verify_propositions(seed: int = 20260815, n_models: int = 100, n_pairs: int 
         mod = random_model(gen, int(gen.integers(2, 9)))
         t = random_statistic(gen, mod.m)
         lam = likelihood_ratio(mod)
-        for al in grid:
-            gap = best_level_power(mod, t, al) - best_level_power(mod, lam, al)
-            worst_gap = max(worst_gap, gap)
+        gap = level_powers(mod, t, grid) - level_powers(mod, lam, grid)
+        worst_gap = max(worst_gap, float(np.max(gap)))
     add("np-dominance", worst_gap <= TOL, worst_gap, n_pairs,
         "likelihood ratio attains maximal power at every level")
 

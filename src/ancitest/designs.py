@@ -71,6 +71,10 @@ class RandomStream:
     root_seed: int
     path: tuple = ()
 
+    def __post_init__(self):
+        if self.root_seed < 0:
+            raise ValueError(f"root_seed must be non-negative, got {self.root_seed}")
+
     def child(self, *more) -> "RandomStream":
         return RandomStream(self.root_seed, self.path + tuple(more))
 

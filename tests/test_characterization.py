@@ -19,6 +19,7 @@ from ancitest import (
     check_prop_2_4,
     check_prop_2_5,
     check_prop_3_1,
+    level_powers,
     likelihood_ratio,
     verify_propositions,
 )
@@ -33,6 +34,44 @@ from ancitest.characterization import (
 
 TWO = DiscreteModel((0.5, 0.5), (0.25, 0.75))
 LAM_TWO = FiniteStatistic((0.5, 1.5))
+
+
+def _loop_levels(model, t):
+    """(p0, p1) of each level of t in decreasing t order, each summed by
+    f[mask].sum()."""
+    f0, f1 = model.arrays()
+    values = t.array()
+    return [
+        (f0[values == u].sum(), f1[values == u].sum()) for u in np.unique(values)[::-1]
+    ]
+
+
+def _loop_power(model, t, alphas):
+    """The per-level loop of the randomized threshold test, run once per
+    alpha: the oracle level_powers must equal bit for bit."""
+    levels = _loop_levels(model, t)
+    out = []
+    for alpha in alphas:
+        power = 0.0
+        size = 0.0
+        for p0, p1 in levels:
+            if size + p0 <= alpha:
+                power += p1
+                size += p0
+            else:
+                power += (alpha - size) / p0 * p1
+                break
+        out.append(float(power))
+    return np.array(out)
+
+
+def _loop_sizes(model, t):
+    """Cumulative null size after each level, as the loop accumulates it."""
+    sizes, size = [], 0.0
+    for p0, _ in _loop_levels(model, t):
+        size += p0
+        sizes.append(size)
+    return np.array(sizes)
 
 
 def test_model_and_statistic_validation():
@@ -71,6 +110,49 @@ def test_best_level_power_two_outcome_hand_oracle():
         best_level_power(TWO, LAM_TWO, 0.0)
     with pytest.raises(ValueError):
         best_level_power(TWO, FiniteStatistic((1.0, 2.0, 3.0)), 0.5)
+
+
+def test_level_powers_bit_equal_to_loop():
+    # Continuous statistics, ties from rounding to 1 decimal, and a
+    # three-valued statistic whose levels reach 8 or more outcomes (where
+    # numpy's sum stops adding in outcome order), each with its likelihood
+    # ratio, on the default grid plus alpha at every cumulative level size.
+    gen = np.random.default_rng(12)
+    grid = default_alpha_grid()
+    kinds = ("continuous", "rounded", "three-valued")
+    for i in range(1200):
+        model = random_model(gen, int(gen.integers(2, 13)))
+        vals = random_statistic(gen, model.m).array()
+        kind = kinds[i % 3]
+        if kind == "rounded":
+            vals = np.round(vals, 1)
+        elif kind == "three-valued":
+            vals = np.floor(3.0 * vals)
+        for t in (FiniteStatistic(tuple(vals)), likelihood_ratio(model)):
+            knots = _loop_sizes(model, t)
+            alphas = np.concatenate((grid, knots[(knots > 0.0) & (knots < 1.0)]))
+            assert np.array_equal(level_powers(model, t, alphas), _loop_power(model, t, alphas))
+            assert best_level_power(model, t, alphas[-1]) == _loop_power(model, t, alphas[-1:])[0]
+
+
+def test_level_powers_reject_any_alpha_outside_unit_interval():
+    msg = "alpha must lie strictly between 0 and 1"
+    model, t, a, tn = product_model(np.random.default_rng(13), 2, 2)
+    for bad in ([0.5, 1.0], [0.0, 0.5], [0.2, -0.1, 0.3], [0.5, float("nan")]):
+        with pytest.raises(ValueError, match=msg):
+            level_powers(TWO, LAM_TWO, bad)
+        with pytest.raises(ValueError, match=msg):
+            check_prop_2_2(TWO, LAM_TWO, bad)
+        with pytest.raises(ValueError, match=msg):
+            check_prop_2_5(TWO, LAM_TWO, bad)
+        with pytest.raises(ValueError, match=msg):
+            check_prop_2_4(TWO, LAM_TWO, LAM_TWO, bad)
+        with pytest.raises(ValueError, match=msg):
+            check_prop_3_1(model, t, a, tn, bad)
+    with pytest.raises(ValueError, match=msg):
+        best_level_power(TWO, LAM_TWO, 1.0)
+    with pytest.raises(ValueError, match="non-empty"):
+        level_powers(TWO, LAM_TWO, [])
 
 
 def test_constant_statistic_power_equals_alpha():
@@ -280,3 +362,16 @@ def test_verify_propositions_small_run():
     assert all(r["passed"] for r in rows)
     for r in rows:
         assert r["max_violation"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": -1}, r"seed must be non-negative, got -1"),
+        ({"n_models": 0}, r"n_models must be >= 1, got 0"),
+        ({"n_pairs": -3}, r"n_pairs must be >= 1, got -3"),
+    ],
+)
+def test_verify_propositions_rejects_bad_input_by_name(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        verify_propositions(**{"n_models": 5, "n_pairs": 5, **kwargs})

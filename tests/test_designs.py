@@ -16,8 +16,11 @@ from ancitest import (
     UnknownDesignError,
     design_params,
     list_designs,
+    make_fixture,
+    resample_power_study,
     sample_design,
     sample_design_matrix,
+    statistic_sample,
 )
 
 
@@ -192,6 +195,23 @@ def test_stream_path_validation():
         RandomStream(0, (-3,)).generator()
     with pytest.raises(TypeError):
         RandomStream(0, (2.5,)).generator()
+
+
+def test_negative_root_seed_rejected_by_name():
+    with pytest.raises(ValueError, match=r"root_seed must be non-negative, got -1"):
+        RandomStream(-1, ("a",))
+    with pytest.raises(ValueError, match=r"root_seed must be non-negative, got -1"):
+        statistic_sample("TN", DesignId("3", 0, 1), 50, 100, root_seed=-1)
+    eps = make_fixture(100, 1)
+    with pytest.raises(ValueError, match=r"root_seed must be non-negative, got -1"):
+        resample_power_study(eps, 70, 100, seed=-1)
+    with pytest.raises(ValueError, match=r"root_seed must be non-negative, got -1"):
+        make_fixture(100, -1)
+    # Seed 0 stays valid and its stream is unchanged.
+    seq = np.random.SeedSequence(0, spawn_key=())
+    assert np.array_equal(
+        RandomStream(0).generator().random(8), np.random.default_rng(seq).random(8)
+    )
 
 
 def test_matrix_sampler_contract():

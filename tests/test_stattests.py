@@ -409,10 +409,15 @@ def test_symmetry_kernels_match_scalar():
 
 
 def test_wilcoxon_kernel_matches_scalar_on_tie_free_rows():
+    # Independent tie-free reference: ordinal ranks of |x| from a double
+    # argsort, W+ over the positive entries, and the untied variance.
     gen = np.random.default_rng(2027)
-    x = gen.standard_normal((30, 26)) + 0.2  # continuous, ties negligible
+    x = gen.standard_normal((30, 26)) + 0.2  # continuous: no ties, no zeros
+    n = x.shape[1]
+    ranks = np.argsort(np.argsort(np.abs(x), axis=1), axis=1) + 1
+    w_plus = (ranks * (x > 0)).sum(axis=1)
+    ref = (w_plus - n * (n + 1) / 4) / math.sqrt(n * (n + 1) * (2 * n + 1) / 24)
     z = ker.wilcoxon_z(x)
     for i in range(x.shape[0]):
-        assert z[i] == pytest.approx(
-            wilcoxon_signed_rank(x[i]).statistic, rel=1e-11
-        )
+        assert z[i] == pytest.approx(ref[i], rel=1e-11)
+        assert wilcoxon_signed_rank(x[i]).statistic == pytest.approx(ref[i], rel=1e-11)
