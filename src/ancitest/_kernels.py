@@ -27,6 +27,7 @@ import numpy as np
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])
+_BOOT_STEP = 50  # bootstrap resamples evaluated per step along B
 
 
 def normal_upper(alpha: float) -> float:
@@ -247,24 +248,62 @@ def bootstrap_mean_reject(
 ):
     """Centered bootstrap-t with known sigma, one decision per row.
 
-    For each row, draws n_boot resamples with replacement, forms
-    T*_b = sqrt(n) (mean*_b - mean) / sigma, and rejects when the observed
-    statistic exceeds the empirical (1 - alpha) quantile of the T*_b.
-    Returns (reject, p_value) arrays.  Resampling indices are drawn in fixed
-    row-block order, so results depend only on (x, gen state).
+    Row r rejects when its statistic To = sqrt(n) mean / sigma exceeds
+    np.quantile(T*, 1 - alpha) of its n_boot resample statistics
+    T*_b = sqrt(n) (mean*_b - mean) / sigma.  Returns the boolean decision
+    vector only.
+
+    The indices of each block of rows are drawn in one call,
+    gen.integers(0, n, size=(rows, n_boot, n)), in fixed row-block order, so
+    the decisions depend only on (x, gen state) and the generator ends in the
+    same state whatever the data.  They are drawn as int32, which gives the
+    values of the default int64 draw.  The T*_b are then evaluated
+    _BOOT_STEP resamples at a time, and a row stops as soon as its decision
+    is fixed.  The quantile sits at v = (n_boot - 1)(1 - alpha), between the
+    sorted T*_(lo) and T*_(lo+1) with lo = floor(v), so with
+    c = #{T*_b < To}:
+
+    - a row rejects once c >= lo + 2, or c >= lo + 1 when v is an integer;
+    - a row keeps once #{T*_b >= To} >= n_boot - lo;
+    - only a row that ends at c = lo + 1 with a fractional v needs the
+      quantile itself, which np.quantile then takes from all its T*_b.
+
+    Each resample mean is the same whichever rows and steps are evaluated
+    together, so the decisions equal To > np.quantile(T*, 1 - alpha) over
+    all n_boot resamples, bit for bit.
     """
     rows, n = x.shape
     xbar = x.mean(axis=1)
     to = math.sqrt(n) * xbar / sigma
+    v = (n_boot - 1) * (1.0 - alpha)  # numpy's own virtual index
+    lo = math.floor(v)
+    reject_at = lo + 1 if v == lo else lo + 2
+    keep_at = n_boot - lo
     reject = np.empty(rows, dtype=bool)
-    pval = np.empty(rows, dtype=float)
     block = max(1, max_elems // (n_boot * n))
-    for lo in range(0, rows, block):
-        hi = min(lo + block, rows)
-        idx = gen.integers(0, n, size=(hi - lo, n_boot, n))
-        resampled = x[lo:hi][np.arange(hi - lo)[:, None, None], idx]
-        tstar = math.sqrt(n) * (resampled.mean(axis=2) - xbar[lo:hi, None]) / sigma
-        q = np.quantile(tstar, 1.0 - alpha, axis=1)
-        reject[lo:hi] = to[lo:hi] > q
-        pval[lo:hi] = (tstar >= to[lo:hi, None]).mean(axis=1)
-    return reject, pval
+    for r0 in range(0, rows, block):
+        m = min(block, rows - r0)
+        idx = gen.integers(0, n, size=(m, n_boot, n), dtype=np.int32)
+        offset = (np.arange(m, dtype=np.int32) * n)[:, None, None]
+        flat = x[r0 : r0 + m].ravel()
+        tstar = np.empty((m, n_boot))
+        live = np.arange(m)
+        below = np.zeros(m, dtype=np.int64)
+        for b0 in range(0, n_boot, _BOOT_STEP):
+            b1 = min(b0 + _BOOT_STEP, n_boot)
+            sub = idx[live, b0:b1]  # a copy: fancy index on rows
+            sub += offset[live]
+            means = np.take(flat, sub).mean(axis=2)
+            t = math.sqrt(n) * (means - xbar[r0 + live, None]) / sigma
+            tstar[live, b0:b1] = t
+            below += np.count_nonzero(t < to[r0 + live, None], axis=1)
+            up = below >= reject_at
+            done = up | (b1 - below >= keep_at)
+            reject[r0 + live[done]] = up[done]
+            live, below = live[~done], below[~done]
+            if not live.size:
+                break
+        if live.size:
+            q = np.quantile(tstar[live], 1.0 - alpha, axis=1)
+            reject[r0 + live] = to[r0 + live] > q
+    return reject

@@ -100,6 +100,21 @@ def default_alpha_grid():
     return np.linspace(0.01, 0.99, 99)
 
 
+def _alpha_vector(alphas) -> np.ndarray:
+    """alphas as a non-empty float vector with every entry in (0, 1)."""
+    alphas = np.asarray(alphas, dtype=float)
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise ValueError("alphas must be a non-empty vector")
+    if not np.all((alphas > 0.0) & (alphas < 1.0)):
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    return alphas
+
+
+def _alpha_grid(alpha_grid) -> np.ndarray:
+    """The proposition checks' grid: the default one, or a checked vector."""
+    return default_alpha_grid() if alpha_grid is None else _alpha_vector(alpha_grid)
+
+
 def _levels(values: np.ndarray):
     """Unique values ascending with their outcome masks."""
     uniq = np.unique(values)
@@ -138,11 +153,7 @@ def level_powers(model: DiscreteModel, t: FiniteStatistic, alphas) -> np.ndarray
     c1[j] + (alpha - c0[j]) / p0[j] * p1[j], or c1 of all levels once alpha
     reaches the total null mass.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.ndim != 1 or alphas.size == 0:
-        raise ValueError("alphas must be a non-empty vector")
-    if not np.all((alphas > 0.0) & (alphas < 1.0)):
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    alphas = _alpha_vector(alphas)
     p0, p1 = _level_table(model, t)
     c0 = np.concatenate(([0.0], np.cumsum(p0)))
     c1 = np.concatenate(([0.0], np.cumsum(p1)))
@@ -193,8 +204,7 @@ def check_prop_2_2(model: DiscreteModel, t: FiniteStatistic, alpha_grid=None) ->
     """
     if np.any(t.array() < 0):
         raise ValueError("statistic must be non-negative for the calibration condition")
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid()
+    alpha_grid = _alpha_grid(alpha_grid)
     f0, f1 = model.arrays()
     tv = t.array()
     condition_violation = float(np.max(np.abs(f1 - tv * f0)))
@@ -253,8 +263,7 @@ def check_prop_2_4(
     """
     if np.any(t1.array() < 0):
         raise ValueError("t1 must be non-negative")
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid()
+    alpha_grid = _alpha_grid(alpha_grid)
     f0, f1 = model.arrays()
     v1 = t1.array()
     v2 = t2.array()
@@ -283,8 +292,7 @@ def check_prop_2_5(model: DiscreteModel, t: FiniteStatistic, alpha_grid=None) ->
     P1(t = u)/P0(t = u) equals u.  is_mp: power equality with the likelihood
     ratio on the grid.
     """
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid()
+    alpha_grid = _alpha_grid(alpha_grid)
     f0, f1 = model.arrays()
     tv = t.array()
     sufficient = True
@@ -325,8 +333,7 @@ def check_prop_3_1(
     ratio of tn is monotone in its value.  A failed premise is named and the
     claim is not evaluated.
     """
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid()
+    alpha_grid = _alpha_grid(alpha_grid)
     f0, f1 = model.arrays()
     av = a.array()
     tnv = tn.array()

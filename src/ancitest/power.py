@@ -209,7 +209,7 @@ def _chunk_statistics(spec, rows, chunk_idx, root_seed, variant, alpha, bootstra
             else:
                 degen = np.ptp(x, axis=1) <= 0.0
                 bgen = stream.child(1).generator()
-                reject, _ = _kernels.bootstrap_mean_reject(x, sigma, alpha, bootstrap_b, bgen)
+                reject = _kernels.bootstrap_mean_reject(x, sigma, alpha, bootstrap_b, bgen)
                 out[t] = (None, degen, reject & ~degen)
     else:
         pieces = None

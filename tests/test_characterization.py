@@ -153,6 +153,17 @@ def test_level_powers_reject_any_alpha_outside_unit_interval():
         best_level_power(TWO, LAM_TWO, 1.0)
     with pytest.raises(ValueError, match="non-empty"):
         level_powers(TWO, LAM_TWO, [])
+    # The grid is checked before the hypothesis and the premises, which
+    # both fail here: a bad grid never yields a report.
+    counter, merged = coarsening_counter_model()
+    lam = likelihood_ratio(counter)
+    doubled = FiniteStatistic(tuple(2.0 * lam.array()))
+    assert not check_prop_2_4(counter, doubled, merged)["applicable"]
+    assert check_prop_3_1(counter, merged, lam, lam)["failed_premise"] == "ancillarity"
+    with pytest.raises(ValueError, match=msg):
+        check_prop_2_4(counter, doubled, merged, [2.0])
+    with pytest.raises(ValueError, match=msg):
+        check_prop_3_1(counter, merged, lam, lam, [2.0])
 
 
 def test_constant_statistic_power_equals_alpha():

@@ -7,6 +7,8 @@ the zeros, takes mid-ranks from scipy.stats.rankdata and the tie correction
 from np.unique, and serves only as a test oracle here.  Both must agree
 exactly, on continuous rows and on the tied rows that resampling produces.
 The stdlib normal tails are checked against scipy.stats to rel 1e-12.
+bootstrap_mean_reject stops each row early; the full-B loop below, which
+evaluates every resample, is its oracle on the same index draws.
 """
 
 import math
@@ -146,3 +148,134 @@ def test_normal_tails_match_scipy():
     np.testing.assert_allclose(
         2.0 * ker.normal_sf(np.abs(x)), sps.chi2.sf(x * x, df=1), rtol=1e-12, atol=0.0
     )
+
+
+
+BOOT_CASES = [(100, 0.05), (101, 0.05), (1000, 0.05), (1000, 0.037), (400, 0.1)]
+
+
+def _full_b_bootstrap(x, sigma, alpha, n_boot, gen, max_elems):
+    """The full-B bootstrap loop: every resample of every row, in the same
+    row blocks and index draws, then To > np.quantile(T*, 1 - alpha).
+    Returns (reject, To, T*)."""
+    rows, n = x.shape
+    xbar = x.mean(axis=1)
+    to = math.sqrt(n) * xbar / sigma
+    tstar = np.empty((rows, n_boot))
+    block = max(1, max_elems // (n_boot * n))
+    for lo in range(0, rows, block):
+        hi = min(lo + block, rows)
+        idx = gen.integers(0, n, size=(hi - lo, n_boot, n))
+        resampled = x[lo:hi][np.arange(hi - lo)[:, None, None], idx]
+        tstar[lo:hi] = math.sqrt(n) * (resampled.mean(axis=2) - xbar[lo:hi, None]) / sigma
+    return to > np.quantile(tstar, 1.0 - alpha, axis=1), to, tstar
+
+
+def _stop_rule(n_boot, alpha):
+    """(lo, reject_at, keep_at): the quantile sits between the sorted
+    T*_(lo) and T*_(lo+1); a row's decision is fixed once c = #{T*_b < To}
+    reaches reject_at or #{T*_b >= To} reaches keep_at."""
+    v = (n_boot - 1) * (1.0 - alpha)
+    lo = math.floor(v)
+    return lo, lo + 1 if v == lo else lo + 2, n_boot - lo
+
+
+def _stop_steps(to, tstar, alpha):
+    """Resamples each row needs: up to the first step that fixes its
+    decision, or all of them."""
+    n_boot = tstar.shape[1]
+    _, reject_at, keep_at = _stop_rule(n_boot, alpha)
+    ends = np.r_[np.arange(ker._BOOT_STEP, n_boot, ker._BOOT_STEP), n_boot]
+    c = np.cumsum(tstar < to[:, None], axis=1)[:, ends - 1]
+    fixed = (c >= reject_at) | (ends - c >= keep_at)
+    return np.where(fixed.any(axis=1), ends[fixed.argmax(axis=1)], n_boot)
+
+
+@pytest.fixture
+def taken(monkeypatch):
+    """Sizes of the index arrays that np.take gathers by."""
+    sizes = []
+    take = np.take
+
+    def counting_take(a, indices):
+        sizes.append(indices.size)
+        return take(a, indices)
+
+    monkeypatch.setattr(np, "take", counting_take)
+    return sizes
+
+
+def _bootstrap_rows(n, alpha, seed):
+    """Rows whose To sits near the bootstrap (1 - alpha) quantile, rounded
+    rows, zero-mean integer rows (To = 0, and T*_b = To whenever a resample
+    sums to 0), one constant row and plain shifted rows."""
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal((40, n))
+    z -= z.mean(axis=1, keepdims=True)
+    tuned = z + ker.normal_upper(alpha) * z.std(axis=1, keepdims=True) / math.sqrt(n)
+    rounded = np.round(gen.standard_normal((6, n)) + 0.2, 1)
+    ints = gen.integers(-2, 3, size=(4, n)).astype(float)
+    ints[:, 0] -= ints.sum(axis=1)
+    plain = gen.standard_normal((8, n)) + 0.1
+    return np.vstack([tuned, rounded, ints, np.full((1, n), 0.7), plain])
+
+
+@pytest.mark.parametrize("n", [15, 50, 250])
+@pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
+def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, taken):
+    # Seeds chosen so that every case has rows ending at c = lo + 1.
+    x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
+    max_elems = 8 * n_boot * n  # 8-row blocks: 59 rows span eight of them
+    gen = np.random.default_rng(n)
+    got_gen = np.random.default_rng(n)
+    got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, got_gen, max_elems)
+    want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, n_boot, gen, max_elems)
+    assert np.array_equal(got, want)
+    assert got_gen.bit_generator.state == gen.bit_generator.state
+    # Each row stops at the first step that fixes its decision.
+    assert sum(taken) == n * _stop_steps(to, tstar, alpha).sum()
+    # The data reach ties T*_b = To, rows that end exactly at the boundary
+    # count c = lo + 1, and both decisions.
+    lo, _, _ = _stop_rule(n_boot, alpha)
+    assert np.any(tstar == to[:, None])
+    assert np.any(np.count_nonzero(tstar < to[:, None], axis=1) == lo + 1)
+    assert want.any() and not want.all()
+
+
+@pytest.mark.parametrize("n", [15, 250])
+@pytest.mark.parametrize("n_boot, alpha", BOOT_CASES + [(1000, 0.1)])
+def test_bootstrap_boundary_count_decided_by_the_quantile(n, n_boot, alpha, taken):
+    # One centered row, shifted so that To lands at chosen points among the
+    # sorted T*_b of its own resamples.  A shift moves To but leaves the
+    # T*_b (up to rounding), and every call draws the same indices.  With a
+    # fractional v, To just above T*_(lo) but below the interpolated
+    # quantile keeps at c = lo + 1, To above it rejects.
+    z = np.random.default_rng(n_boot).standard_normal(n)
+    z -= z.mean()
+    _, _, tstar = _full_b_bootstrap(z[None], 1.0, alpha, n_boot, np.random.default_rng(1), 1)
+    s = np.sort(tstar[0])
+    lo, reject_at, _ = _stop_rule(n_boot, alpha)
+    g = (n_boot - 1) * (1.0 - alpha) - lo
+    gap = s[lo + 1] - s[lo]
+    assert gap > 0.0
+    # (To, its count c, the decision)
+    targets = [((s[lo - 1] + s[lo]) / 2.0, lo, False),
+               (s[lo] + (1.0 + g) / 2.0 * gap, lo + 1, True)]
+    if g > 0.0:
+        targets.append((s[lo] + g / 2.0 * gap, lo + 1, False))
+    # Where the reject count can be reached before the last step, a row
+    # that reaches it exactly there.
+    last = (n_boot - 1) // ker._BOOT_STEP * ker._BOOT_STEP
+    if reject_at <= last:
+        p = np.sort(tstar[0, :last])
+        target = (p[reject_at - 1] + p[reject_at]) / 2.0
+        targets.append((target, np.count_nonzero(s < target), True))
+    for target, c, decision in targets:
+        x = (z + target / math.sqrt(n))[None]
+        taken.clear()
+        got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, np.random.default_rng(1))
+        want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, n_boot, np.random.default_rng(1), 1)
+        assert np.count_nonzero(tstar < to[0]) == c
+        assert want[0] == decision
+        assert np.array_equal(got, want)
+        assert sum(taken) == n * _stop_steps(to, tstar, alpha).sum()

@@ -104,6 +104,14 @@ def test_estimate_power_deterministic_across_threads():
     assert a == c
 
 
+def test_bootstrap_estimate_deterministic_across_threads():
+    plan = _plan("TB", DesignId("1", 0, 3), DesignId("1", 1, 3), [50, 150], 1000,
+                 seed=9, bootstrap_b=100)
+    a = estimate_power(plan, threads=1)
+    assert a == estimate_power(plan, threads=3)
+    assert all(0.0 < est.powa < 1.0 for est in a.values())
+
+
 def test_statistic_sample_matches_scalar_tests():
     # The engine must draw through the documented stream path
     # (table, index, hypothesis, n, chunk) and reproduce the scalar

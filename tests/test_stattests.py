@@ -133,13 +133,30 @@ def test_bootstrap_t_test_contract():
 
 
 def test_bootstrap_scalar_matches_batched_kernel():
-    x = np.array([0.4, -0.2, 1.3, 0.8, -0.5, 0.1, 2.0, -1.1])
-    out = bootstrap_t_test(x, sigma=0.9, alpha=0.05, n_boot=400, stream=RandomStream(9, ("k",)))
-    rej, pval = ker.bootstrap_mean_reject(
-        x[None, :], 0.9, 0.05, 400, RandomStream(9, ("k",)).generator()
-    )
-    assert bool(rej[0]) == out.reject
-    assert pval[0] == pytest.approx(out.p_value, abs=1e-15)
+    # 195 single rows over n and (n_boot, alpha), To spread across the
+    # threshold.  The kernel stops each row early and returns decisions
+    # only; the scalar test evaluates every resample and keeps its p-value,
+    # which must be the share of its own T*_b at or above To.
+    gen = np.random.default_rng(17)
+    cases = ((100, 0.05), (101, 0.05), (1000, 0.05), (1000, 0.037), (400, 0.1))
+    decisions = []
+    for n in (15, 50, 250):
+        for n_boot, alpha in cases:
+            for k in range(13):
+                z = gen.standard_normal(n)
+                x = z - z.mean() + gen.uniform(0.0, 3.0) / math.sqrt(n)
+                stream = RandomStream(k, ("k", n, n_boot))
+                out = bootstrap_t_test(x, sigma=0.9, alpha=alpha, n_boot=n_boot, stream=stream)
+                rej = ker.bootstrap_mean_reject(x[None, :], 0.9, alpha, n_boot, stream.generator())
+                assert bool(rej[0]) == out.reject
+                decisions.append(out.reject)
+
+                idx = stream.generator().integers(0, n, size=(n_boot, n))
+                tstar = np.sort(math.sqrt(n) * (x[idx].mean(axis=1) - x.mean()) / 0.9)
+                assert out.threshold == np.quantile(tstar, 1.0 - alpha)
+                at_or_above = n_boot - np.searchsorted(tstar, out.statistic, side="left")
+                assert out.p_value == at_or_above / n_boot
+    assert len(decisions) == 195 and 20 < sum(decisions) < 175
 
 
 def test_median_test_To_composition_oracle():
