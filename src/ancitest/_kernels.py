@@ -28,6 +28,7 @@ import numpy as np
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 _BOOT_STEP = 50  # bootstrap resamples evaluated per step along B
+_BOOT_ELEMS = 1 << 20  # indices in one step of a full bootstrap row block
 
 
 def normal_upper(alpha: float) -> float:
@@ -238,29 +239,38 @@ def _tied_rank_sums(v: np.ndarray, selected: np.ndarray):
     return (first * selected).sum(axis=1) + 2 * np.count_nonzero(selected, axis=1), ties
 
 
-def bootstrap_mean_reject(
-    x: np.ndarray,
-    sigma: float,
-    alpha: float,
-    n_boot: int,
-    gen: np.random.Generator,
-    max_elems: int = 1 << 22,
-):
-    """Centered bootstrap-t with known sigma, one decision per row.
+def bootstrap_steps(n_boot: int):
+    """(b0, b1) bounds of the steps of _BOOT_STEP resamples along B."""
+    return [(b0, min(b0 + _BOOT_STEP, n_boot)) for b0 in range(0, n_boot, _BOOT_STEP)]
+
+
+def bootstrap_draw(gen: np.random.Generator, rows: int, step: int, n: int):
+    """Indices of one step of resamples: gen.integers(0, n, size=(rows,
+    step, n)), drawn as uint16 when n <= 65536 and as int64 above."""
+    dtype = np.uint16 if n <= 1 << 16 else np.int64
+    return gen.integers(0, n, size=(rows, step, n), dtype=dtype)
+
+
+def bootstrap_row_draws(gen: np.random.Generator, n_boot: int, n: int):
+    """All n_boot resample indices of one row, (n_boot, n), drawn step by
+    step: the indices bootstrap_mean_reject draws for a one-row block on
+    every step it evaluates."""
+    steps = bootstrap_steps(n_boot)
+    return np.concatenate([bootstrap_draw(gen, 1, b1 - b0, n)[0] for b0, b1 in steps])
+
+
+def bootstrap_decide(x, sigma, alpha, n_boot, draw, max_elems=_BOOT_ELEMS):
+    """Early-stopped bootstrap-t decisions on the resamples that draw supplies.
 
     Row r rejects when its statistic To = sqrt(n) mean / sigma exceeds
     np.quantile(T*, 1 - alpha) of its n_boot resample statistics
-    T*_b = sqrt(n) (mean*_b - mean) / sigma.  Returns the boolean decision
-    vector only.
-
-    The indices of each block of rows are drawn in one call,
-    gen.integers(0, n, size=(rows, n_boot, n)), in fixed row-block order, so
-    the decisions depend only on (x, gen state) and the generator ends in the
-    same state whatever the data.  They are drawn as int32, which gives the
-    values of the default int64 draw.  The T*_b are then evaluated
-    _BOOT_STEP resamples at a time, and a row stops as soon as its decision
-    is fixed.  The quantile sits at v = (n_boot - 1)(1 - alpha), between the
-    sorted T*_(lo) and T*_(lo+1) with lo = floor(v), so with
+    T*_b = sqrt(n) (mean*_b - mean) / sigma.  Rows are taken in blocks of
+    max_elems // (_BOOT_STEP * n) (83 rows at n = 250), and each block
+    steps along B, _BOOT_STEP resamples at a time (bootstrap_steps).  At
+    each step draw(rows, b0, b1) must return the (len(rows), b1 - b0, n)
+    indices of resamples b0..b1-1 of the given rows of x, for the rows
+    still live only.  The quantile sits at v = (n_boot - 1)(1 - alpha),
+    between the sorted T*_(lo) and T*_(lo+1) with lo = floor(v), so with
     c = #{T*_b < To}:
 
     - a row rejects once c >= lo + 2, or c >= lo + 1 when v is an integer;
@@ -270,7 +280,8 @@ def bootstrap_mean_reject(
 
     Each resample mean is the same whichever rows and steps are evaluated
     together, so the decisions equal To > np.quantile(T*, 1 - alpha) over
-    all n_boot resamples, bit for bit.
+    all n_boot resamples of the same indices, bit for bit.  Returns the
+    decision vector and the number of resamples each row evaluated.
     """
     rows, n = x.shape
     xbar = x.mean(axis=1)
@@ -280,19 +291,17 @@ def bootstrap_mean_reject(
     reject_at = lo + 1 if v == lo else lo + 2
     keep_at = n_boot - lo
     reject = np.empty(rows, dtype=bool)
-    block = max(1, max_elems // (n_boot * n))
+    used = np.full(rows, n_boot)
+    block = max(1, max_elems // (_BOOT_STEP * n))
     for r0 in range(0, rows, block):
         m = min(block, rows - r0)
-        idx = gen.integers(0, n, size=(m, n_boot, n), dtype=np.int32)
-        offset = (np.arange(m, dtype=np.int32) * n)[:, None, None]
         flat = x[r0 : r0 + m].ravel()
+        offset = np.arange(0, m * n, n, dtype=np.intp)[:, None, None]
         tstar = np.empty((m, n_boot))
         live = np.arange(m)
         below = np.zeros(m, dtype=np.int64)
-        for b0 in range(0, n_boot, _BOOT_STEP):
-            b1 = min(b0 + _BOOT_STEP, n_boot)
-            sub = idx[live, b0:b1]  # a copy: fancy index on rows
-            sub += offset[live]
+        for b0, b1 in bootstrap_steps(n_boot):
+            sub = draw(r0 + live, b0, b1) + offset[live]  # intp indices
             means = np.take(flat, sub).mean(axis=2)
             t = math.sqrt(n) * (means - xbar[r0 + live, None]) / sigma
             tstar[live, b0:b1] = t
@@ -300,10 +309,37 @@ def bootstrap_mean_reject(
             up = below >= reject_at
             done = up | (b1 - below >= keep_at)
             reject[r0 + live[done]] = up[done]
+            used[r0 + live[done]] = b1
             live, below = live[~done], below[~done]
             if not live.size:
                 break
         if live.size:
             q = np.quantile(tstar[live], 1.0 - alpha, axis=1)
             reject[r0 + live] = to[r0 + live] > q
-    return reject
+    return reject, used
+
+
+def bootstrap_mean_reject(
+    x: np.ndarray,
+    sigma: float,
+    alpha: float,
+    n_boot: int,
+    gen: np.random.Generator,
+    max_elems: int = _BOOT_ELEMS,
+):
+    """Centered bootstrap-t with known sigma, one decision per row.
+
+    The decision rule is bootstrap_decide's.  Each step draws
+    bootstrap_draw(gen, live, step, n) for the rows of its block still
+    undecided, block after block, so a row draws exactly the resamples it
+    evaluates.  The decisions depend only on (x, gen state, max_elems): the
+    block size is part of the stream layout.  How many indices are drawn
+    depends on when rows stop, so the generator's end state depends on x.
+    Returns the boolean decision vector only.
+    """
+    n = x.shape[1]
+
+    def draw(live, b0, b1):
+        return bootstrap_draw(gen, live.size, b1 - b0, n)
+
+    return bootstrap_decide(x, sigma, alpha, n_boot, draw, max_elems)[0]

@@ -2,8 +2,9 @@
 
 Subcommands wire directly to the library modules; every file-producing run
 also writes a JSON manifest (<out>.manifest.json) carrying the subcommand,
-the full flag set, the seed, the library version, the wall time and the
-output paths, so any artifact can be reproduced from its manifest alone.
+the full flag set, the seed, the library version, the stream-layout
+version, the wall time and the output paths, so any artifact can be
+reproduced from its manifest alone.
 
 Exit codes: 0 success, 2 usage error (argparse), 1 runtime failure; all
 diagnostics go to stderr, all data to files or stdout.
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .characterization import verify_propositions
-from .designs import list_designs
+from .designs import STREAM_LAYOUT, list_designs
 from .power import (
     default_a_grid,
     default_mu_grid,
@@ -95,6 +96,7 @@ def _write_manifest(args, out_paths, started):
         "flags": flags,
         "root_seed": flags.get("seed"),
         "version": __version__,
+        "stream_layout": STREAM_LAYOUT,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "output_paths": list(out_paths),
     }

@@ -19,12 +19,18 @@ __all__ = [
     "DesignId",
     "DesignParams",
     "RandomStream",
+    "STREAM_LAYOUT",
     "UnknownDesignError",
     "design_params",
     "list_designs",
     "sample_design",
     "sample_design_matrix",
 ]
+
+# Version of the stream layout: which draws every stream path feeds.  It is
+# bumped by any change to the draws; the README lists what each version
+# changed.
+STREAM_LAYOUT = 2
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)

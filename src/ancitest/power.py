@@ -16,7 +16,10 @@ Two rejection-rate criteria are computed per (test, design, n) cell:
 
 Reproducibility contract: replications are produced in fixed-size chunks,
 and chunk c of a cell draws from the stream path (table, index, hypothesis,
-n, c).  Chunk content therefore depends only on the root seed and the cell
+n, c).  The bootstrap test resamples chunk c from the child path
+(table, index, hypothesis, n, c, 1), one step of resamples at a time for
+the rows still undecided (stream layout 2, see designs.STREAM_LAYOUT).
+Chunk content therefore depends only on the root seed and the cell
 coordinates, never on the worker schedule, and rates are reduced from
 integer rejection counts, so any thread count yields identical output.
 
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .designs import DesignId, RandomStream, design_params, sample_design_matrix
+from .designs import STREAM_LAYOUT, DesignId, RandomStream, design_params, sample_design_matrix
 
 __all__ = [
     "CHUNK",
@@ -442,6 +445,7 @@ class TableReport:
     bootstrap_b: int
     ns: tuple
     rows: tuple
+    stream_layout: int = STREAM_LAYOUT
 
     def cell(self, design_label: str, test: str, n: int) -> PowerEstimate:
         for row in self.rows:

@@ -154,7 +154,9 @@ def bootstrap_t_test(
     Draws n_boot resamples with replacement, forms the centered statistics
     T*_b = sqrt(n) (mean*_b - mean) / sigma, and rejects when the observed
     statistic exceeds their empirical (1 - alpha) quantile.  The p-value is
-    the fraction of T*_b at or above the observed statistic.
+    the fraction of T*_b at or above the observed statistic.  The indices
+    are drawn step by step as the engine draws them for one row, so on the
+    same generator the T*_b equal the engine's on every step it evaluates.
     """
     arr = _clean(x, 2)
     _check_alpha(alpha)
@@ -168,7 +170,7 @@ def bootstrap_t_test(
     gen = stream.generator()
     xbar = float(np.mean(arr))
     to = math.sqrt(n) * xbar / sigma
-    idx = gen.integers(0, n, size=(n_boot, n))
+    idx = _kernels.bootstrap_row_draws(gen, n_boot, n)
     tstar = math.sqrt(n) * (arr[idx].mean(axis=1) - xbar) / sigma
     q = float(np.quantile(tstar, 1.0 - alpha))
     return TestOutcome(

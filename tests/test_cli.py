@@ -14,6 +14,8 @@ import sys
 import numpy as np
 import pytest
 
+from ancitest import STREAM_LAYOUT
+
 BASE = [sys.executable, "-m", "ancitest"]
 
 
@@ -52,6 +54,7 @@ def test_tables_output_and_manifest(tmp_path):
     assert manifest["output_paths"] == [str(out_path)]
     assert manifest["wall_time_s"] >= 0.0
     assert "version" in manifest
+    assert manifest["stream_layout"] == STREAM_LAYOUT == 2
 
 
 def test_tables_byte_identical_across_threads(tmp_path):

@@ -7,8 +7,10 @@ the zeros, takes mid-ranks from scipy.stats.rankdata and the tie correction
 from np.unique, and serves only as a test oracle here.  Both must agree
 exactly, on continuous rows and on the tied rows that resampling produces.
 The stdlib normal tails are checked against scipy.stats to rel 1e-12.
-bootstrap_mean_reject stops each row early; the full-B loop below, which
-evaluates every resample, is its oracle on the same index draws.
+bootstrap_decide stops each row early; the full-B loop below, which
+evaluates every resample, is its oracle on the same indices, fed to it a
+step at a time from one pre-drawn (rows, B, n) array.  bootstrap_mean_reject
+draws each step for the live rows only, and draws exactly what it evaluates.
 """
 
 import math
@@ -154,20 +156,15 @@ def test_normal_tails_match_scipy():
 BOOT_CASES = [(100, 0.05), (101, 0.05), (1000, 0.05), (1000, 0.037), (400, 0.1)]
 
 
-def _full_b_bootstrap(x, sigma, alpha, n_boot, gen, max_elems):
-    """The full-B bootstrap loop: every resample of every row, in the same
-    row blocks and index draws, then To > np.quantile(T*, 1 - alpha).
+def _full_b_bootstrap(x, sigma, alpha, idx):
+    """The full-B bootstrap loop on the (rows, B, n) indices idx: every
+    resample of every row, then To > np.quantile(T*, 1 - alpha).
     Returns (reject, To, T*)."""
     rows, n = x.shape
     xbar = x.mean(axis=1)
     to = math.sqrt(n) * xbar / sigma
-    tstar = np.empty((rows, n_boot))
-    block = max(1, max_elems // (n_boot * n))
-    for lo in range(0, rows, block):
-        hi = min(lo + block, rows)
-        idx = gen.integers(0, n, size=(hi - lo, n_boot, n))
-        resampled = x[lo:hi][np.arange(hi - lo)[:, None, None], idx]
-        tstar[lo:hi] = math.sqrt(n) * (resampled.mean(axis=2) - xbar[lo:hi, None]) / sigma
+    resampled = x[np.arange(rows)[:, None, None], idx]
+    tstar = math.sqrt(n) * (resampled.mean(axis=2) - xbar[:, None]) / sigma
     return to > np.quantile(tstar, 1.0 - alpha, axis=1), to, tstar
 
 
@@ -225,15 +222,18 @@ def _bootstrap_rows(n, alpha, seed):
 def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, taken):
     # Seeds chosen so that every case has rows ending at c = lo + 1.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
-    max_elems = 8 * n_boot * n  # 8-row blocks: 59 rows span eight of them
-    gen = np.random.default_rng(n)
-    got_gen = np.random.default_rng(n)
-    got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, got_gen, max_elems)
-    want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, n_boot, gen, max_elems)
+    idx = np.random.default_rng(n).integers(0, n, size=(len(x), n_boot, n))
+    max_elems = 8 * ker._BOOT_STEP * n  # 8-row blocks: 59 rows span eight of them
+    # The decision stage gets step slices of the pre-drawn indices.
+    got, used = ker.bootstrap_decide(
+        x, 1.0, alpha, n_boot, lambda rows, b0, b1: idx[rows, b0:b1], max_elems
+    )
+    want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, idx)
     assert np.array_equal(got, want)
-    assert got_gen.bit_generator.state == gen.bit_generator.state
     # Each row stops at the first step that fixes its decision.
-    assert sum(taken) == n * _stop_steps(to, tstar, alpha).sum()
+    stops = _stop_steps(to, tstar, alpha)
+    assert np.array_equal(used, stops)
+    assert sum(taken) == n * stops.sum()
     # The data reach ties T*_b = To, rows that end exactly at the boundary
     # count c = lo + 1, and both decisions.
     lo, _, _ = _stop_rule(n_boot, alpha)
@@ -247,12 +247,14 @@ def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, taken):
 def test_bootstrap_boundary_count_decided_by_the_quantile(n, n_boot, alpha, taken):
     # One centered row, shifted so that To lands at chosen points among the
     # sorted T*_b of its own resamples.  A shift moves To but leaves the
-    # T*_b (up to rounding), and every call draws the same indices.  With a
-    # fractional v, To just above T*_(lo) but below the interpolated
-    # quantile keeps at c = lo + 1, To above it rejects.
+    # T*_b (up to rounding), and every call draws the same indices: a
+    # one-row block draws each step of bootstrap_row_draws while it is
+    # live.  With a fractional v, To just above T*_(lo) but below the
+    # interpolated quantile keeps at c = lo + 1, To above it rejects.
     z = np.random.default_rng(n_boot).standard_normal(n)
     z -= z.mean()
-    _, _, tstar = _full_b_bootstrap(z[None], 1.0, alpha, n_boot, np.random.default_rng(1), 1)
+    idx = ker.bootstrap_row_draws(np.random.default_rng(1), n_boot, n)[None]
+    _, _, tstar = _full_b_bootstrap(z[None], 1.0, alpha, idx)
     s = np.sort(tstar[0])
     lo, reject_at, _ = _stop_rule(n_boot, alpha)
     g = (n_boot - 1) * (1.0 - alpha) - lo
@@ -274,8 +276,72 @@ def test_bootstrap_boundary_count_decided_by_the_quantile(n, n_boot, alpha, take
         x = (z + target / math.sqrt(n))[None]
         taken.clear()
         got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, np.random.default_rng(1))
-        want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, n_boot, np.random.default_rng(1), 1)
+        want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, idx)
         assert np.count_nonzero(tstar < to[0]) == c
         assert want[0] == decision
         assert np.array_equal(got, want)
         assert sum(taken) == n * _stop_steps(to, tstar, alpha).sum()
+
+
+class _CountingGenerator:
+    """A generator proxy that records the size of every integers() draw."""
+
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(seed)
+        self.sizes = []
+
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(size)
+        return self.gen.integers(low, high, size=size, dtype=dtype)
+
+
+@pytest.mark.parametrize("n", [15, 250])
+@pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
+def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, taken):
+    x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
+    max_elems = 8 * ker._BOOT_STEP * n
+    proxy = _CountingGenerator(3)
+    got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, proxy, max_elems)
+    gathered = list(taken)
+    # The same draws through the decision stage give each row's stop.
+    gen = np.random.default_rng(3)
+    want, used = ker.bootstrap_decide(
+        x, 1.0, alpha, n_boot,
+        lambda rows, b0, b1: ker.bootstrap_draw(gen, rows.size, b1 - b0, n), max_elems,
+    )
+    assert np.array_equal(got, want)
+    assert proxy.gen.bit_generator.state == gen.bit_generator.state
+    # Per 8-row block and step, the draw covers the rows still live, and
+    # every drawn index is gathered once.
+    expected = []
+    for r0 in range(0, len(x), 8):
+        for b0, b1 in ker.bootstrap_steps(n_boot):
+            live = np.count_nonzero(used[r0 : r0 + 8] > b0)
+            if not live:
+                break
+            expected.append((live, b1 - b0, n))
+    assert proxy.sizes == expected
+    assert gathered == [math.prod(size) for size in expected]
+    assert sum(gathered) == n * used.sum() < len(x) * n_boot * n
+
+
+def test_bootstrap_draw_dtype_and_range():
+    gen = np.random.default_rng(4)
+    assert ker.bootstrap_draw(gen, 2, 3, 250).dtype == np.uint16
+    top = ker.bootstrap_draw(gen, 2, 3, 1 << 16)
+    assert top.dtype == np.uint16 and top.max() > 60000
+    # Above 65536 the indices no longer fit uint16: int64, still in [0, n).
+    n = 70001
+    idx = ker.bootstrap_draw(gen, 2, 3, n)
+    assert idx.dtype == np.int64 and idx.shape == (2, 3, n)
+    assert idx.min() == 0 and 65536 <= idx.max() < n
+
+
+def test_bootstrap_default_row_block():
+    # The default block size is part of the stream layout: 2**20 indices
+    # per step, 83 rows at n = 250.
+    x = np.random.default_rng(6).standard_normal((100, 250))
+    proxy = _CountingGenerator(7)
+    ker.bootstrap_mean_reject(x, 1.0, 0.05, 100, proxy)
+    assert proxy.sizes[0] == (83, ker._BOOT_STEP, 250)
+    assert (17, ker._BOOT_STEP, 250) in proxy.sizes

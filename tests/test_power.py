@@ -13,6 +13,7 @@ from scipy import stats as sps
 
 from ancitest import (
     DesignId,
+    STREAM_LAYOUT,
     RandomStream,
     StudyPlan,
     TableReport,
@@ -276,6 +277,7 @@ def test_reproduce_table_render_byte_identical_across_threads():
 
 def test_render_table_formats():
     rep = reproduce_table("2", reps=1000, seed=3, bootstrap_b=100)
+    assert rep.stream_layout == STREAM_LAYOUT
     text = render_table(rep, fmt="csv")
     parsed = list(csv.reader(io.StringIO(text)))
     assert len(parsed) == 13

@@ -134,9 +134,11 @@ def test_bootstrap_t_test_contract():
 
 def test_bootstrap_scalar_matches_batched_kernel():
     # 195 single rows over n and (n_boot, alpha), To spread across the
-    # threshold.  The kernel stops each row early and returns decisions
-    # only; the scalar test evaluates every resample and keeps its p-value,
-    # which must be the share of its own T*_b at or above To.
+    # threshold.  Both draw a row's indices a step at a time from the same
+    # stream: the kernel only while the row is undecided, the scalar test
+    # every step, so they share the T*_b of every step the kernel
+    # evaluates.  The kernel returns decisions only; the scalar test keeps
+    # its p-value, which must be the share of its own T*_b at or above To.
     gen = np.random.default_rng(17)
     cases = ((100, 0.05), (101, 0.05), (1000, 0.05), (1000, 0.037), (400, 0.1))
     decisions = []
@@ -151,7 +153,7 @@ def test_bootstrap_scalar_matches_batched_kernel():
                 assert bool(rej[0]) == out.reject
                 decisions.append(out.reject)
 
-                idx = stream.generator().integers(0, n, size=(n_boot, n))
+                idx = ker.bootstrap_row_draws(stream.generator(), n_boot, n)
                 tstar = np.sort(math.sqrt(n) * (x[idx].mean(axis=1) - x.mean()) / 0.9)
                 assert out.threshold == np.quantile(tstar, 1.0 - alpha)
                 at_or_above = n_boot - np.searchsorted(tstar, out.statistic, side="left")
