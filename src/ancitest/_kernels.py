@@ -1,15 +1,16 @@
 """Vectorized statistic kernels over replication matrices.
 
-Every kernel maps an (R, n) matrix of samples (one replication per row) to a
-length-R vector of statistic values plus, where the statistic can be
-undefined, a boolean degeneracy mask.  The Monte Carlo engine
-(``power``) and the resampling study (``regression.resample_power_study``)
-consume them directly.  The signed-rank test in ``stattests`` calls
-``signed_rank`` on its one sample; the other per-sample public tests compute
-each statistic from its own scalar formula, and the tests hold the two
-routes to agreement row by row.  Rows flagged degenerate carry unusable
-values and must be scored as non-rejections by callers; zero-range rows are
-always degenerate.
+This module is the only place where a statistic or a piece of one is
+computed.  The Monte Carlo engine (``power``) and the resampling study
+(``regression``) call the kernels on whole chunks of an (R, n) matrix, one
+replication per row; the public tests in ``stattests`` and the helpers in
+``empirical`` call them on a (1, n) matrix holding their one sample.
+
+Every statistic kernel returns (stat, reason, parts): the length-R statistic
+vector, a uint8 reason vector indexing REASONS (0 for a usable row, else
+the first check that failed), and the named per-row intermediates that the
+public tests report as components.  Rows with a reason carry stat = -inf
+and must be scored as non-rejections; zero-range rows are always degenerate.
 
 Rows may contain ties and exact zeros (resampled rows always have ties).
 Order statistics come from one sort per row and equal numpy's ``median`` and
@@ -30,6 +31,35 @@ _erfc = np.vectorize(math.erfc, otypes=[float])
 _BOOT_STEP = 50  # bootstrap resamples evaluated per step along B
 _BOOT_ELEMS = 1 << 20  # indices in one step of a full bootstrap row block
 
+# Degeneracy reasons, indexed by the uint8 codes the kernels return.
+REASONS = (
+    "",
+    "constant sample",
+    "zero mean absolute deviation",
+    "variance not above squared mean deviation",
+    "nonpositive dispersion gap",
+    "nonpositive variance factor",
+    "zero squared-deviation variance (known sigma)",
+    "zero squared-deviation variance",
+    "nonpositive standardizer",
+    "fewer than 5 nonzero observations",
+)
+CONSTANT, ZERO_MAD, NO_VARIANCE_GAP, DISPERSION_GAP, VARIANCE_FACTOR = range(1, 6)
+KNOWN_SQ_VAR, SQ_VAR, STANDARDIZER, FEW_NONZERO = range(6, 10)
+
+
+def as_sample(x, min_n: int, what: str) -> np.ndarray:
+    """x as a finite 1-D float array of at least min_n values: the input
+    check of every per-sample entry point, whose name is what."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError("sample must be one-dimensional")
+    if arr.size < min_n:
+        raise ValueError(f"{what} requires at least {min_n} observations")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("sample contains non-finite values")
+    return arr
+
 
 def normal_upper(alpha: float) -> float:
     """Upper critical value z with P(Z > z) = alpha; the chi-square(1)
@@ -43,38 +73,77 @@ def normal_sf(x):
     return 0.5 * _erfc(np.asarray(x, dtype=float) / math.sqrt(2.0))
 
 
-def mean_to(x: np.ndarray, sigma: float) -> np.ndarray:
-    n = x.shape[1]
-    return math.sqrt(n) * x.mean(axis=1) / sigma
+def _first_reason(*checks):
+    """Per row, the code of the first (code, failed) check that fails, else 0."""
+    reason = np.zeros(checks[0][1].shape, dtype=np.uint8)
+    for code, failed in reversed(checks):
+        reason[failed] = code
+    return reason
 
 
-def mean_tn(x: np.ndarray, sigma: float, variant: str = "quartic"):
-    """Skewness-corrected mean statistic with known sigma.
+def _scored(stat, reason, parts):
+    return np.where(reason != 0, -np.inf, stat), reason, parts
 
-    Returns (statistic, degenerate_mask).  The correction subtracts the
-    scaled covariate S^2 - sigma^2 and standardizes by the estimated variance
-    of the corrected statistic.
-    """
+
+@dataclass(frozen=True)
+class MomentPieces:
+    """Per-row moments of the known-sigma mean statistics.  var_known and
+    var_s are the mean of (d^2 - c)^2, c = sigma^4 and S^4 (variant quartic)
+    or sigma^2 and S^2 (quadratic); without sigma, var_known is None."""
+
+    n: int
+    sigma: float | None
+    mean: np.ndarray
+    s2: np.ndarray  # unbiased variance S^2
+    mu3: np.ndarray  # third central moment, divisor n
+    var_known: np.ndarray | None
+    var_s: np.ndarray
+    flat: np.ndarray  # zero-range rows
+
+
+def moment_pieces(x: np.ndarray, sigma=None, variant: str = "quartic") -> MomentPieces:
     if variant not in ("quartic", "quadratic"):
         raise ValueError("variant must be 'quartic' or 'quadratic'")
-    rows, n = x.shape
+    n = x.shape[1]
     mean = x.mean(axis=1)
     d = x - mean[:, None]
     dd = d * d
     s2 = dd.sum(axis=1) / (n - 1)
     mu3 = (dd * d).mean(axis=1)
-    c_known = sigma**4 if variant == "quartic" else sigma**2
-    var_known = ((dd - c_known) ** 2).mean(axis=1)
+    var_known = None
+    if sigma is not None:
+        c_known = sigma**4 if variant == "quartic" else sigma**2
+        var_known = ((dd - c_known) ** 2).mean(axis=1)
     c_s = s2**2 if variant == "quartic" else s2
     var_s = ((dd - c_s[:, None]) ** 2).mean(axis=1)
-    degen = (np.ptp(x, axis=1) == 0.0) | (var_known <= 0.0) | (var_s <= 0.0)
+    flat = np.ptp(x, axis=1) == 0.0
+    return MomentPieces(n, sigma, mean, s2, mu3, var_known, var_s, flat)
+
+
+def mean_to(m: MomentPieces):
+    """Known-sigma mean statistic sqrt(n) mean / sigma; never degenerate."""
+    stat = math.sqrt(m.n) * m.mean / m.sigma
+    return stat, np.zeros(stat.shape, dtype=np.uint8), {}
+
+
+def mean_tn(m: MomentPieces):
+    """Skewness-corrected mean statistic with known sigma: the base
+    statistic less the scaled covariate S^2 - sigma^2, standardized by the
+    estimated variance of the corrected statistic."""
+    n, sigma = m.n, m.sigma
     with np.errstate(divide="ignore", invalid="ignore"):
-        delta = 1.0 - mu3**2 / (s2 * var_s)
-        degen |= ~np.isfinite(delta) | (delta <= 0.0)
-        to = math.sqrt(n) * mean / sigma
-        tn = (to - mu3 * math.sqrt(n) * (s2 - sigma**2) / (sigma * var_known)) / np.sqrt(delta)
-    tn = np.where(degen, -np.inf, tn)
-    return tn, degen
+        delta = 1.0 - m.mu3**2 / (m.s2 * m.var_s)
+        to = math.sqrt(n) * m.mean / sigma
+        correction = m.mu3 * math.sqrt(n) * (m.s2 - sigma**2) / (sigma * m.var_known)
+        tn = (to - correction) / np.sqrt(delta)
+    reason = _first_reason(
+        (CONSTANT, (m.s2 <= 0.0) | m.flat),
+        (KNOWN_SQ_VAR, m.var_known <= 0.0),
+        (SQ_VAR, m.var_s <= 0.0),
+        (STANDARDIZER, ~np.isfinite(delta) | (delta <= 0.0)),
+    )
+    parts = {"to": to, "mu3_hat": m.mu3, "s2": m.s2, "delta_hat": delta, "correction": correction}
+    return _scored(tn, reason, parts)
 
 
 @dataclass(frozen=True)
@@ -86,11 +155,21 @@ class MedianPieces:
     median: np.ndarray
     s: np.ndarray  # sqrt of the unbiased variance
     w: np.ndarray  # mean absolute deviation about the median
-    fhat: np.ndarray  # Gaussian KDE at the median, rule-of-thumb bandwidth
-    degenerate: np.ndarray  # rows with no usable scale
+    h: np.ndarray  # nrd0 bandwidth (from a unit spread on degenerate rows)
+    fhat: np.ndarray  # Gaussian KDE at the median with bandwidth h
+    degenerate: np.ndarray  # rows with no usable scale (reason CONSTANT)
 
 
-def _type7_quantile(s: np.ndarray, q: float) -> np.ndarray:
+def sorted_median(s: np.ndarray) -> np.ndarray:
+    """Median of each row of the row-sorted matrix s: np.median's own
+    reduction (the mean of the middle one or two entries), which also maps
+    a -0.0 middle entry to +0.0."""
+    n = s.shape[1]
+    mid = n // 2
+    return np.mean(s[:, mid - 1 + n % 2 : mid + 1], axis=1)
+
+
+def type7_quantile(s: np.ndarray, q: float) -> np.ndarray:
     """Type-7 quantile of each row of the row-sorted matrix s, computed with
     numpy's own lerp form so that it equals np.quantile(..., axis=1)."""
     n = s.shape[1]
@@ -103,54 +182,60 @@ def _type7_quantile(s: np.ndarray, q: float) -> np.ndarray:
     return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
+def kde_at(x: np.ndarray, point: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density estimate of each row at its point, bandwidth h."""
+    u = (point[:, None] - x) / h[:, None]
+    return np.exp(-0.5 * u * u).mean(axis=1) / (h * _SQRT_2PI)
+
+
 def median_pieces(x: np.ndarray) -> MedianPieces:
-    rows, n = x.shape
+    """Mean, median, S, w, the nrd0 bandwidth 0.9 min(S, IQR/1.34) n^(-1/5)
+    (S alone when the IQR is zero) and the KDE at the median of each row."""
+    n = x.shape[1]
     mean = x.mean(axis=1)
     s = np.sort(x, axis=1)
-    # np.median's own reduction (the mean of the middle one or two entries),
-    # which also maps a -0.0 middle entry to +0.0.
-    mid = n // 2
-    med = np.mean(s[:, mid - 1 + n % 2 : mid + 1], axis=1)
+    med = sorted_median(s)
     sd = x.std(axis=1, ddof=1)
-    iqr = _type7_quantile(s, 0.75) - _type7_quantile(s, 0.25)
+    iqr = type7_quantile(s, 0.75) - type7_quantile(s, 0.25)
     # A zero-range row can still get a tiny positive sd from rounding.
     flat = s[:, 0] == s[:, -1]
     del s  # free the sorted copy before the KDE's temporaries
     spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
     degen = (spread <= 0.0) | flat
     h = 0.9 * np.where(degen, 1.0, spread) * n ** (-0.2)
-    u = (med[:, None] - x) / h[:, None]
-    fhat = np.exp(-0.5 * u * u).mean(axis=1) / (h * _SQRT_2PI)
+    fhat = kde_at(x, med, h)
     w = np.abs(x - med[:, None]).mean(axis=1)
-    return MedianPieces(n=n, mean=mean, median=med, s=sd, w=w, fhat=fhat, degenerate=degen)
+    return MedianPieces(n=n, mean=mean, median=med, s=sd, w=w, h=h, fhat=fhat, degenerate=degen)
 
 
 def median_to(p: MedianPieces):
+    """Median statistic 2 sqrt(n) median fhat(median); also table 3's T1."""
     stat = 2.0 * math.sqrt(p.n) * p.median * p.fhat
-    stat = np.where(p.degenerate, -np.inf, stat)
-    return stat, p.degenerate.copy()
+    reason = _first_reason((CONSTANT, p.degenerate))
+    return _scored(stat, reason, {"fhat_median": p.fhat})
 
 
 def median_tn(p: MedianPieces):
     """Median statistic decorrelated from the studentized mean."""
-    degen = p.degenerate | (p.w <= 0.0) | (p.s**2 <= p.w**2)
     with np.errstate(divide="ignore", invalid="ignore"):
         to = 2.0 * math.sqrt(p.n) * p.median * p.fhat
-        tn = (to * p.s / p.w - math.sqrt(p.n) * p.mean / p.s) / np.sqrt(p.s**2 / p.w**2 - 1.0)
-    tn = np.where(degen, -np.inf, tn)
-    return tn, degen
+        ancillary = math.sqrt(p.n) * p.mean / p.s
+        tn = (to * p.s / p.w - ancillary) / np.sqrt(p.s**2 / p.w**2 - 1.0)
+    reason = _first_reason(
+        (CONSTANT, p.degenerate),
+        (ZERO_MAD, p.w <= 0.0),
+        (NO_VARIANCE_GAP, p.s**2 <= p.w**2),
+    )
+    parts = {"fhat_median": p.fhat, "s": p.s, "w_hat": p.w, "ancillary_term": ancillary}
+    return _scored(tn, reason, parts)
 
 
 def sym_to(p: MedianPieces):
-    degen = p.degenerate.copy()
+    """Studentized mean sqrt(n) mean / S."""
     with np.errstate(divide="ignore", invalid="ignore"):
         stat = math.sqrt(p.n) * p.mean / p.s
-    stat = np.where(degen, -np.inf, stat)
-    return stat, degen
-
-
-def sym_t1(p: MedianPieces):
-    return median_to(p)
+    reason = _first_reason((CONSTANT, p.degenerate))
+    return _scored(stat, reason, {"s": p.s})
 
 
 def sym_tn(p: MedianPieces):
@@ -163,22 +248,26 @@ def sym_tn(p: MedianPieces):
         dhat_safe = np.where(degen_d, 1.0, dhat)
         delta = (p.w / (2.0 * p.s * p.fhat) - p.s) / np.sqrt(dhat_safe)
         v = 1.0 - delta * delta
-        degen = degen_d | ~np.isfinite(v) | (v <= 0.0)
         to = math.sqrt(p.n) * p.mean / p.s
         tn = (to + delta * math.sqrt(p.n) * (p.mean - p.median) / np.sqrt(dhat_safe)) / np.sqrt(v)
-    tn = np.where(degen, -np.inf, tn)
-    return tn, degen
+    reason = _first_reason(
+        (CONSTANT, p.degenerate | (p.s <= 0.0)),
+        (DISPERSION_GAP, ~np.isfinite(dhat) | (dhat <= 0.0)),
+        (VARIANCE_FACTOR, ~np.isfinite(v) | (v <= 0.0)),
+    )
+    parts = {"d_hat": dhat, "delta": delta, "v": v, "fhat_median": p.fhat, "to": to}
+    return _scored(tn, reason, parts)
 
 
 def signed_rank(x: np.ndarray):
-    """Normal-approximation signed-rank test of each row, returned as the
-    arrays (z, w_plus, n_used, tie_correction).
+    """Normal-approximation signed-rank test of each row, with the parts
+    w_plus, n_used and tie_correction.
 
     Exact zeros (of either sign) are dropped, so n_used counts the nonzero
     entries.  Tied |x| get mid-ranks, W+ sums the ranks of the positive
     entries, and the variance n(n+1)(2n+1)/24 loses the tie correction
     sum(t^3 - t)/48 over runs of t equal |x|.  No continuity correction.
-    Rows with fewer than 5 nonzero entries get z = NaN.
+    Rows with fewer than 5 nonzero entries are degenerate.
     """
     rows, n = x.shape
     # One sort per row of the key bits(|x|) << 1 | (x > 0): a non-negative
@@ -208,14 +297,8 @@ def signed_rank(x: np.ndarray):
     w_plus = wplus2 / 2.0
     with np.errstate(divide="ignore", invalid="ignore"):
         z = (w_plus - m * (m + 1) / 4.0) / np.sqrt(var)
-    z[m < 5] = np.nan
-    return z, w_plus, m, tie_correction
-
-
-def wilcoxon_z(x: np.ndarray) -> np.ndarray:
-    """The z column of signed_rank: zeros dropped, mid-ranks, tie-corrected
-    variance, NaN for rows with fewer than 5 nonzero entries."""
-    return signed_rank(x)[0]
+    reason = _first_reason((FEW_NONZERO, m < 5))
+    return _scored(z, reason, {"w_plus": w_plus, "n_used": m, "tie_correction": tie_correction})
 
 
 def _tied_rank_sums(v: np.ndarray, selected: np.ndarray):

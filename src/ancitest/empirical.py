@@ -1,18 +1,22 @@
 """Sample summaries: medians, type-7 quantiles, moments, and a Gaussian KDE
 evaluated at a point.
 
-The bandwidth rule and the point KDE mirror the defaults of R's density():
-Gaussian kernel with nrd0 bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5), with
-the sd substituted when the IQR is zero.  The even-n median is the midpoint
-of the two central order statistics.
+Each helper calls the ``_kernels`` piece that the statistics use, on its
+one sample as a (1, n) matrix, so a helper returns exactly the value the
+tests and the Monte Carlo engine compute.  The bandwidth rule and the point
+KDE mirror the defaults of R's density(): Gaussian kernel with nrd0
+bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5), with the sd substituted when
+the IQR is zero.  The even-n median is the midpoint of the two central
+order statistics.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _kernels
 
 __all__ = [
     "SampleMoments",
@@ -23,24 +27,14 @@ __all__ = [
     "sample_moments",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-
-def _as_sample(x, min_n=1):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sample must be one-dimensional")
-    if arr.size < min_n:
-        raise ValueError(f"sample must contain at least {min_n} observations")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values")
-    return arr
+def _sorted_row(x, min_n, what):
+    return np.sort(_kernels.as_sample(x, min_n, what))[None, :]
 
 
 def sample_median(x) -> float:
     """Middle order statistic; midpoint of the central pair when n is even."""
-    arr = _as_sample(x)
-    return float(np.median(arr))
+    return float(_kernels.sorted_median(_sorted_row(x, 1, "sample_median"))[0])
 
 
 def quantile_type7(x, p: float) -> float:
@@ -48,10 +42,10 @@ def quantile_type7(x, p: float) -> float:
 
     Continuous in p and equal to sample_median at p = 0.5.
     """
-    arr = _as_sample(x)
+    s = _sorted_row(x, 1, "quantile_type7")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    return float(np.quantile(arr, p))
+    return float(_kernels.type7_quantile(s, p)[0])
 
 
 def bandwidth_nrd0(x) -> float:
@@ -60,22 +54,19 @@ def bandwidth_nrd0(x) -> float:
     A zero IQR falls back to the sd; a constant sample has no scale and is an
     error, even where rounding leaves its sd a little above zero.
     """
-    arr = _as_sample(x, min_n=2)
-    sd = float(np.std(arr, ddof=1))
-    iqr = quantile_type7(arr, 0.75) - quantile_type7(arr, 0.25)
-    spread = min(sd, iqr / 1.34) if iqr > 0 else sd
-    if spread <= 0 or np.ptp(arr) == 0.0:
+    pieces = _kernels.median_pieces(_kernels.as_sample(x, 2, "bandwidth_nrd0")[None, :])
+    if pieces.degenerate[0]:
         raise ValueError("constant sample has no usable scale")
-    return 0.9 * spread * arr.size ** (-0.2)
+    return float(pieces.h[0])
 
 
 def kde_at(x, point: float, bandwidth: float) -> float:
     """Gaussian kernel density estimate at a single point."""
-    arr = _as_sample(x)
+    arr = _kernels.as_sample(x, 1, "kde_at")
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
-    u = (point - arr) / bandwidth
-    return float(np.mean(np.exp(-0.5 * u * u)) / (bandwidth * _SQRT_2PI))
+    point, bandwidth = np.full(1, point, dtype=float), np.full(1, bandwidth, dtype=float)
+    return float(_kernels.kde_at(arr[None, :], point, bandwidth)[0])
 
 
 @dataclass(frozen=True)
@@ -104,18 +95,16 @@ def sample_moments(x, sigma_known: float | None = None, variant: str = "quartic"
     S^2), the dimensionally consistent form.  Both are kept because the power
     studies are run under each and the better-matching one is recorded.
     """
-    arr = _as_sample(x, min_n=2)
-    if variant not in ("quartic", "quadratic"):
-        raise ValueError("variant must be 'quartic' or 'quadratic'")
+    x = _kernels.as_sample(x, 2, "sample_moments")[None, :]
     if sigma_known is not None and not sigma_known > 0:
         raise ValueError("sigma_known must be positive")
-    n = arr.size
-    mean = float(np.mean(arr))
-    d = arr - mean
-    s2 = float(np.sum(d * d) / (n - 1))
-    mu3 = float(np.mean(d**3))
-    w = float(np.mean(np.abs(arr - np.median(arr))))
-    base = sigma_known**2 if sigma_known is not None else s2
-    center = base**2 if variant == "quartic" else base
-    var_sq = float(np.mean((d * d - center) ** 2))
-    return SampleMoments(n=n, mean=mean, s2=s2, mu3_hat=mu3, w_hat=w, var_sq_hat=var_sq)
+    m = _kernels.moment_pieces(x, sigma_known, variant)
+    var_sq = m.var_s if sigma_known is None else m.var_known
+    return SampleMoments(
+        n=m.n,
+        mean=float(m.mean[0]),
+        s2=float(m.s2[0]),
+        mu3_hat=float(m.mu3[0]),
+        w_hat=float(_kernels.median_pieces(x).w[0]),
+        var_sq_hat=float(var_sq[0]),
+    )

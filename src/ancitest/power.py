@@ -84,7 +84,12 @@ def table_grid(table: str) -> dict:
 
 @dataclass(frozen=True)
 class PowerEstimate:
-    """Monte Carlo rejection rates of one (test, design, n) cell."""
+    """Monte Carlo rejection rates of one (test, design, n) cell.
+
+    null_quantile_used is not a quantile: it holds the rank threshold that
+    Pow compares against, the (reps - k)-th order statistic of the matched
+    null vector, or NaN for W and TB, whose Pow is PowA.
+    """
 
     powa: float
     pow: float
@@ -187,6 +192,22 @@ def _chunks(reps):
     ]
 
 
+# Statistic kernel of each (table, test).  W reads the chunk's sample rows;
+# the others read its pieces: MomentPieces (with the known sigma) in table 1
+# and MedianPieces in tables 2 and 3.  TB is a decision, not a statistic.
+_KERNELS = {
+    ("1", "To"): _kernels.mean_to,
+    ("1", "TN"): _kernels.mean_tn,
+    ("2", "W"): _kernels.signed_rank,
+    ("2", "To"): _kernels.median_to,
+    ("2", "TN"): _kernels.median_tn,
+    ("3", "W"): _kernels.signed_rank,
+    ("3", "To"): _kernels.sym_to,
+    ("3", "T1"): _kernels.median_to,
+    ("3", "TN"): _kernels.sym_tn,
+}
+
+
 def _chunk_statistics(spec, rows, chunk_idx, root_seed, variant, alpha, bootstrap_b):
     """All requested statistics for one chunk of one cell.
 
@@ -198,48 +219,25 @@ def _chunk_statistics(spec, rows, chunk_idx, root_seed, variant, alpha, bootstra
         root_seed, (did.table, did.index, did.hypothesis, spec.n, chunk_idx)
     )
     x = sample_design_matrix(did, rows, spec.n, stream)
-    out = {}
-    if did.table == "1":
-        # Known-sigma mean tests; sigma comes from the matched null design
-        # (the alternatives are pure location shifts of it).
-        sigma = design_params(DesignId(did.table, 0, did.index)).sigma
-        for t in spec.tests:
-            if t == "To":
-                out[t] = (_kernels.mean_to(x, sigma), np.zeros(rows, dtype=bool), None)
-            elif t == "TN":
-                stats, degen = _kernels.mean_tn(x, sigma, variant)
-                out[t] = (stats, degen, None)
-            else:
-                degen = np.ptp(x, axis=1) <= 0.0
-                bgen = stream.child(1).generator()
-                reject = _kernels.bootstrap_mean_reject(x, sigma, alpha, bootstrap_b, bgen)
-                out[t] = (None, degen, reject & ~degen)
-    else:
-        pieces = None
-        if any(t != "W" for t in spec.tests):
+    # Table 1's alternatives are pure location shifts of the matched null
+    # design, whose sigma the known-sigma tests use.
+    sigma = design_params(DesignId(did.table, 0, did.index)).sigma
+    pieces = None
+    if any(t not in ("W", "TB") for t in spec.tests):
+        if did.table == "1":
+            pieces = _kernels.moment_pieces(x, sigma, variant)
+        else:
             pieces = _kernels.median_pieces(x)
-        for t in spec.tests:
-            if t == "W":
-                z = _kernels.wilcoxon_z(x)
-                degen = ~np.isfinite(z)
-                out[t] = (np.where(degen, -np.inf, z), degen, None)
-            elif t == "To":
-                stats, degen = (
-                    _kernels.median_to(pieces)
-                    if did.table == "2"
-                    else _kernels.sym_to(pieces)
-                )
-                out[t] = (stats, degen, None)
-            elif t == "T1":
-                stats, degen = _kernels.sym_t1(pieces)
-                out[t] = (stats, degen, None)
-            else:
-                stats, degen = (
-                    _kernels.median_tn(pieces)
-                    if did.table == "2"
-                    else _kernels.sym_tn(pieces)
-                )
-                out[t] = (stats, degen, None)
+    out = {}
+    for t in spec.tests:
+        if t == "TB":
+            degen = np.ptp(x, axis=1) <= 0.0
+            bgen = stream.child(1).generator()
+            reject = _kernels.bootstrap_mean_reject(x, sigma, alpha, bootstrap_b, bgen)
+            out[t] = (None, degen, reject & ~degen)
+        else:
+            stats, reason, _ = _KERNELS[did.table, t](x if t == "W" else pieces)
+            out[t] = (stats, reason != 0, None)
     return out
 
 
@@ -385,11 +383,12 @@ def statistic_sample(
     root_seed: int,
     moment_variant: str = "quartic",
 ):
-    """Raw statistic vector and degeneracy mask for one cell.
+    """Raw statistic vector and degeneracy mask (the kernel's reason != 0)
+    for one cell.
 
     Replications are drawn exactly as the table engine draws them (same
     stream paths), which makes this the hook for cross-checking the batched
-    kernels against the per-sample reference tests and for transform
+    kernels against the test-only scalar oracles and for transform
     invariance checks.  The bootstrap test has no scalar statistic.
     """
     if design.table not in _TABLE_TESTS:
@@ -421,7 +420,7 @@ def null_quantile(
     stats, degen = statistic_sample(test, null_design, n, reps, seed)
     if degen.all():
         raise RuntimeError("all replications are degenerate")
-    return float(np.quantile(stats, 1.0 - alpha))
+    return float(_kernels.type7_quantile(np.sort(stats)[None, :], 1.0 - alpha)[0])
 
 
 # ---------------------------------------------------------------------------

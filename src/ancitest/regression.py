@@ -259,21 +259,16 @@ class MedianAnalysis:
 
 
 def residual_median_analysis(eps, alpha: float = 0.05) -> MedianAnalysis:
-    arr = np.asarray(eps, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sample must be one-dimensional")
-    if arr.size < 10:
-        raise ValueError("median analysis requires at least 10 observations")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values")
+    arr = _kernels.as_sample(eps, 10, "median analysis")
     w = wilcoxon_signed_rank(arr, side="two_sided", alpha=alpha)
     to2 = two_sided(median_test_To(arr, alpha), alpha)
     tn2 = two_sided(median_test_TN(arr, alpha), alpha)
     counts, edges = np.histogram(arr, bins=20)
+    moments = _kernels.moment_pieces(arr[None, :])
     return MedianAnalysis(
         n=int(arr.size),
-        mean=float(arr.mean()),
-        variance=float(arr.var(ddof=1)),
+        mean=float(moments.mean[0]),
+        variance=float(moments.s2[0]),
         alpha=float(alpha),
         p_values={"W": w.p_value, "To2": to2.p_value, "TN2": tn2.p_value},
         statistics={"W": w.statistic, "To2": to2.statistic, "TN2": tn2.statistic},
@@ -291,11 +286,7 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
     non-rejections.  Resampling indices come from a dedicated stream, so a
     seed fixes the result.
     """
-    arr = np.asarray(eps, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sample must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values")
+    arr = _kernels.as_sample(eps, 11, "resample study")
     n = arr.size
     if not 10 <= n_b < n:
         raise ValueError("resample size must satisfy 10 <= n_b < sample size")
@@ -312,12 +303,11 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
         take = min(block, reps - done)
         idx = gen.integers(0, n, size=(take, n_b))
         x = arr[idx]
-        z = _kernels.wilcoxon_z(x)
-        counts["W"] += int(np.count_nonzero(np.isfinite(z) & (z * z > crit)))
+        stat, reason, _ = _kernels.signed_rank(x)
+        counts["W"] += int(np.count_nonzero((reason == 0) & (stat * stat > crit)))
         pieces = _kernels.median_pieces(x)
-        to, dg = _kernels.median_to(pieces)
-        counts["To2"] += int(np.count_nonzero(~dg & (to * to > crit)))
-        tn, dg = _kernels.median_tn(pieces)
-        counts["TN2"] += int(np.count_nonzero(~dg & (tn * tn > crit)))
+        for key, kernel in (("To2", _kernels.median_to), ("TN2", _kernels.median_tn)):
+            stat, reason, _ = kernel(pieces)
+            counts[key] += int(np.count_nonzero((reason == 0) & (stat * stat > crit)))
         done += take
     return {k: v / reps for k, v in counts.items()}

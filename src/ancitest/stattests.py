@@ -3,9 +3,15 @@ modification, median tests built on a kernel density estimate, tests for a
 center of symmetry, the signed-rank baseline, a bootstrap mean test, and a
 variance-stabilizing monotone transform.
 
+Each test computes its statistic, and the components it reports, by calling
+the matching ``_kernels`` kernel on its one sample as a (1, n) matrix, so a
+test and the Monte Carlo engine share one formula.  The bootstrap test keeps
+its own draw and p-value.
+
 All rejection rules use strict inequality at the threshold.  Statistics that
-are undefined for a particular sample raise DegenerateStatistic with a named
-reason; simulation callers score such replications as non-rejections.
+are undefined for a particular sample raise DegenerateStatistic with the
+kernel's named reason; simulation callers score such replications as
+non-rejections.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ import numpy as np
 
 from . import _kernels
 from .designs import RandomStream
-from .empirical import bandwidth_nrd0, kde_at, sample_median, sample_moments
 
 __all__ = [
     "DegenerateStatistic",
@@ -66,37 +71,35 @@ def _check_alpha(alpha):
         raise ValueError("alpha must lie strictly between 0 and 1")
 
 
-def _one_sided_outcome(stat, alpha, components):
+def _check_sigma(sigma):
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
+
+
+def _outcome(scored, alpha):
+    """One-sided outcome of a one-row kernel result (stat, reason, parts),
+    with the parts as components; a nonzero reason raises
+    DegenerateStatistic naming it."""
+    stat, reason, parts = scored
+    if reason[0]:
+        raise DegenerateStatistic(_kernels.REASONS[reason[0]])
     z = _kernels.normal_upper(alpha)
     return TestOutcome(
-        statistic=float(stat),
+        statistic=float(stat[0]),
         threshold=z,
         side=ONE_SIDED_UPPER,
-        reject=bool(stat > z),
-        p_value=float(_kernels.normal_sf(stat)),
-        components=components,
+        reject=bool(stat[0] > z),
+        p_value=float(_kernels.normal_sf(stat[0])),
+        components={k: v[0].item() for k, v in parts.items()},
     )
-
-
-def _clean(x, min_n):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("sample must be one-dimensional")
-    if arr.size < min_n:
-        raise ValueError(f"test requires at least {min_n} observations")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values")
-    return arr
 
 
 def t_test_known_sigma(x, sigma: float, alpha: float = 0.05) -> TestOutcome:
     """Upper-tail mean test sqrt(n) * mean / sigma against the normal quantile."""
-    arr = _clean(x, 2)
+    arr = _kernels.as_sample(x, 2, "test")
     _check_alpha(alpha)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    stat = math.sqrt(arr.size) * float(np.mean(arr)) / sigma
-    return _one_sided_outcome(stat, alpha, {})
+    _check_sigma(sigma)
+    return _outcome(_kernels.mean_to(_kernels.moment_pieces(arr[None, :], sigma)), alpha)
 
 
 def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "quartic") -> TestOutcome:
@@ -109,37 +112,10 @@ def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "qua
     t_test_known_sigma.  The moment variant selects the centering constant of
     the squared-deviation variance estimators, see sample_moments.
     """
-    arr = _clean(x, 3)
+    arr = _kernels.as_sample(x, 3, "test")
     _check_alpha(alpha)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    n = arr.size
-    m_known = sample_moments(arr, sigma_known=sigma, variant=variant)
-    m_self = sample_moments(arr, variant=variant)
-    s2, mu3 = m_known.s2, m_known.mu3_hat
-    if s2 <= 0 or np.ptp(arr) == 0.0:
-        raise DegenerateStatistic("constant sample")
-    if m_known.var_sq_hat <= 0:
-        raise DegenerateStatistic("zero squared-deviation variance (known sigma)")
-    if m_self.var_sq_hat <= 0:
-        raise DegenerateStatistic("zero squared-deviation variance")
-    delta_hat = 1.0 - mu3**2 / (s2 * m_self.var_sq_hat)
-    if delta_hat <= 0:
-        raise DegenerateStatistic("nonpositive standardizer")
-    to = math.sqrt(n) * m_known.mean / sigma
-    correction = mu3 * math.sqrt(n) * (s2 - sigma**2) / (sigma * m_known.var_sq_hat)
-    stat = (to - correction) / math.sqrt(delta_hat)
-    return _one_sided_outcome(
-        stat,
-        alpha,
-        {
-            "to": to,
-            "mu3_hat": mu3,
-            "s2": s2,
-            "delta_hat": delta_hat,
-            "correction": correction,
-        },
-    )
+    _check_sigma(sigma)
+    return _outcome(_kernels.mean_tn(_kernels.moment_pieces(arr[None, :], sigma, variant)), alpha)
 
 
 def bootstrap_t_test(
@@ -158,10 +134,9 @@ def bootstrap_t_test(
     are drawn step by step as the engine draws them for one row, so on the
     same generator the T*_b equal the engine's on every step it evaluates.
     """
-    arr = _clean(x, 2)
+    arr = _kernels.as_sample(x, 2, "test")
     _check_alpha(alpha)
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
     if stream is None:
@@ -183,26 +158,15 @@ def bootstrap_t_test(
     )
 
 
-def _median_pieces_scalar(arr):
-    med = sample_median(arr)
-    try:
-        h = bandwidth_nrd0(arr)
-    except ValueError as exc:
-        raise DegenerateStatistic("constant sample") from exc
-    fhat = kde_at(arr, med, h)
-    s2 = float(np.var(arr, ddof=1))
-    w = float(np.mean(np.abs(arr - med)))
-    mean = float(np.mean(arr))
-    return med, fhat, math.sqrt(s2), w, mean
+def _median_family(x, alpha, kernel):
+    arr = _kernels.as_sample(x, 4, "test")
+    _check_alpha(alpha)
+    return _outcome(kernel(_kernels.median_pieces(arr[None, :])), alpha)
 
 
 def median_test_To(x, alpha: float = 0.05) -> TestOutcome:
     """Upper-tail median test 2 sqrt(n) median fhat(median)."""
-    arr = _clean(x, 4)
-    _check_alpha(alpha)
-    med, fhat, s, w, mean = _median_pieces_scalar(arr)
-    stat = 2.0 * math.sqrt(arr.size) * med * fhat
-    return _one_sided_outcome(stat, alpha, {"fhat_median": fhat})
+    return _median_family(x, alpha, _kernels.median_to)
 
 
 def median_test_TN(x, alpha: float = 0.05) -> TestOutcome:
@@ -211,21 +175,10 @@ def median_test_TN(x, alpha: float = 0.05) -> TestOutcome:
     Scales the base median statistic by S / w_hat, subtracts the studentized
     mean, and standardizes by sqrt(S^2 / w_hat^2 - 1).
     """
-    arr = _clean(x, 4)
-    _check_alpha(alpha)
-    med, fhat, s, w, mean = _median_pieces_scalar(arr)
-    n = arr.size
-    if w <= 0:
-        raise DegenerateStatistic("zero mean absolute deviation")
-    if s * s <= w * w:
-        raise DegenerateStatistic("variance not above squared mean deviation")
-    to = 2.0 * math.sqrt(n) * med * fhat
-    stat = (to * s / w - math.sqrt(n) * mean / s) / math.sqrt(s * s / (w * w) - 1.0)
-    return _one_sided_outcome(
-        stat,
-        alpha,
-        {"fhat_median": fhat, "s": s, "w_hat": w, "ancillary_term": math.sqrt(n) * mean / s},
-    )
+    return _median_family(x, alpha, _kernels.median_tn)
+
+
+_SYMMETRY = {"To": _kernels.sym_to, "T1": _kernels.median_to, "TN": _kernels.sym_tn}
 
 
 def symmetry_test(x, which: str = "TN", alpha: float = 0.05) -> TestOutcome:
@@ -240,35 +193,9 @@ def symmetry_test(x, which: str = "TN", alpha: float = 0.05) -> TestOutcome:
     with D = S^2 - w/fhat + 1/(4 fhat^2), delta = (w/(2 S fhat) - S)/sqrt(D)
     and V = 1 - delta^2 (the expanded forms of V reduce to this).
     """
-    arr = _clean(x, 4)
-    _check_alpha(alpha)
-    if which not in ("To", "T1", "TN"):
+    if which not in _SYMMETRY:
         raise ValueError("which must be one of 'To', 'T1', 'TN'")
-    med, fhat, s, w, mean = _median_pieces_scalar(arr)
-    n = arr.size
-    if which == "To":
-        if s <= 0:
-            raise DegenerateStatistic("constant sample")
-        return _one_sided_outcome(math.sqrt(n) * mean / s, alpha, {"s": s})
-    if which == "T1":
-        stat = 2.0 * math.sqrt(n) * med * fhat
-        return _one_sided_outcome(stat, alpha, {"fhat_median": fhat})
-    if s <= 0:
-        raise DegenerateStatistic("constant sample")
-    dhat = s * s - w / fhat + 1.0 / (4.0 * fhat * fhat)
-    if dhat <= 0:
-        raise DegenerateStatistic("nonpositive dispersion gap")
-    delta = (w / (2.0 * s * fhat) - s) / math.sqrt(dhat)
-    v = 1.0 - delta * delta
-    if v <= 0:
-        raise DegenerateStatistic("nonpositive variance factor")
-    to = math.sqrt(n) * mean / s
-    stat = (to + delta * math.sqrt(n) * (mean - med) / math.sqrt(dhat)) / math.sqrt(v)
-    return _one_sided_outcome(
-        stat,
-        alpha,
-        {"d_hat": dhat, "delta": delta, "v": v, "fhat_median": fhat, "to": to},
-    )
+    return _median_family(x, alpha, _SYMMETRY[which])
 
 
 def two_sided(outcome: TestOutcome, alpha: float = 0.05) -> TestOutcome:
@@ -299,15 +226,14 @@ def wilcoxon_signed_rank(x, side: str = ONE_SIDED_UPPER, alpha: float = 0.05) ->
     approximation variance gets the tie correction sum(t^3 - t)/48.  No
     continuity correction is applied.
     """
-    arr = _clean(x, 1)
+    arr = _kernels.as_sample(x, 1, "test")
     _check_alpha(alpha)
     if side not in (ONE_SIDED_UPPER, "two_sided"):
         raise ValueError("side must be 'one_sided_upper' or 'two_sided'")
-    if np.count_nonzero(arr) < 5:
-        raise ValueError("need at least 5 nonzero observations")
-    z, wplus, n, tie_corr = (v[0] for v in _kernels.signed_rank(arr[None, :]))
-    components = {"w_plus": float(wplus), "n_used": int(n), "tie_correction": float(tie_corr)}
-    one_sided = _one_sided_outcome(z, alpha, components)
+    z, reason, parts = _kernels.signed_rank(arr[None, :])
+    if reason[0]:
+        raise ValueError(_kernels.REASONS[reason[0]])
+    one_sided = _outcome((z, reason, parts), alpha)
     if side == ONE_SIDED_UPPER:
         return one_sided
     return two_sided(one_sided, alpha)

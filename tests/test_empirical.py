@@ -1,8 +1,9 @@
 """Empirical building blocks: medians, type-7 quantiles, nrd0 bandwidth, KDE,
 and the pooled sample-moment helper.
 
-Oracles are hand-computed closed forms (exact fractions where possible); the
-equivariance properties are checked with hypothesis.
+Oracles are hand-computed closed forms (exact fractions where possible) and
+the plain-numpy formulas of ``scalar_oracles``; the equivariance properties
+are checked with hypothesis.
 """
 
 import math
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ancitest import bandwidth_nrd0, kde_at, quantile_type7, sample_median, sample_moments
+import scalar_oracles as orc
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -159,3 +161,30 @@ def test_sample_moments_exact_fractions():
 def test_sample_moments_variant_validation():
     with pytest.raises(ValueError):
         sample_moments(np.array([1.0, 2.0, 3.0]), variant="other")
+
+
+def test_helpers_equal_scalar_oracles():
+    # Each helper is a one-row kernel call.  The median, quantile, bandwidth
+    # and KDE equal the plain-numpy oracles bit for bit; the moments agree
+    # to rounding (the kernel cubes as d * d * d, the oracle as d ** 3).
+    gen = np.random.default_rng(31)
+    for n in (2, 3, 4, 9, 50, 151):
+        for x in (gen.standard_normal(n), np.round(gen.exponential(1.0, n), 1)):
+            assert sample_median(x) == orc.sample_median(x)
+            for p in np.append(gen.random(20), [0.0, 0.25, 0.5, 0.75, 1.0]):
+                assert quantile_type7(x, p) == orc.quantile_type7(x, p)
+            for sigma in (None, 1.3):
+                for variant in ("quartic", "quadratic"):
+                    m = sample_moments(x, sigma_known=sigma, variant=variant)
+                    want = orc.sample_moments(x, sigma_known=sigma, variant=variant)
+                    got = (m.mean, m.s2, m.mu3_hat, m.w_hat, m.var_sq_hat)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+            try:
+                h = orc.bandwidth_nrd0(x)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    bandwidth_nrd0(x)
+                continue
+            assert bandwidth_nrd0(x) == h
+            point = float(gen.normal())
+            assert kde_at(x, point, h) == orc.kde_at(x, point, h)

@@ -2,9 +2,10 @@
 
 median_pieces reads the median and the type-7 quartiles from one sort per
 row; the reference below takes them from np.median and np.quantile.
-wilcoxon_z ranks the nonzero |x| from one sort per row; the reference drops
-the zeros, takes mid-ranks from scipy.stats.rankdata and the tie correction
-from np.unique, and serves only as a test oracle here.  Both must agree
+signed_rank ranks the nonzero |x| from one sort per row; the reference
+(scalar_oracles.wilcoxon_z) drops the zeros, takes mid-ranks from
+scipy.stats.rankdata and the tie correction from np.unique, and serves only
+as a test oracle here.  Both must agree
 exactly, on continuous rows and on the tied rows that resampling produces.
 The stdlib normal tails are checked against scipy.stats to rel 1e-12.
 bootstrap_decide stops each row early; the full-B loop below, which
@@ -18,12 +19,12 @@ import math
 import numpy as np
 import pytest
 from scipy import stats as sps
-from scipy.stats import rankdata
 
 from ancitest import _kernels as ker
 from ancitest.regression import make_fixture
+from scalar_oracles import wilcoxon_z as _reference_wilcoxon_z
 
-FIELDS = ("mean", "median", "s", "w", "fhat", "degenerate")
+FIELDS = ("mean", "median", "s", "w", "h", "fhat", "degenerate")
 
 
 def _reference_pieces(x):
@@ -39,22 +40,7 @@ def _reference_pieces(x):
     u = (med[:, None] - x) / h[:, None]
     fhat = np.exp(-0.5 * u * u).mean(axis=1) / (h * math.sqrt(2.0 * math.pi))
     w = np.abs(x - med[:, None]).mean(axis=1)
-    return {"mean": mean, "median": med, "s": sd, "w": w, "fhat": fhat, "degenerate": degen}
-
-
-def _reference_wilcoxon_z(x):
-    z = np.full(x.shape[0], np.nan)
-    for i, row in enumerate(x):
-        nz = row[row != 0.0]
-        n = nz.size
-        if n < 5:
-            continue
-        wplus = float(rankdata(np.abs(nz))[nz > 0].sum())
-        _, counts = np.unique(np.abs(nz), return_counts=True)
-        var = n * (n + 1) * (2 * n + 1) / 24.0
-        var -= float(np.sum(counts.astype(float) ** 3 - counts) / 48.0)
-        z[i] = (wplus - n * (n + 1) / 4.0) / math.sqrt(var)
-    return z
+    return {"mean": mean, "median": med, "s": sd, "w": w, "h": h, "fhat": fhat, "degenerate": degen}
 
 
 def _assert_bit_equal(got, want):
@@ -95,12 +81,12 @@ def test_median_pieces_constant_row_is_degenerate():
     pieces = ker.median_pieces(x)
     assert pieces.degenerate.tolist() == [True, False, True]
     assert pieces.median[0] == 0.5
-    for kernel in (ker.median_to, ker.median_tn, ker.sym_to, ker.sym_t1, ker.sym_tn):
-        stat, degen = kernel(pieces)
-        assert degen.tolist() == [True, False, True]
+    for kernel in (ker.median_to, ker.median_tn, ker.sym_to, ker.sym_tn):
+        stat, reason, _ = kernel(pieces)
+        assert reason.tolist() == [ker.CONSTANT, 0, ker.CONSTANT]
         assert stat[2] == -np.inf
-    tn, degen = ker.mean_tn(x, 1.0)
-    assert degen.tolist() == [True, False, True]
+    tn, reason, _ = ker.mean_tn(ker.moment_pieces(x, 1.0))
+    assert reason.tolist() == [ker.CONSTANT, 0, ker.CONSTANT]
 
 
 def test_median_of_negative_zero_middle_is_positive_zero():
@@ -117,7 +103,7 @@ def test_median_of_negative_zero_middle_is_positive_zero():
 @pytest.mark.parametrize("n", [2, 3, 5, 26, 50, 70, 80, 81, 90, 150])
 def test_wilcoxon_z_bit_equal_to_rankdata_midranks(n):
     x = _rows(n, seed=100 + n)
-    _assert_bit_equal(ker.wilcoxon_z(x), _reference_wilcoxon_z(x))
+    _assert_bit_equal(ker.signed_rank(x)[0], _reference_wilcoxon_z(x))
 
 
 def test_wilcoxon_z_drops_zeros_and_tie_corrects():
@@ -128,12 +114,15 @@ def test_wilcoxon_z_drops_zeros_and_tie_corrects():
     x = np.array([[0.0, -0.0, 1.0, 2.0, -2.0, 2.0, 3.0, -3.0]])
     n = 6
     var = n * (n + 1) * (2 * n + 1) / 24.0 - 30.0 / 48.0
-    z, w_plus, n_used, tie_correction = ker.signed_rank(x)
-    assert (w_plus[0], n_used[0], tie_correction[0]) == (12.5, 6, 30.0 / 48.0)
+    z, reason, parts = ker.signed_rank(x)
+    got = (parts["w_plus"][0], parts["n_used"][0], parts["tie_correction"][0])
+    assert got == (12.5, 6, 30.0 / 48.0)
     assert z[0] == (12.5 - n * (n + 1) / 4.0) / math.sqrt(var)
-    _assert_bit_equal(ker.wilcoxon_z(x), _reference_wilcoxon_z(x))
+    assert reason[0] == 0
+    _assert_bit_equal(z, _reference_wilcoxon_z(x))
     # Four nonzero entries are too few, whatever the row length.
-    assert np.isnan(ker.wilcoxon_z(np.array([[0.0, 0.0, 1.0, -2.0, 3.0, 4.0]])))[0]
+    z, reason, _ = ker.signed_rank(np.array([[0.0, 0.0, 1.0, -2.0, 3.0, 4.0]]))
+    assert (z[0], reason[0]) == (-np.inf, ker.FEW_NONZERO)
 
 
 ALPHAS = (0.01, 0.025, 0.037, 0.05, 0.1)

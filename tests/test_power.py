@@ -1,5 +1,5 @@
 """Power-study engine: rank thresholds, exact null calibration, determinism
-across worker counts, dual-route checks against the scalar tests, table
+across worker counts, dual-route checks against the scalar oracles, table
 reproduction shapes, rendering, and the closed-form toy curves.
 """
 
@@ -20,22 +20,18 @@ from ancitest import (
     bootstrap_t_test,
     design_params,
     estimate_power,
-    median_test_TN,
-    median_test_To,
-    modified_mean_test,
     null_quantile,
     pow_indicators,
     render_table,
     reproduce_table,
     sample_design_matrix,
     statistic_sample,
-    symmetry_test,
-    t_test_known_sigma,
     thomas_transform,
     toy_power_curve,
     toy_three_obs_powers,
-    wilcoxon_signed_rank,
 )
+from ancitest import _kernels as ker
+from ancitest import power as power_module
 from ancitest.power import (
     CHUNK,
     _rejection_rank_threshold,
@@ -43,6 +39,7 @@ from ancitest.power import (
     default_mu_grid,
     table_grid,
 )
+import scalar_oracles as orc
 
 D01_T1 = DesignId("1", 0, 1)
 D11_T1 = DesignId("1", 1, 1)
@@ -115,18 +112,18 @@ def test_bootstrap_estimate_deterministic_across_threads():
 
 def test_statistic_sample_matches_scalar_tests():
     # The engine must draw through the documented stream path
-    # (table, index, hypothesis, n, chunk) and reproduce the scalar
-    # statistics row for row; this is the engine-vs-reference dual route.
+    # (table, index, hypothesis, n, chunk) and reproduce the test-only
+    # scalar oracles row for row; this is the engine-vs-reference dual route.
     seed = 13
     cases = [
-        ("To", DesignId("1", 1, 2), 12, lambda row: t_test_known_sigma(row, 1.0).statistic),
-        ("TN", DesignId("1", 1, 2), 12, lambda row: modified_mean_test(row, 1.0).statistic),
-        ("To", DesignId("2", 1, 2), 25, lambda row: median_test_To(row).statistic),
-        ("TN", DesignId("2", 0, 1), 25, lambda row: median_test_TN(row).statistic),
-        ("W", DesignId("2", 1, 1), 25, lambda row: wilcoxon_signed_rank(row).statistic),
-        ("To", DesignId("3", 1, 4), 20, lambda row: symmetry_test(row, "To").statistic),
-        ("T1", DesignId("3", 0, 2), 20, lambda row: symmetry_test(row, "T1").statistic),
-        ("TN", DesignId("3", 1, 3), 20, lambda row: symmetry_test(row, "TN").statistic),
+        ("To", DesignId("1", 1, 2), 12, lambda row: orc.t_test_known_sigma(row, 1.0).statistic),
+        ("TN", DesignId("1", 1, 2), 12, lambda row: orc.modified_mean_test(row, 1.0).statistic),
+        ("To", DesignId("2", 1, 2), 25, lambda row: orc.median_test_To(row).statistic),
+        ("TN", DesignId("2", 0, 1), 25, lambda row: orc.median_test_TN(row).statistic),
+        ("W", DesignId("2", 1, 1), 25, lambda row: orc.wilcoxon_z(row[None, :])[0]),
+        ("To", DesignId("3", 1, 4), 20, lambda row: orc.symmetry_test(row, "To").statistic),
+        ("T1", DesignId("3", 0, 2), 20, lambda row: orc.symmetry_test(row, "T1").statistic),
+        ("TN", DesignId("3", 1, 3), 20, lambda row: orc.symmetry_test(row, "TN").statistic),
     ]
     for test, design, n, scalar in cases:
         reps = 60
@@ -136,7 +133,38 @@ def test_statistic_sample_matches_scalar_tests():
         keep = ~degen
         assert keep.sum() > reps // 2
         want = np.array([scalar(x[i]) for i in range(reps) if keep[i]])
-        np.testing.assert_allclose(stats[keep], want, rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(stats[keep], want, rtol=1e-12, atol=1e-12)
+
+
+def test_statistic_sample_masks_are_kernel_reasons(monkeypatch):
+    # The engine's degeneracy mask must be the kernel's reason != 0.  The
+    # designs are continuous, so rows with a reason are planted in the
+    # engine's draws: constant rows, +-1 lattice rows (zero squared-deviation
+    # variance at sigma = 1) and rows with four nonzero entries.
+    draw = power_module.sample_design_matrix
+
+    def planted(design, rows, n, stream):
+        x = draw(design, rows, n, stream)
+        x[::7] = 0.7
+        x[3::7] = np.resize([-1.0, 1.0], n)
+        x[5::7] = np.pad([1.0, -2.0, 3.0, 4.0], (0, n - 4))
+        return x
+
+    monkeypatch.setattr(power_module, "sample_design_matrix", planted)
+    seed, reps = 4, 60
+    cases = [
+        ("TN", DesignId("1", 1, 1), 12, lambda x: ker.mean_tn(ker.moment_pieces(x, 1.0))),
+        ("W", DesignId("2", 1, 2), 25, ker.signed_rank),
+        ("TN", DesignId("3", 0, 3), 20, lambda x: ker.sym_tn(ker.median_pieces(x))),
+    ]
+    assert design_params(DesignId("1", 0, 1)).sigma == 1.0
+    for test, design, n, kernel in cases:
+        stats, degen = statistic_sample(test, design, n, reps, seed)
+        stream = RandomStream(seed, (design.table, design.index, design.hypothesis, n, 0))
+        stat, reason, _ = kernel(planted(design, reps, n, stream))
+        assert degen.dtype == bool and degen.any()
+        np.testing.assert_array_equal(degen, reason != 0)
+        np.testing.assert_array_equal(stats, stat)
 
 
 def test_statistic_sample_spans_chunks_consistently():
@@ -146,7 +174,7 @@ def test_statistic_sample_spans_chunks_consistently():
     stats, _ = statistic_sample("To", design, 11, reps, 3)
     tail_stream = RandomStream(3, (design.table, design.index, design.hypothesis, 11, 1))
     x_tail = sample_design_matrix(design, 17, 11, tail_stream)
-    want = np.array([t_test_known_sigma(r, 1.0).statistic for r in x_tail])
+    want = np.array([orc.t_test_known_sigma(r, 1.0).statistic for r in x_tail])
     np.testing.assert_allclose(stats[CHUNK:], want, rtol=1e-11)
 
 

@@ -1,11 +1,12 @@
 """Scalar test statistics: hand-worked oracles, algebraic identities, and
-agreement between the scalar implementations and the batched kernels.
+agreement between the batched kernels and the test-only scalar oracles.
 
-The batched kernels in _kernels are the simulation engine's fast path.  The
-mean, median and symmetry statistics keep their own scalar formulas, and
-every kernel value must match them row by row.  The signed-rank test's
-scalar route is the kernel itself (``_kernels.signed_rank`` on one row), so
-its reference is scipy's ``wilcoxon``, used here as a test oracle only.
+Every public test is a one-row call of its ``_kernels`` kernel, so the
+independent route is ``scalar_oracles``: the per-sample formulas built on
+plain numpy, with the same degeneracy checks and reason strings.  Kernel
+rows and public outcomes must match them, and the median, symmetry and
+known-sigma mean statistics bit for bit.  The signed-rank test's reference
+is scipy's ``wilcoxon``, used here as a test oracle only.
 """
 
 import math
@@ -18,11 +19,9 @@ from ancitest import (
     DegenerateStatistic,
     RandomStream,
     bootstrap_t_test,
-    kde_at,
     median_test_TN,
     median_test_To,
     modified_mean_test,
-    sample_median,
     sample_moments,
     symmetry_test,
     t_test_known_sigma,
@@ -31,7 +30,8 @@ from ancitest import (
     wilcoxon_signed_rank,
 )
 from ancitest import _kernels as ker
-from ancitest.empirical import bandwidth_nrd0
+from ancitest.regression import make_fixture
+import scalar_oracles as orc
 
 Z95 = sps.norm.isf(0.05)
 
@@ -163,8 +163,8 @@ def test_bootstrap_scalar_matches_batched_kernel():
 
 def test_median_test_To_composition_oracle():
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    med = sample_median(x)
-    fhat = kde_at(x, med, bandwidth_nrd0(x))
+    med = orc.sample_median(x)
+    fhat = orc.kde_at(x, med, orc.bandwidth_nrd0(x))
     out = median_test_To(x)
     assert out.statistic == pytest.approx(2.0 * math.sqrt(5) * med * fhat, rel=1e-12)
     assert out.components["fhat_median"] == pytest.approx(fhat, rel=1e-12)
@@ -174,8 +174,8 @@ def test_median_test_To_composition_oracle():
 
 def test_median_test_TN_formula_from_pieces():
     x = np.array([0.3, -1.2, 0.8, 2.4, -0.6, 1.1, 0.05])
-    med = sample_median(x)
-    fhat = kde_at(x, med, bandwidth_nrd0(x))
+    med = orc.sample_median(x)
+    fhat = orc.kde_at(x, med, orc.bandwidth_nrd0(x))
     s = math.sqrt(np.var(x, ddof=1))
     w = float(np.mean(np.abs(x - med)))
     to = 2.0 * math.sqrt(x.size) * med * fhat
@@ -253,7 +253,7 @@ def test_symmetry_variance_factor_identities():
         d_hat, delta, v = comp["d_hat"], comp["delta"], comp["v"]
         fhat = comp["fhat_median"]
         s = math.sqrt(np.var(x, ddof=1))
-        w = float(np.mean(np.abs(x - sample_median(x))))
+        w = float(np.mean(np.abs(x - orc.sample_median(x))))
         form1 = 1.0 + delta**2 + 2.0 * delta * s / math.sqrt(d_hat) - delta * w / (
             math.sqrt(d_hat) * s * fhat
         )
@@ -277,8 +277,8 @@ def test_symmetry_test_variants_and_composition():
         math.sqrt(n) * x.mean() / math.sqrt(np.var(x, ddof=1)), rel=1e-12
     )
     t1 = symmetry_test(x, which="T1")
-    med = sample_median(x)
-    fhat = kde_at(x, med, bandwidth_nrd0(x))
+    med = orc.sample_median(x)
+    fhat = orc.kde_at(x, med, orc.bandwidth_nrd0(x))
     assert t1.statistic == pytest.approx(2.0 * math.sqrt(n) * med * fhat, rel=1e-12)
     with pytest.raises(ValueError):
         symmetry_test(x, which="T2")
@@ -366,65 +366,134 @@ def test_thomas_transform_oracle():
         thomas_transform(-0.5, 10)
 
 
-def _random_rows(gen, rows, n):
-    kind = gen.integers(0, 3)
-    if kind == 0:
-        return gen.standard_normal((rows, n))
-    if kind == 1:
-        return gen.exponential(1.0, (rows, n)) - 1.0
-    return gen.laplace(0.4, 1.0, (rows, n))
+def _oracle_rows(seed, n):
+    """Normal, exponential and Laplace rows, rounded rows with ties, rows
+    resampled from the residual fixture, and one constant row."""
+    gen = np.random.default_rng(seed)
+    fixture = make_fixture(100, seed)
+    return np.vstack([
+        gen.standard_normal((8, n)) + 0.2,
+        gen.exponential(1.0, (8, n)) - 1.0,
+        gen.laplace(0.4, 1.0, (8, n)),
+        np.round(gen.standard_normal((8, n)), 1),
+        fixture[gen.integers(0, fixture.size, size=(8, n))],
+        np.full((1, n), 0.7),
+    ])
+
+
+def _assert_rows_match_oracle(x, scored, public, oracle, exact):
+    """Row by row: the kernel's value and reason, the public test on the
+    row, and the scalar oracle agree.  A degenerate row must give the
+    oracle's reason string both as the kernel's code and as the public
+    test's DegenerateStatistic.  exact asks for bit-equal statistics."""
+    stat, reason, _ = scored
+    usable = 0
+    for i, row in enumerate(x):
+        try:
+            want = oracle(row)
+        except DegenerateStatistic as exc:
+            assert ker.REASONS[reason[i]] == exc.reason
+            with pytest.raises(DegenerateStatistic) as got:
+                public(row)
+            assert got.value.reason == exc.reason
+            continue
+        usable += 1
+        got = public(row)
+        assert reason[i] == 0
+        if exact:
+            assert stat[i] == want.statistic and got.statistic == want.statistic
+        else:
+            assert stat[i] == pytest.approx(want.statistic, rel=1e-12, abs=1e-12)
+            assert got.statistic == pytest.approx(want.statistic, rel=1e-12, abs=1e-12)
+        assert got.p_value == pytest.approx(want.p_value, rel=1e-12)
+        assert got.components.keys() == want.components.keys()
+        for key, value in want.components.items():
+            assert got.components[key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+    assert usable >= x.shape[0] - 2
 
 
 def test_mean_kernels_match_scalar():
-    gen = np.random.default_rng(2024)
-    x = _random_rows(gen, 50, 21)
     sigma = 1.1
-    to = ker.mean_to(x, sigma)
-    for variant in ("quartic", "quadratic"):
-        tn, degen = ker.mean_tn(x, sigma, variant)
-        for i in range(x.shape[0]):
-            assert to[i] == pytest.approx(
-                t_test_known_sigma(x[i], sigma).statistic, rel=1e-11
+    for n in (4, 21, 150):
+        x = _oracle_rows(2024 + n, n)
+        m = ker.moment_pieces(x, sigma)
+        _assert_rows_match_oracle(
+            x, ker.mean_to(m), lambda r: t_test_known_sigma(r, sigma),
+            lambda r: orc.t_test_known_sigma(r, sigma), exact=True,
+        )
+        for variant in ("quartic", "quadratic"):
+            m = ker.moment_pieces(x, sigma, variant)
+            _assert_rows_match_oracle(
+                x, ker.mean_tn(m), lambda r: modified_mean_test(r, sigma, variant=variant),
+                lambda r: orc.modified_mean_test(r, sigma, variant=variant), exact=False,
             )
-            if degen[i]:
-                with pytest.raises(DegenerateStatistic):
-                    modified_mean_test(x[i], sigma, variant=variant)
-            else:
-                want = modified_mean_test(x[i], sigma, variant=variant).statistic
-                assert tn[i] == pytest.approx(want, rel=1e-10, abs=1e-12)
 
 
 def test_median_kernels_match_scalar():
-    gen = np.random.default_rng(2025)
-    x = gen.laplace(0.2, 1.0, (40, 25))
-    pieces = ker.median_pieces(x)
-    to, to_degen = ker.median_to(pieces)
-    tn, tn_degen = ker.median_tn(pieces)
-    assert not to_degen.any()
-    for i in range(x.shape[0]):
-        assert to[i] == pytest.approx(median_test_To(x[i]).statistic, rel=1e-10)
-        if tn_degen[i]:
-            with pytest.raises(DegenerateStatistic):
-                median_test_TN(x[i])
-        else:
-            assert tn[i] == pytest.approx(median_test_TN(x[i]).statistic, rel=1e-10)
+    for n in (4, 25, 150):
+        x = _oracle_rows(2025 + n, n)
+        pieces = ker.median_pieces(x)
+        _assert_rows_match_oracle(
+            x, ker.median_to(pieces), median_test_To, orc.median_test_To, exact=True
+        )
+        _assert_rows_match_oracle(
+            x, ker.median_tn(pieces), median_test_TN, orc.median_test_TN, exact=True
+        )
 
 
 def test_symmetry_kernels_match_scalar():
-    gen = np.random.default_rng(2026)
-    x = gen.standard_t(5, (40, 30)) + 0.1
-    pieces = ker.median_pieces(x)
-    to, _ = ker.sym_to(pieces)
-    t1, _ = ker.sym_t1(pieces)
-    tn, degen = ker.sym_tn(pieces)
-    for i in range(x.shape[0]):
-        assert to[i] == pytest.approx(symmetry_test(x[i], "To").statistic, rel=1e-10)
-        assert t1[i] == pytest.approx(symmetry_test(x[i], "T1").statistic, rel=1e-10)
-        if degen[i]:
-            with pytest.raises(DegenerateStatistic):
-                symmetry_test(x[i], "TN")
-        else:
-            assert tn[i] == pytest.approx(symmetry_test(x[i], "TN").statistic, rel=1e-10)
+    kernels = {"To": ker.sym_to, "T1": ker.median_to, "TN": ker.sym_tn}
+    for n in (5, 30, 250):
+        x = _oracle_rows(2026 + n, n)
+        pieces = ker.median_pieces(x)
+        for which, kernel in kernels.items():
+            _assert_rows_match_oracle(
+                x, kernel(pieces), lambda r: symmetry_test(r, which),
+                lambda r: orc.symmetry_test(r, which), exact=True,
+            )
+
+
+def _median_kernel(kernel):
+    return lambda x: kernel(ker.median_pieces(x))
+
+
+def _mean_tn_kernel(x):
+    return ker.mean_tn(ker.moment_pieces(x, 1.0))
+
+
+@pytest.mark.parametrize(
+    "public, kernel, row, reason",
+    [
+        (median_test_To, _median_kernel(ker.median_to), np.full(50, 0.7), "constant sample"),
+        (median_test_TN, _median_kernel(ker.median_tn), np.zeros(6), "constant sample"),
+        (lambda r: symmetry_test(r, "To"), _median_kernel(ker.sym_to), np.full(9, -2.5),
+         "constant sample"),
+        (lambda r: symmetry_test(r, "TN"), _median_kernel(ker.sym_tn), np.full(9, 0.1),
+         "constant sample"),
+        (lambda r: modified_mean_test(r, 1.0), _mean_tn_kernel, np.full(5, 0.7),
+         "constant sample"),
+        (lambda r: modified_mean_test(r, 1.0), _mean_tn_kernel, np.array([-1.0, -1.0, 1.0, 1.0]),
+         "zero squared-deviation variance (known sigma)"),
+        (lambda r: modified_mean_test(r, 1.0), _mean_tn_kernel,
+         np.array([-0.75, -0.75, 0.75, 0.75]), "zero squared-deviation variance"),
+        # W's one reason is an input error of the public test.
+        (wilcoxon_signed_rank, ker.signed_rank, np.array([0.0, 1.0, -2.0, 0.0, 3.0, 4.0]),
+         "fewer than 5 nonzero observations"),
+    ],
+    ids=["median_To", "median_TN", "symmetry_To", "symmetry_TN", "mean_constant",
+         "mean_known_sigma_lattice", "mean_self_lattice", "wilcoxon_few_nonzero"],
+)
+def test_reachable_reasons_through_wrapper_and_kernel(public, kernel, row, reason):
+    # The other reasons cannot be reached.  On a non-constant sample
+    # w <= sqrt((n-1)/n) S < S, so D = S^2 - w^2 + (1/(2 fhat) - w)^2 > 0
+    # and V = 1 - delta^2 > 0; and mu3 = mean(d (d^2 - c)) for any c gives
+    # the standardizer 1 - mu3^2 / (S^2 var) >= 1/n by Cauchy-Schwarz.
+    error = ValueError if public is wilcoxon_signed_rank else DegenerateStatistic
+    with pytest.raises(error) as exc:
+        public(row)
+    assert str(exc.value) == reason
+    stat, code, _ = kernel(row[None, :])
+    assert ker.REASONS[code[0]] == reason and stat[0] == -np.inf
 
 
 def test_wilcoxon_kernel_matches_scalar_on_tie_free_rows():
@@ -436,7 +505,7 @@ def test_wilcoxon_kernel_matches_scalar_on_tie_free_rows():
     ranks = np.argsort(np.argsort(np.abs(x), axis=1), axis=1) + 1
     w_plus = (ranks * (x > 0)).sum(axis=1)
     ref = (w_plus - n * (n + 1) / 4) / math.sqrt(n * (n + 1) * (2 * n + 1) / 24)
-    z = ker.wilcoxon_z(x)
+    z = ker.signed_rank(x)[0]
     for i in range(x.shape[0]):
         assert z[i] == pytest.approx(ref[i], rel=1e-11)
         assert wilcoxon_signed_rank(x[i]).statistic == pytest.approx(ref[i], rel=1e-11)
