@@ -61,6 +61,12 @@ def as_sample(x, min_n: int, what: str) -> np.ndarray:
     return arr
 
 
+def check_alpha(alpha) -> None:
+    """The one check of a scalar significance level."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+
+
 def normal_upper(alpha: float) -> float:
     """Upper critical value z with P(Z > z) = alpha; the chi-square(1)
     critical value at level alpha is normal_upper(alpha / 2) ** 2."""

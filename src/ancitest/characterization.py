@@ -3,16 +3,18 @@ finite discrete models.
 
 Continuous density identities reduce to exact point-mass identities on a
 finite outcome space, so every claim here is checked by enumeration, with a
-1e-12 tolerance absorbing floating-point error only.  Exact size alpha on a
+1e-12 tolerance absorbing floating-point error only.  Every check reads one
+level table, _level_table: the masses P_i(T = u), or P_i(T = u, A = v) on
+every level pair of two statistics, attained or not.  Exact size alpha on a
 discrete space requires randomizing at the boundary level of the statistic;
 level_powers implements that randomized threshold test.  Its power is
-piecewise linear in alpha with one knot per level, so each statistic's
-level table is built once and the whole alpha grid is read from it;
-best_level_power is the one-alpha case.
+piecewise linear in alpha with one knot per level, so the whole alpha grid
+is read from one table; best_level_power is the one-alpha case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,30 +117,39 @@ def _alpha_grid(alpha_grid) -> np.ndarray:
     return default_alpha_grid() if alpha_grid is None else _alpha_vector(alpha_grid)
 
 
-def _levels(values: np.ndarray):
-    """Unique values ascending with their outcome masks."""
-    uniq = np.unique(values)
-    return [(u, values == u) for u in uniq]
+def _values(model: DiscreteModel, name: str, stat: FiniteStatistic) -> np.ndarray:
+    """The values of stat, the argument called name, one per model outcome."""
+    values = stat.array()
+    if values.size != model.m:
+        raise ValueError(f"{name} has {values.size} values but the model has {model.m} outcomes")
+    return values
 
 
-def _level_table(model: DiscreteModel, t: FiniteStatistic):
-    """Null and alternative mass of each level of t, in decreasing t order.
+def _level_table(model: DiscreteModel, **stats: FiniteStatistic):
+    """Null and alternative mass of every level tuple of the named statistics.
 
-    Each mass is summed as f[t == u].sum() sums it: bincount adds in outcome
-    order, which is numpy's own order below 8 terms; a level of 8 or more
-    outcomes is re-summed by numpy, whose pairwise sum groups those terms.
+    Returns (levels, inv, p0, p1): levels holds each statistic's distinct
+    values ascending, inv the flat index of each outcome's level tuple, and
+    p0, p1 the masses as arrays of shape (len(levels[0]), ...), 0 on the
+    tuples no outcome attains.  Each mass is summed as f[inv == k].sum() sums
+    it: bincount adds in outcome order, which is numpy's own order below 8
+    terms; a level of 8 or more outcomes is re-summed by numpy, whose
+    pairwise sum groups those terms.
     """
     f0, f1 = model.arrays()
-    values = t.array()
-    if values.size != f0.size:
-        raise ValueError("statistic length does not match the model")
-    _, inv, counts = np.unique(values, return_inverse=True, return_counts=True)
-    p0 = np.bincount(inv, weights=f0)
-    p1 = np.bincount(inv, weights=f1)
-    for k in np.flatnonzero(counts >= 8):
+    levels, inv = [], 0
+    for name, stat in stats.items():
+        uniq, k = np.unique(_values(model, name, stat), return_inverse=True)
+        levels.append(uniq)
+        inv = inv * uniq.size + k
+    shape = tuple(u.size for u in levels)
+    size = math.prod(shape)
+    p0 = np.bincount(inv, weights=f0, minlength=size)
+    p1 = np.bincount(inv, weights=f1, minlength=size)
+    for k in np.flatnonzero(np.bincount(inv, minlength=size) >= 8):
         p0[k] = f0[inv == k].sum()
         p1[k] = f1[inv == k].sum()
-    return p0[::-1], p1[::-1]
+    return levels, inv, p0.reshape(shape), p1.reshape(shape)
 
 
 def level_powers(model: DiscreteModel, t: FiniteStatistic, alphas) -> np.ndarray:
@@ -154,7 +165,8 @@ def level_powers(model: DiscreteModel, t: FiniteStatistic, alphas) -> np.ndarray
     reaches the total null mass.
     """
     alphas = _alpha_vector(alphas)
-    p0, p1 = _level_table(model, t)
+    _, _, p0, p1 = _level_table(model, t=t)
+    p0, p1 = p0[::-1], p1[::-1]
     c0 = np.concatenate(([0.0], np.cumsum(p0)))
     c1 = np.concatenate(([0.0], np.cumsum(p1)))
     j = np.searchsorted(c0[1:], alphas, side="right")
@@ -169,28 +181,31 @@ def best_level_power(model: DiscreteModel, t: FiniteStatistic, alpha: float) -> 
     return float(level_powers(model, t, [alpha])[0])
 
 
+def _identity_violation(model: DiscreteModel, **stats: FiniteStatistic) -> float:
+    """Largest |P1(cell) - u P0(cell)| over the level tuples of the named
+    statistics, u the cell's level of the first one.  A tuple no outcome
+    attains has both masses 0, so it adds nothing."""
+    levels, _, p0, p1 = _level_table(model, **stats)
+    u = levels[0].reshape((-1,) + (1,) * (len(levels) - 1))
+    return float(np.max(np.abs(p1 - u * p0)))
+
+
+def _mp_power_gap(model: DiscreteModel, t: FiniteStatistic, alpha_grid) -> float:
+    """Largest power difference between t and the likelihood ratio on the grid."""
+    lam = likelihood_ratio(model)
+    return float(np.max(
+        np.abs(level_powers(model, t, alpha_grid) - level_powers(model, lam, alpha_grid))
+    ))
+
+
 def check_prop_1_1(model: DiscreteModel) -> dict:
     """Level-mass identity for the likelihood ratio: P1(L = u) = u P0(L = u)."""
-    f0, f1 = model.arrays()
-    lam = likelihood_ratio(model).array()
-    worst = 0.0
-    for u, mask in _levels(lam):
-        worst = max(worst, abs(f1[mask].sum() - u * f0[mask].sum()))
-    return {"max_violation": float(worst)}
+    return {"max_violation": _identity_violation(model, lam=likelihood_ratio(model))}
 
 
 def check_prop_2_1(model: DiscreteModel, a: FiniteStatistic) -> dict:
     """Joint version of the level-mass identity for (likelihood ratio, A)."""
-    f0, f1 = model.arrays()
-    lam = likelihood_ratio(model).array()
-    avals = a.array()
-    worst = 0.0
-    for u, mask_u in _levels(lam):
-        for _, mask_v in _levels(avals):
-            mask = mask_u & mask_v
-            if mask.any():
-                worst = max(worst, abs(f1[mask].sum() - u * f0[mask].sum()))
-    return {"max_violation": float(worst)}
+    return {"max_violation": _identity_violation(model, lam=likelihood_ratio(model), a=a)}
 
 
 def check_prop_2_2(model: DiscreteModel, t: FiniteStatistic, alpha_grid=None) -> dict:
@@ -206,12 +221,8 @@ def check_prop_2_2(model: DiscreteModel, t: FiniteStatistic, alpha_grid=None) ->
         raise ValueError("statistic must be non-negative for the calibration condition")
     alpha_grid = _alpha_grid(alpha_grid)
     f0, f1 = model.arrays()
-    tv = t.array()
-    condition_violation = float(np.max(np.abs(f1 - tv * f0)))
-    lam = likelihood_ratio(model)
-    power_gap = float(np.max(
-        np.abs(level_powers(model, t, alpha_grid) - level_powers(model, lam, alpha_grid))
-    ))
+    condition_violation = float(np.max(np.abs(f1 - _values(model, "t", t) * f0)))
+    power_gap = _mp_power_gap(model, t, alpha_grid)
     return {
         "condition_holds": condition_violation <= TOL,
         "is_mp": power_gap <= TOL,
@@ -233,11 +244,11 @@ def check_prop_2_3(model: DiscreteModel, t: FiniteStatistic, g_family) -> bool:
     t to equal the likelihood ratio pointwise when the identity holds.
     """
     f0, f1 = model.arrays()
-    tv = t.array()
+    tv = _values(model, "t", t)
+    gvs = [_values(model, f"g_family[{i}]", g) for i, g in enumerate(g_family)]
     m = f0.size
     found = [False] * m
-    for g in g_family:
-        gv = g.array()
+    for gv in gvs:
         if np.any(gv < -TOL) or np.any(gv > 1.0 + TOL):
             raise ValueError("family functions must map into [0, 1]")
         for i in range(m):
@@ -245,11 +256,7 @@ def check_prop_2_3(model: DiscreteModel, t: FiniteStatistic, g_family) -> bool:
                 found[i] = True
     if not all(found):
         raise ValueError("family must include all singleton indicator functions")
-    for g in g_family:
-        gv = g.array()
-        if abs(np.dot(gv, f1) - np.dot(gv * tv, f0)) > TOL:
-            return False
-    return True
+    return not any(abs(np.dot(gv, f1) - np.dot(gv * tv, f0)) > TOL for gv in gvs)
 
 
 def check_prop_2_4(
@@ -264,21 +271,13 @@ def check_prop_2_4(
     if np.any(t1.array() < 0):
         raise ValueError("t1 must be non-negative")
     alpha_grid = _alpha_grid(alpha_grid)
-    f0, f1 = model.arrays()
-    v1 = t1.array()
-    v2 = t2.array()
-    worst = 0.0
-    for u, mask_u in _levels(v1):
-        for _, mask_v in _levels(v2):
-            mask = mask_u & mask_v
-            if mask.any():
-                worst = max(worst, abs(f1[mask].sum() - u * f0[mask].sum()))
+    worst = _identity_violation(model, t1=t1, t2=t2)
     if worst > TOL:
-        return {"applicable": False, "hypothesis_violation": float(worst), "dominates": None}
+        return {"applicable": False, "hypothesis_violation": worst, "dominates": None}
     gap = float(np.min(level_powers(model, t1, alpha_grid) - level_powers(model, t2, alpha_grid)))
     return {
         "applicable": True,
-        "hypothesis_violation": float(worst),
+        "hypothesis_violation": worst,
         "dominates": gap >= -TOL,
         "min_power_gap": gap,
     }
@@ -294,25 +293,11 @@ def check_prop_2_5(model: DiscreteModel, t: FiniteStatistic, alpha_grid=None) ->
     """
     alpha_grid = _alpha_grid(alpha_grid)
     f0, f1 = model.arrays()
-    tv = t.array()
-    sufficient = True
-    calibrated = True
-    for u, mask in _levels(tv):
-        p0 = f0[mask].sum()
-        p1 = f1[mask].sum()
-        cond0 = f0[mask] / p0
-        cond1 = f1[mask] / p1
-        if np.max(np.abs(cond0 - cond1)) > TOL:
-            sufficient = False
-        if abs(p1 / p0 - u) > TOL:
-            calibrated = False
-    lam = likelihood_ratio(model)
-    power_gap = float(np.max(
-        np.abs(level_powers(model, t, alpha_grid) - level_powers(model, lam, alpha_grid))
-    ))
+    (u,), inv, p0, p1 = _level_table(model, t=t)
+    power_gap = _mp_power_gap(model, t, alpha_grid)
     return {
-        "sufficient": sufficient,
-        "calibrated": calibrated,
+        "sufficient": bool(np.max(np.abs(f0 / p0[inv] - f1 / p1[inv])) <= TOL),
+        "calibrated": bool(np.all(np.abs(p1 / p0 - u) <= TOL)),
         "is_mp": power_gap <= TOL,
         "max_power_gap": power_gap,
     }
@@ -334,44 +319,27 @@ def check_prop_3_1(
     claim is not evaluated.
     """
     alpha_grid = _alpha_grid(alpha_grid)
-    f0, f1 = model.arrays()
-    av = a.array()
-    tnv = tn.array()
-    tv = t.array()
-
-    for _, mask in _levels(av):
-        if abs(f0[mask].sum() - f1[mask].sum()) > TOL:
-            return {"premises_ok": False, "failed_premise": "ancillarity", "dominates": None}
-
-    for f in (f0, f1):
-        for u, mask_u in _levels(tnv):
-            pu = f[mask_u].sum()
-            for v, mask_v in _levels(av):
-                pv = f[mask_v].sum()
-                joint = f[mask_u & mask_v].sum()
-                if abs(joint - pu * pv) > TOL:
-                    return {
-                        "premises_ok": False,
-                        "failed_premise": "independence",
-                        "dominates": None,
-                    }
-
-    for _, mask_u in _levels(tnv):
-        for _, mask_v in _levels(av):
-            mask = mask_u & mask_v
-            if mask.any() and np.ptp(tv[mask]) > TOL:
-                return {
-                    "premises_ok": False,
-                    "failed_premise": "factorization",
-                    "dominates": None,
-                }
-
-    ratios = []
-    for u, mask in _levels(tnv):
-        ratios.append(f1[mask].sum() / f0[mask].sum())
-    if any(ratios[i + 1] < ratios[i] - TOL for i in range(len(ratios) - 1)):
-        return {"premises_ok": False, "failed_premise": "monotone_ratio", "dominates": None}
-
+    tv = _values(model, "t", t)
+    _, _, a0, a1 = _level_table(model, a=a)
+    _, _, n0, n1 = _level_table(model, tn=tn)
+    _, inv, j0, j1 = _level_table(model, tn=tn, a=a)
+    # Independence compares every (tn, a) pair, the unattained ones (joint
+    # mass 0) included; factorization reads t's range on each pair.
+    hi = np.full(j0.size, -np.inf)
+    lo = np.full(j0.size, np.inf)
+    np.maximum.at(hi, inv, tv)
+    np.minimum.at(lo, inv, tv)
+    ratios = n1 / n0
+    premises = (
+        ("ancillarity", np.abs(a0 - a1) > TOL),
+        ("independence", (np.abs(j0 - np.outer(n0, a0)) > TOL)
+         | (np.abs(j1 - np.outer(n1, a1)) > TOL)),
+        ("factorization", hi - lo > TOL),
+        ("monotone_ratio", ratios[1:] < ratios[:-1] - TOL),
+    )
+    for premise, failed in premises:
+        if np.any(failed):
+            return {"premises_ok": False, "failed_premise": premise, "dominates": None}
     gap = float(np.min(level_powers(model, tn, alpha_grid) - level_powers(model, t, alpha_grid)))
     return {"premises_ok": True, "failed_premise": None, "dominates": gap >= -TOL,
             "min_power_gap": gap}

@@ -290,20 +290,11 @@ class _Entry:
     vector_dim: int = 0  # nonzero only for the fixed-dimension toy designs
 
 
-def _toy_two_obs(mu):
+def _toy_obs(mu, sds):
+    scale = np.array(sds)
+
     def draw(shape, gen):
-        rows = shape[0] if isinstance(shape, tuple) else shape
-        z = gen.standard_normal((rows, 2))
-        return mu + z * np.array([1.0, 4.0])
-
-    return draw
-
-
-def _toy_three_obs(mu):
-    def draw(shape, gen):
-        rows = shape[0] if isinstance(shape, tuple) else shape
-        z = gen.standard_normal((rows, 3))
-        return mu + z * np.array([1.0, 4.0, 3.0])
+        return mu + gen.standard_normal(shape) * scale
 
     return draw
 
@@ -364,10 +355,10 @@ def _build_registry():
     # Toy heteroscedastic designs: fixed-dimension observation vectors used by
     # the closed-form power curves; draws return one vector per replication.
     for k, mu in ((0, 0.0), (1, 5.0)):
-        _register("toy", k, 1, _toy_two_obs(mu), 0.0,
+        _register("toy", k, 1, _toy_obs(mu, (1.0, 4.0)), 0.0,
                   f"two independent normals, common mean {mu:g}, sds (1, 4)",
                   None, vector_dim=2)
-        _register("toy", k, 2, _toy_three_obs(mu), 0.0,
+        _register("toy", k, 2, _toy_obs(mu, (1.0, 4.0, 3.0)), 0.0,
                   f"three independent normals, common mean {mu:g}, sds (1, 4, 3)",
                   None, vector_dim=3)
 
@@ -461,15 +452,8 @@ def sample_design(design: DesignId, n: int, stream: RandomStream):
     each draw is an observation vector, and the result has shape (n, dim).
     """
     entry = _entry(design)
-    if entry.vector_dim:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        gen = stream.generator()
-        return entry.base((n, entry.vector_dim), gen)
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    gen = stream.generator()
-    x = entry.base(n, gen)
-    if entry.shift:
-        x = x + entry.shift
-    return x
+    if not entry.vector_dim:
+        return sample_design_matrix(design, 1, n, stream)[0]
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return entry.base((n, entry.vector_dim), stream.generator())

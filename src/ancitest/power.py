@@ -150,8 +150,7 @@ def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
     """Checks shared by every public driver; each error names its parameter."""
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000 for reportable output, got {reps}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    _kernels.check_alpha(alpha)
     if int(math.floor(alpha * reps + 1e-9)) < 1:
         raise ValueError(f"alpha * reps must be at least 1, got alpha={alpha}, reps={reps}")
     if moment_variant not in ("quartic", "quadratic"):
@@ -562,8 +561,7 @@ def toy_power_curve(a_grid, mu1=5.0, sigma1=1.0, sigma2=4.0, alpha=0.05):
     """
     if sigma1 <= 0 or sigma2 <= 0:
         raise ValueError("standard deviations must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _kernels.check_alpha(alpha)
     a = np.asarray(a_grid, dtype=float)
     v1, v2 = sigma1**2, sigma2**2
     z = _kernels.normal_upper(alpha)
@@ -587,8 +585,7 @@ def toy_three_obs_powers(mu_grid, sigma1=1.0, sigma2=4.0, sigma3=3.0, alpha=0.05
     for s in (sigma1, sigma2, sigma3):
         if s <= 0:
             raise ValueError("standard deviations must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _kernels.check_alpha(alpha)
     mu = np.asarray(mu_grid, dtype=float)
     v1, v2, v3 = sigma1**2, sigma2**2, sigma3**2
     z = _kernels.normal_upper(alpha)

@@ -292,8 +292,7 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
         raise ValueError("resample size must satisfy 10 <= n_b < sample size")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    _kernels.check_alpha(alpha)
     gen = RandomStream(int(seed), ("resample", int(n_b))).generator()
     crit = _kernels.normal_upper(alpha / 2.0) ** 2
     counts = {"W": 0, "To2": 0, "TN2": 0}

@@ -66,11 +66,6 @@ class TestOutcome:
     components: dict = field(default_factory=dict)
 
 
-def _check_alpha(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly between 0 and 1")
-
-
 def _check_sigma(sigma):
     if not sigma > 0:
         raise ValueError("sigma must be positive")
@@ -97,7 +92,7 @@ def _outcome(scored, alpha):
 def t_test_known_sigma(x, sigma: float, alpha: float = 0.05) -> TestOutcome:
     """Upper-tail mean test sqrt(n) * mean / sigma against the normal quantile."""
     arr = _kernels.as_sample(x, 2, "test")
-    _check_alpha(alpha)
+    _kernels.check_alpha(alpha)
     _check_sigma(sigma)
     return _outcome(_kernels.mean_to(_kernels.moment_pieces(arr[None, :], sigma)), alpha)
 
@@ -113,7 +108,7 @@ def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "qua
     the squared-deviation variance estimators, see sample_moments.
     """
     arr = _kernels.as_sample(x, 3, "test")
-    _check_alpha(alpha)
+    _kernels.check_alpha(alpha)
     _check_sigma(sigma)
     return _outcome(_kernels.mean_tn(_kernels.moment_pieces(arr[None, :], sigma, variant)), alpha)
 
@@ -135,7 +130,7 @@ def bootstrap_t_test(
     same generator the T*_b equal the engine's on every step it evaluates.
     """
     arr = _kernels.as_sample(x, 2, "test")
-    _check_alpha(alpha)
+    _kernels.check_alpha(alpha)
     _check_sigma(sigma)
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
@@ -160,7 +155,7 @@ def bootstrap_t_test(
 
 def _median_family(x, alpha, kernel):
     arr = _kernels.as_sample(x, 4, "test")
-    _check_alpha(alpha)
+    _kernels.check_alpha(alpha)
     return _outcome(kernel(_kernels.median_pieces(arr[None, :])), alpha)
 
 
@@ -200,7 +195,7 @@ def symmetry_test(x, which: str = "TN", alpha: float = 0.05) -> TestOutcome:
 
 def two_sided(outcome: TestOutcome, alpha: float = 0.05) -> TestOutcome:
     """Square a normal-referenced one-sided outcome into a chi-square rule."""
-    _check_alpha(alpha)
+    _kernels.check_alpha(alpha)
     if outcome.side != ONE_SIDED_UPPER:
         raise ValueError("two_sided requires a one-sided normal-referenced outcome")
     stat = outcome.statistic**2
@@ -227,7 +222,7 @@ def wilcoxon_signed_rank(x, side: str = ONE_SIDED_UPPER, alpha: float = 0.05) ->
     continuity correction is applied.
     """
     arr = _kernels.as_sample(x, 1, "test")
-    _check_alpha(alpha)
+    _kernels.check_alpha(alpha)
     if side not in (ONE_SIDED_UPPER, "two_sided"):
         raise ValueError("side must be 'one_sided_upper' or 'two_sided'")
     z, reason, parts = _kernels.signed_rank(arr[None, :])

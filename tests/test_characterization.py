@@ -5,6 +5,8 @@ The two-outcome model f0 = (1/2, 1/2), f1 = (1/4, 3/4) is small enough to
 solve by hand and anchors most oracles below.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,93 @@ def _loop_sizes(model, t):
     return np.array(sizes)
 
 
+def _loop_masks(values):
+    """Distinct values ascending with their outcome masks."""
+    return [(u, values == u) for u in np.unique(values)]
+
+
+def _loop_identity(model, v1, v2=None):
+    """Largest |f1[cell].sum() - u f0[cell].sum()| over the attained cells of
+    the levels of v1 (and v2), u the cell's v1 level."""
+    f0, f1 = model.arrays()
+    inner = _loop_masks(np.zeros(model.m) if v2 is None else v2)
+    worst = 0.0
+    for u, mask_u in _loop_masks(v1):
+        for _, mask_v in inner:
+            mask = mask_u & mask_v
+            if mask.any():
+                worst = max(worst, abs(f1[mask].sum() - u * f0[mask].sum()))
+    return worst
+
+
+def _loop_prop_1_1(model):
+    return {"max_violation": float(_loop_identity(model, likelihood_ratio(model).array()))}
+
+
+def _loop_prop_2_1(model, a):
+    worst = _loop_identity(model, likelihood_ratio(model).array(), a.array())
+    return {"max_violation": float(worst)}
+
+
+def _loop_prop_2_4(model, t1, t2, grid):
+    worst = _loop_identity(model, t1.array(), t2.array())
+    if worst > 1e-12:
+        return {"applicable": False, "hypothesis_violation": float(worst), "dominates": None}
+    gap = float(np.min(level_powers(model, t1, grid) - level_powers(model, t2, grid)))
+    return {
+        "applicable": True,
+        "hypothesis_violation": float(worst),
+        "dominates": gap >= -1e-12,
+        "min_power_gap": gap,
+    }
+
+
+def _loop_prop_2_5(model, t, grid):
+    f0, f1 = model.arrays()
+    sufficient = True
+    calibrated = True
+    for u, mask in _loop_masks(t.array()):
+        p0 = f0[mask].sum()
+        p1 = f1[mask].sum()
+        if np.max(np.abs(f0[mask] / p0 - f1[mask] / p1)) > 1e-12:
+            sufficient = False
+        if abs(p1 / p0 - u) > 1e-12:
+            calibrated = False
+    lam = likelihood_ratio(model)
+    gap = float(np.max(np.abs(level_powers(model, t, grid) - level_powers(model, lam, grid))))
+    return {"sufficient": sufficient, "calibrated": calibrated, "is_mp": gap <= 1e-12,
+            "max_power_gap": gap}
+
+
+def _loop_prop_3_1(model, t, a, tn, grid):
+    f0, f1 = model.arrays()
+    av, tnv, tv = a.array(), tn.array(), t.array()
+
+    def failed(premise):
+        return {"premises_ok": False, "failed_premise": premise, "dominates": None}
+
+    for _, mask in _loop_masks(av):
+        if abs(f0[mask].sum() - f1[mask].sum()) > 1e-12:
+            return failed("ancillarity")
+    for f in (f0, f1):
+        for _, mask_u in _loop_masks(tnv):
+            for _, mask_v in _loop_masks(av):
+                joint = f[mask_u & mask_v].sum()
+                if abs(joint - f[mask_u].sum() * f[mask_v].sum()) > 1e-12:
+                    return failed("independence")
+    for _, mask_u in _loop_masks(tnv):
+        for _, mask_v in _loop_masks(av):
+            mask = mask_u & mask_v
+            if mask.any() and np.ptp(tv[mask]) > 1e-12:
+                return failed("factorization")
+    ratios = [f1[mask].sum() / f0[mask].sum() for _, mask in _loop_masks(tnv)]
+    if any(ratios[i + 1] < ratios[i] - 1e-12 for i in range(len(ratios) - 1)):
+        return failed("monotone_ratio")
+    gap = float(np.min(level_powers(model, tn, grid) - level_powers(model, t, grid)))
+    return {"premises_ok": True, "failed_premise": None, "dominates": gap >= -1e-12,
+            "min_power_gap": gap}
+
+
 def test_model_and_statistic_validation():
     with pytest.raises(ValueError):
         DiscreteModel((1.0,), (1.0,))
@@ -133,6 +222,134 @@ def test_level_powers_bit_equal_to_loop():
             alphas = np.concatenate((grid, knots[(knots > 0.0) & (knots < 1.0)]))
             assert np.array_equal(level_powers(model, t, alphas), _loop_power(model, t, alphas))
             assert best_level_power(model, t, alphas[-1]) == _loop_power(model, t, alphas[-1:])[0]
+
+
+def _oracle_statistic(gen, m, kind):
+    vals = gen.random(m)
+    if kind == "rounded":
+        vals = np.round(vals, 1)
+    elif kind == "three-valued":
+        vals = np.floor(3.0 * vals)
+    return FiniteStatistic(tuple(vals))
+
+
+def _tied_model(gen, m):
+    """Uniform f0 and two-valued f1: the likelihood ratio has two levels,
+    the larger one of 8 or more outcomes once m >= 11."""
+    f1 = np.where(gen.permutation(m) < m // 3, 3.0, 1.0)
+    return DiscreteModel(tuple(np.full(m, 1.0 / m)), tuple(f1 / f1.sum()))
+
+
+def _prop_3_1_cases(gen):
+    """(model, t, a, tn) inputs that pass and that fail each premise."""
+    model, t, a, tn = product_model(gen, int(gen.integers(2, 5)), int(gen.integers(2, 4)))
+    yield model, t, a, tn
+    f0, f1 = model.arrays()
+    # Swapping f1 between two outcomes of one a level keeps a ancillary but
+    # makes tn and a dependent under the alternative.
+    same = np.flatnonzero(a.array() == 0.0)
+    swapped = f1.copy()
+    swapped[same[:2]] = f1[same[1::-1]]
+    yield DiscreteModel(model.f0, tuple(swapped)), t, a, tn
+    tilted = f1 * np.where(a.array() == 0.0, 1.5, 1.0)
+    yield DiscreteModel(model.f0, tuple(tilted / tilted.sum())), t, a, tn
+    # A constant a merges the a levels, and t varies within each tn level.
+    yield model, t, FiniteStatistic((0.0,) * model.m), tn
+    yield model, t, a, FiniteStatistic(tuple(-tn.array()))
+    # Factorization fails before the monotone ratio does.
+    yield model, t, FiniteStatistic((0.0,) * model.m), FiniteStatistic(tuple(-tn.array()))
+    # f0 = f1 makes every statistic ancillary; three-valued tn and a leave
+    # (tn, a) pairs that no outcome attains, and a continuous t is rarely a
+    # function of the pair.
+    m = int(gen.integers(4, 13))
+    null = random_model(gen, m)
+    a3, tn3 = (_oracle_statistic(gen, m, "three-valued") for _ in range(2))
+    yield DiscreteModel(null.f0, null.f0), _oracle_statistic(gen, m, "continuous"), a3, tn3
+    # Premises hold with tn levels of 8 or more outcomes.
+    tied = _tied_model(gen, 12)
+    lam = likelihood_ratio(tied)
+    yield tied, lam, FiniteStatistic((1.0,) * 12), lam
+
+
+def _unattained_pair_case():
+    """f0 = f1 on a 3 x 3 (tn, a) grid without its (3, 3) pair.  That pair's
+    product of marginals, 1.5e-12, exceeds the tolerance, while each attained
+    pair's mass is off the product of its marginals by at most half of it:
+    only the unattained pair shows that tn and a are dependent."""
+    x = 1.5e-12
+    e = math.sqrt(x)
+    dev = np.array([[-x / 4, -x / 4, x / 2], [-x / 4, -x / 4, x / 2], [x / 2, x / 2, -x]])
+    joint = (np.outer([0.5, 0.5 - e, e], [0.4, 0.6 - e, e]) + dev).ravel()[:8]
+    tn = FiniteStatistic(tuple(np.repeat([0.0, 1.0, 2.0], 3)[:8]))
+    a = FiniteStatistic(tuple(np.tile([0.0, 1.0, 2.0], 3)[:8]))
+    return DiscreteModel(tuple(joint), tuple(joint)), tn, a, tn
+
+
+def test_level_table_checks_equal_loop_oracles():
+    # Every check reads one level table; its reports must equal, repr for
+    # repr, the per-level mask loops they replaced, on continuous, rounded
+    # and three-valued statistics, on likelihood ratios with levels of 8 or
+    # more outcomes, on joint level pairs no outcome attains, and on each
+    # premise of Proposition 3.1.
+    gen = np.random.default_rng(21)
+    grid = default_alpha_grid()
+    kinds = ("continuous", "rounded", "three-valued")
+    premises = set()
+    for i in range(120):
+        m = int(gen.integers(2, 13))
+        model = random_model(gen, m) if i % 2 else _tied_model(gen, m)
+        lam = likelihood_ratio(model)
+        s1 = _oracle_statistic(gen, m, kinds[i % 3])
+        s2 = _oracle_statistic(gen, m, kinds[(i // 3) % 3])
+        doubled = FiniteStatistic(tuple(2.0 * lam.array()))
+        one = FiniteStatistic((1.0,) * m)
+        assert repr(check_prop_1_1(model)) == repr(_loop_prop_1_1(model))
+        for s in (s1, s2, lam, one):
+            assert repr(check_prop_2_1(model, s)) == repr(_loop_prop_2_1(model, s))
+            assert repr(check_prop_2_5(model, s, grid)) == repr(_loop_prop_2_5(model, s, grid))
+        for t1, t2 in ((lam, s1), (lam, one), (doubled, s1), (s1, s2)):
+            assert repr(check_prop_2_4(model, t1, t2, grid)) == repr(
+                _loop_prop_2_4(model, t1, t2, grid)
+            )
+        for case in ((model, s1, s2, lam), *_prop_3_1_cases(gen)):
+            rep = check_prop_3_1(*case, grid)
+            assert repr(rep) == repr(_loop_prop_3_1(*case, grid))
+            premises.add(rep["failed_premise"])
+    case = _unattained_pair_case()
+    rep = check_prop_3_1(*case, grid)
+    assert rep["failed_premise"] == "independence"
+    assert repr(rep) == repr(_loop_prop_3_1(*case, grid))
+    assert premises == {None, "ancillarity", "independence", "factorization", "monotone_ratio"}
+
+
+_SHORT = FiniteStatistic((1.0, 2.0, 3.0))
+_ONE_TWO = FiniteStatistic((1.0, 1.0))
+
+
+# check_prop_1_1 takes no statistic: its likelihood ratio always fits.
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda s: level_powers(TWO, s, [0.5]), "t"),
+        (lambda s: best_level_power(TWO, s, 0.5), "t"),
+        (lambda s: check_prop_2_1(TWO, s), "a"),
+        (lambda s: check_prop_2_2(TWO, s), "t"),
+        (lambda s: check_prop_2_3(TWO, s, singleton_indicators(2)), "t"),
+        (lambda s: check_prop_2_3(TWO, LAM_TWO, singleton_indicators(2) + [s]),
+         r"g_family\[2\]"),
+        (lambda s: check_prop_2_4(TWO, s, LAM_TWO), "t1"),
+        (lambda s: check_prop_2_4(TWO, LAM_TWO, s), "t2"),
+        (lambda s: check_prop_2_5(TWO, s), "t"),
+        (lambda s: check_prop_3_1(TWO, s, _ONE_TWO, LAM_TWO), "t"),
+        (lambda s: check_prop_3_1(TWO, LAM_TWO, s, LAM_TWO), "a"),
+        (lambda s: check_prop_3_1(TWO, LAM_TWO, _ONE_TWO, s), "tn"),
+    ],
+    ids=["level_powers", "best_level_power", "2_1", "2_2", "2_3-t", "2_3-family",
+         "2_4-t1", "2_4-t2", "2_5", "3_1-t", "3_1-a", "3_1-tn"],
+)
+def test_statistic_length_mismatch_is_named(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} has 3 values but the model has 2 outcomes$"):
+        call(_SHORT)
 
 
 def test_level_powers_reject_any_alpha_outside_unit_interval():
@@ -248,6 +465,9 @@ def test_indicator_family_check():
     bad = [FiniteStatistic((2.0, 0.0)), fam[1]]
     with pytest.raises(ValueError):
         check_prop_2_3(TWO, lam, bad)
+    # A one-pass family is read once: the identity is checked on every member.
+    doubled = FiniteStatistic(tuple(2.0 * lam.array()))
+    assert check_prop_2_3(TWO, doubled, iter(fam)) is False
 
 
 def test_conditional_dominance_check():

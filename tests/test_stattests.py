@@ -17,15 +17,21 @@ from scipy import stats as sps
 
 from ancitest import (
     DegenerateStatistic,
+    DesignId,
     RandomStream,
+    StudyPlan,
     bootstrap_t_test,
     median_test_TN,
     median_test_To,
     modified_mean_test,
+    reproduce_table,
+    resample_power_study,
     sample_moments,
     symmetry_test,
     t_test_known_sigma,
     thomas_transform,
+    toy_power_curve,
+    toy_three_obs_powers,
     two_sided,
     wilcoxon_signed_rank,
 )
@@ -509,3 +515,39 @@ def test_wilcoxon_kernel_matches_scalar_on_tie_free_rows():
     for i in range(x.shape[0]):
         assert z[i] == pytest.approx(ref[i], rel=1e-11)
         assert wilcoxon_signed_rank(x[i]).statistic == pytest.approx(ref[i], rel=1e-11)
+
+
+_X = np.linspace(-1.0, 2.0, 40)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda a: t_test_known_sigma(_X, 1.0, a),
+        lambda a: modified_mean_test(_X, 1.0, a),
+        lambda a: bootstrap_t_test(_X, 1.0, a),
+        lambda a: median_test_To(_X, a),
+        lambda a: median_test_TN(_X, a),
+        lambda a: symmetry_test(_X, alpha=a),
+        lambda a: two_sided(median_test_To(_X), a),
+        lambda a: wilcoxon_signed_rank(_X, alpha=a),
+        lambda a: toy_power_curve([0.0], alpha=a),
+        lambda a: toy_three_obs_powers([0.0], alpha=a),
+        lambda a: resample_power_study(_X, 20, 10, alpha=a),
+        lambda a: reproduce_table("2", reps=1000, seed=0, alpha=a),
+        lambda a: StudyPlan("To", DesignId("1", 0, 1), DesignId("1", 1, 1), (50,), 1000, 0, alpha=a),
+    ],
+    ids=["t_test_known_sigma", "modified_mean_test", "bootstrap_t_test", "median_test_To",
+         "median_test_TN", "symmetry_test", "two_sided", "wilcoxon_signed_rank",
+         "toy_power_curve", "toy_three_obs_powers", "resample_power_study",
+         "reproduce_table", "StudyPlan"],
+)
+@pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, float("nan")])
+def test_scalar_alpha_has_one_check(call, alpha):
+    # Every scalar alpha goes through _kernels.check_alpha, whose message
+    # names the value it got.
+    msg = f"^alpha must lie strictly between 0 and 1, got {alpha}$"
+    with pytest.raises(ValueError, match=msg):
+        ker.check_alpha(alpha)
+    with pytest.raises(ValueError, match=msg):
+        call(alpha)
