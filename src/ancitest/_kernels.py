@@ -11,6 +11,8 @@ vector, a uint8 reason vector indexing REASONS (0 for a usable row, else
 the first check that failed), and the named per-row intermediates that the
 public tests report as components.  Rows with a reason carry stat = -inf
 and must be scored as non-rejections; zero-range rows are always degenerate.
+The bootstrap decision follows the same contract with a boolean decision
+vector in place of the statistic, False on every row with a reason.
 
 Rows may contain ties and exact zeros (resampled rows always have ties).
 Order statistics come from one sort per row and equal numpy's ``median`` and
@@ -424,11 +426,17 @@ def bootstrap_mean_reject(
     evaluates.  The decisions depend only on (x, gen state, max_elems): the
     block size is part of the stream layout.  How many indices are drawn
     depends on when rows stop, so the generator's end state depends on x.
-    Returns the boolean decision vector only.
+
+    Follows the kernel contract with a decision in place of a statistic:
+    returns (reject, reason, {}) with the boolean decision vector.
+    Zero-range rows get reason CONSTANT and never reject; they are still
+    resampled, so the draws of the other rows do not depend on them.
     """
     n = x.shape[1]
 
     def draw(live, b0, b1):
         return bootstrap_draw(gen, live.size, b1 - b0, n)
 
-    return bootstrap_decide(x, sigma, alpha, n_boot, draw, max_elems)[0]
+    reject = bootstrap_decide(x, sigma, alpha, n_boot, draw, max_elems)[0]
+    reason = _first_reason((CONSTANT, np.ptp(x, axis=1) == 0.0))
+    return reject & (reason == 0), reason, {}

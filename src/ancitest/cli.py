@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 
@@ -43,17 +42,6 @@ from .regression import (
 )
 
 __all__ = ["main"]
-
-
-def _default_threads() -> int:
-    # The environment variable overrides only the default; an explicit
-    # --threads flag always wins.
-    raw = os.environ.get("ANCITEST_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(1, value)
 
 
 def _positive_int(text):
@@ -270,7 +258,7 @@ def _build_parser():
     p.add_argument("--moment-variant", choices=["quartic", "quadratic"], default="quartic")
     p.add_argument("--bootstrap-b", type=_positive_int, default=1000)
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    p.add_argument("--threads", type=_positive_int, default=_default_threads())
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tables)
 

@@ -23,6 +23,11 @@ Chunk content therefore depends only on the root seed and the cell
 coordinates, never on the worker schedule, and rates are reduced from
 integer rejection counts, so any thread count yields identical output.
 
+Every statistic comes from one dispatch (_statistics over the _KERNELS
+map), which the resample study in ``regression`` shares.  Per (cell, test)
+the engine keeps the kernel's (values, reason) pair: the statistics, or the
+bootstrap test's decisions, and a nonzero reason on each degenerate row.
+
 The bootstrap test has no scalar statistic (its threshold is resampled per
 replication), so its Pow is defined as PowA; by the tables' convention so
 is the signed-rank test's.  estimate_power and reproduce_table score every
@@ -172,18 +177,6 @@ class _CellSpec:
     tests: tuple
 
 
-class _CellOut:
-    """Mutable per-cell accumulator: statistic vector, degeneracy mask, and
-    (bootstrap only) decision vector."""
-
-    __slots__ = ("stats", "degen", "reject")
-
-    def __init__(self, reps, with_stats, with_reject):
-        self.stats = np.empty(reps, dtype=float) if with_stats else None
-        self.degen = np.zeros(reps, dtype=bool)
-        self.reject = np.zeros(reps, dtype=bool) if with_reject else None
-
-
 def _chunks(reps):
     return [
         (c, c * CHUNK, min((c + 1) * CHUNK, reps))
@@ -191,8 +184,8 @@ def _chunks(reps):
     ]
 
 
-# Statistic kernel of each (table, test).  W reads the chunk's sample rows;
-# the others read its pieces: MomentPieces (with the known sigma) in table 1
+# Statistic kernel of each (table, test).  W reads the sample rows; the
+# others read their pieces: MomentPieces (with the known sigma) in table 1
 # and MedianPieces in tables 2 and 3.  TB is a decision, not a statistic.
 _KERNELS = {
     ("1", "To"): _kernels.mean_to,
@@ -207,12 +200,22 @@ _KERNELS = {
 }
 
 
-def _chunk_statistics(spec, rows, chunk_idx, root_seed, variant, alpha, bootstrap_b):
-    """All requested statistics for one chunk of one cell.
+def _statistics(table, tests, x, sigma=None, variant="quartic"):
+    """{test: (stat, reason)} of the given tests of a table on the rows of
+    x, every statistic from its _KERNELS kernel and the pieces built once."""
+    pieces = None
+    if any(t != "W" for t in tests):
+        if table == "1":
+            pieces = _kernels.moment_pieces(x, sigma, variant)
+        else:
+            pieces = _kernels.median_pieces(x)
+    return {t: _KERNELS[table, t](x if t == "W" else pieces)[:2] for t in tests}
 
-    Returns {test: (stats | None, degen, reject | None)} for rows
-    replications drawn from the chunk's own stream path.
-    """
+
+def _chunk_statistics(spec, rows, chunk_idx, root_seed, variant, alpha, bootstrap_b):
+    """{test: (values, reason)} for one chunk of one cell: rows
+    replications drawn from the chunk's own stream path, scored by
+    _statistics, and TB's decisions resampled from the child path."""
     did = spec.design
     stream = RandomStream(
         root_seed, (did.table, did.index, did.hypothesis, spec.n, chunk_idx)
@@ -221,27 +224,17 @@ def _chunk_statistics(spec, rows, chunk_idx, root_seed, variant, alpha, bootstra
     # Table 1's alternatives are pure location shifts of the matched null
     # design, whose sigma the known-sigma tests use.
     sigma = design_params(DesignId(did.table, 0, did.index)).sigma
-    pieces = None
-    if any(t not in ("W", "TB") for t in spec.tests):
-        if did.table == "1":
-            pieces = _kernels.moment_pieces(x, sigma, variant)
-        else:
-            pieces = _kernels.median_pieces(x)
-    out = {}
-    for t in spec.tests:
-        if t == "TB":
-            degen = np.ptp(x, axis=1) <= 0.0
-            bgen = stream.child(1).generator()
-            reject = _kernels.bootstrap_mean_reject(x, sigma, alpha, bootstrap_b, bgen)
-            out[t] = (None, degen, reject & ~degen)
-        else:
-            stats, reason, _ = _KERNELS[did.table, t](x if t == "W" else pieces)
-            out[t] = (stats, reason != 0, None)
+    out = _statistics(did.table, [t for t in spec.tests if t != "TB"], x, sigma, variant)
+    if "TB" in spec.tests:
+        bgen = stream.child(1).generator()
+        out["TB"] = _kernels.bootstrap_mean_reject(x, sigma, alpha, bootstrap_b, bgen)[:2]
     return out
 
 
 def _run_cells(cell_specs, reps, root_seed, variant, alpha, bootstrap_b, threads):
-    """Simulate every cell; returns {key: {test: _CellOut}}.
+    """Simulate every cell; returns {key: {test: (values, reason)}} with a
+    float statistic vector (a boolean decision vector for TB) and the
+    kernel's uint8 reason vector.
 
     Work is split into (cell, chunk) tasks whose content is fixed by the
     stream path, then slotted into preallocated arrays by replication index,
@@ -249,7 +242,7 @@ def _run_cells(cell_specs, reps, root_seed, variant, alpha, bootstrap_b, threads
     """
     store = {
         key: {
-            t: _CellOut(reps, with_stats=(t != "TB"), with_reject=(t == "TB"))
+            t: (np.empty(reps, dtype=bool if t == "TB" else float), np.empty(reps, dtype=np.uint8))
             for t in spec.tests
         }
         for key, spec in cell_specs.items()
@@ -266,13 +259,9 @@ def _run_cells(cell_specs, reps, root_seed, variant, alpha, bootstrap_b, threads
         return key, lo, hi, out
 
     def slot(key, lo, hi, out):
-        for t, (stats, degen, reject) in out.items():
-            cell = store[key][t]
-            if stats is not None:
-                cell.stats[lo:hi] = stats
-            cell.degen[lo:hi] = degen
-            if reject is not None:
-                cell.reject[lo:hi] = reject
+        for t, chunk in out.items():
+            for whole, part in zip(store[key][t], chunk):
+                whole[lo:hi] = part
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -319,26 +308,28 @@ def _mc_se(p, reps):
 
 
 def _score_cell(test, cell, null_cell, alpha):
-    """PowerEstimate of one cell.  TB (by its decisions) and W (by the
-    asymptotic rule) report Pow := PowA; every other test's Pow uses the
-    rank threshold of its matched null cell."""
-    if cell.degen.all():
+    """PowerEstimate of one cell's (values, reason) record.  TB (by its
+    decisions) and W (by the asymptotic rule) report Pow := PowA; every
+    other test's Pow uses the rank threshold of its matched null cell."""
+    values, reason = cell
+    reps = reason.size
+    degenerate = int(np.count_nonzero(reason))
+    if degenerate == reps:
         raise RuntimeError("all replications are degenerate")
-    reps = cell.degen.size
     threshold = math.nan
     if test == "TB":
-        powa_count = pow_count = int(np.count_nonzero(cell.reject))
+        powa_count = pow_count = int(np.count_nonzero(values))
     else:
-        powa_count = pow_count = int(np.count_nonzero(cell.stats > _kernels.normal_upper(alpha)))
+        powa_count = pow_count = int(np.count_nonzero(values > _kernels.normal_upper(alpha)))
         if test != "W":
-            threshold = _rejection_rank_threshold(null_cell.stats, alpha)
-            pow_count = int(np.count_nonzero(cell.stats > threshold))
+            threshold = _rejection_rank_threshold(null_cell[0], alpha)
+            pow_count = int(np.count_nonzero(values > threshold))
     powa, pw = powa_count / reps, pow_count / reps
     return PowerEstimate(
         powa=powa,
         pow=pw,
         reps=reps,
-        degenerate_count=int(cell.degen.sum()),
+        degenerate_count=degenerate,
         mc_se_powa=_mc_se(powa, reps),
         mc_se_pow=_mc_se(pw, reps),
         null_quantile_used=threshold,
@@ -400,8 +391,8 @@ def statistic_sample(
         raise ValueError("need reps >= 1 and n >= 10")
     spec = _CellSpec(design, int(n), (test,))
     store = _run_cells({0: spec}, int(reps), root_seed, moment_variant, 0.05, 1000, 1)
-    cell = store[0][test]
-    return cell.stats.copy(), cell.degen.copy()
+    stats, reason = store[0][test]
+    return stats, reason != 0
 
 
 def null_quantile(

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .designs import RandomStream
+from .power import _chunks, _statistics
 from .stattests import median_test_TN, median_test_To, two_sided, wilcoxon_signed_rank
 
 __all__ = [
@@ -283,8 +284,14 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
     resamples of size n_b.
 
     Returns {"W": f, "To2": f, "TN2": f}.  Degenerate resamples count as
-    non-rejections.  Resampling indices come from a dedicated stream, so a
-    seed fixes the result.
+    non-rejections.  The resample indices are drawn in sequence from one
+    generator on the stream path ("resample", n_b), in the power engine's
+    CHUNK-row blocks; each block is scored by the engine's dispatch (table
+    2's W, To and TN), and a test rejects when its squared statistic
+    strictly exceeds the chi-square(1) critical value.  numpy draws indices
+    below 2**32 from 32-bit halves that the bit generator buffers across
+    calls, so the block size does not change the draws: a seed fixes the
+    result.
     """
     arr = _kernels.as_sample(eps, 11, "resample study")
     n = arr.size
@@ -295,18 +302,10 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
     _kernels.check_alpha(alpha)
     gen = RandomStream(int(seed), ("resample", int(n_b))).generator()
     crit = _kernels.normal_upper(alpha / 2.0) ** 2
-    counts = {"W": 0, "To2": 0, "TN2": 0}
-    block = max(1, (1 << 22) // n_b)
-    done = 0
-    while done < reps:
-        take = min(block, reps - done)
-        idx = gen.integers(0, n, size=(take, n_b))
-        x = arr[idx]
-        stat, reason, _ = _kernels.signed_rank(x)
-        counts["W"] += int(np.count_nonzero((reason == 0) & (stat * stat > crit)))
-        pieces = _kernels.median_pieces(x)
-        for key, kernel in (("To2", _kernels.median_to), ("TN2", _kernels.median_tn)):
-            stat, reason, _ = kernel(pieces)
-            counts[key] += int(np.count_nonzero((reason == 0) & (stat * stat > crit)))
-        done += take
-    return {k: v / reps for k, v in counts.items()}
+    tests = ("W", "To", "TN")
+    counts = dict.fromkeys(tests, 0)
+    for _, lo, hi in _chunks(reps):
+        x = arr[gen.integers(0, n, size=(hi - lo, n_b))]
+        for t, (stat, reason) in _statistics("2", tests, x).items():
+            counts[t] += int(np.count_nonzero((reason == 0) & (stat * stat > crit)))
+    return {"W": counts["W"] / reps, "To2": counts["To"] / reps, "TN2": counts["TN"] / reps}

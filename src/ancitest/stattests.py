@@ -128,6 +128,7 @@ def bootstrap_t_test(
     the fraction of T*_b at or above the observed statistic.  The indices
     are drawn step by step as the engine draws them for one row, so on the
     same generator the T*_b equal the engine's on every step it evaluates.
+    A zero-range sample raises DegenerateStatistic, as the engine scores it.
     """
     arr = _kernels.as_sample(x, 2, "test")
     _kernels.check_alpha(alpha)
@@ -136,6 +137,8 @@ def bootstrap_t_test(
         raise ValueError("n_boot must be at least 100")
     if stream is None:
         raise ValueError("a RandomStream is required for resampling")
+    if np.ptp(arr) == 0.0:
+        raise DegenerateStatistic(_kernels.REASONS[_kernels.CONSTANT])
     n = arr.size
     gen = stream.generator()
     xbar = float(np.mean(arr))

@@ -11,7 +11,9 @@ The stdlib normal tails are checked against scipy.stats to rel 1e-12.
 bootstrap_decide stops each row early; the full-B loop below, which
 evaluates every resample, is its oracle on the same indices, fed to it a
 step at a time from one pre-drawn (rows, B, n) array.  bootstrap_mean_reject
-draws each step for the live rows only, and draws exactly what it evaluates.
+draws each step for the live rows only, and draws exactly what it evaluates;
+it returns (reject, reason, {}) like every other kernel, with zero-range
+rows degenerate and never rejecting.
 """
 
 import math
@@ -268,7 +270,7 @@ def test_bootstrap_boundary_count_decided_by_the_quantile(n, n_boot, alpha, take
         want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, idx)
         assert np.count_nonzero(tstar < to[0]) == c
         assert want[0] == decision
-        assert np.array_equal(got, want)
+        assert np.array_equal(got[0], want)
         assert sum(taken) == n * _stop_steps(to, tstar, alpha).sum()
 
 
@@ -298,7 +300,8 @@ def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, ta
         x, 1.0, alpha, n_boot,
         lambda rows, b0, b1: ker.bootstrap_draw(gen, rows.size, b1 - b0, n), max_elems,
     )
-    assert np.array_equal(got, want)
+    # The constant row is resampled like the others but never rejects.
+    assert np.array_equal(got[0], want & (np.ptp(x, axis=1) > 0.0))
     assert proxy.gen.bit_generator.state == gen.bit_generator.state
     # Per 8-row block and step, the draw covers the rows still live, and
     # every drawn index is gathered once.
@@ -312,6 +315,29 @@ def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, ta
     assert proxy.sizes == expected
     assert gathered == [math.prod(size) for size in expected]
     assert sum(gathered) == n * used.sum() < len(x) * n_boot * n
+
+
+def test_bootstrap_mean_reject_follows_the_kernel_contract():
+    # Constant rows of 0.7 (which the bare decision rule rejects: every
+    # T*_b is 0 < To) and of 0.0 (which it keeps) among normal rows.  They
+    # are resampled like the others, so the normal rows get the decisions
+    # of bootstrap_decide on the same generator.
+    n = 40
+    x = np.random.default_rng(8).standard_normal((12, n)) + 0.3
+    x[[2, 7]] = 0.7
+    x[5] = 0.0
+    flat = np.isin(np.arange(12), [2, 5, 7])
+    reject, reason, parts = ker.bootstrap_mean_reject(x, 1.0, 0.05, 200, np.random.default_rng(9))
+    gen = np.random.default_rng(9)
+    want, _ = ker.bootstrap_decide(
+        x, 1.0, 0.05, 200, lambda rows, b0, b1: ker.bootstrap_draw(gen, rows.size, b1 - b0, n)
+    )
+    assert reject.dtype == bool and reason.dtype == np.uint8 and parts == {}
+    assert np.array_equal(reason, np.where(flat, ker.CONSTANT, 0))
+    assert want[[2, 7]].all() and not want[5]
+    assert not reject[flat].any()
+    assert np.array_equal(reject[~flat], want[~flat])
+    assert reject.any() and not reject[~flat].all()
 
 
 def test_bootstrap_draw_dtype_and_range():

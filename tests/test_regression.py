@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from ancitest import _kernels as ker
 from ancitest import (
     RandomStream,
     load_xy_csv,
@@ -256,6 +257,36 @@ def test_resample_power_study_contract():
         resample_power_study(x, 100, reps=10)  # n_b must be below n
     with pytest.raises(ValueError):
         resample_power_study(x, 9, reps=10)
+
+
+def _one_block_study(eps, n_b, reps, alpha=0.05, seed=0):
+    """The resample study with all reps resamples drawn by one integers
+    call and scored by the kernels directly: the reference that the
+    study's chunked draws and dispatch must reproduce."""
+    arr = np.asarray(eps, dtype=float)
+    gen = RandomStream(seed, ("resample", n_b)).generator()
+    x = arr[gen.integers(0, arr.size, size=(reps, n_b))]
+    crit = ker.normal_upper(alpha / 2.0) ** 2
+    pieces = ker.median_pieces(x)
+    scored = {"W": ker.signed_rank(x), "To2": ker.median_to(pieces), "TN2": ker.median_tn(pieces)}
+    return {
+        key: np.count_nonzero((reason == 0) & (stat * stat > crit)) / reps
+        for key, (stat, reason, _) in scored.items()
+    }
+
+
+@pytest.mark.parametrize("reps", [100, 4096, 4097, 20000])
+@pytest.mark.parametrize("n_b", [20, 70, 90])
+@pytest.mark.parametrize("tied", [False, True], ids=["fixture", "ties"])
+def test_resample_power_study_does_not_depend_on_chunking(tied, n_b, reps):
+    # numpy draws indices below 2**32 from 32-bit halves that the bit
+    # generator buffers across calls, so drawing the study in CHUNK-row
+    # pieces gives the indices of one draw.  A numpy change that broke
+    # this would change every recorded study frequency.
+    x = make_fixture(100, seed=1)
+    if tied:
+        x = np.round(x, 1)
+    assert resample_power_study(x, n_b, reps, seed=5) == _one_block_study(x, n_b, reps, seed=5)
 
 
 def test_resample_power_ordering_on_reference_seed():

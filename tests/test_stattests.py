@@ -155,8 +155,10 @@ def test_bootstrap_scalar_matches_batched_kernel():
                 x = z - z.mean() + gen.uniform(0.0, 3.0) / math.sqrt(n)
                 stream = RandomStream(k, ("k", n, n_boot))
                 out = bootstrap_t_test(x, sigma=0.9, alpha=alpha, n_boot=n_boot, stream=stream)
-                rej = ker.bootstrap_mean_reject(x[None, :], 0.9, alpha, n_boot, stream.generator())
-                assert bool(rej[0]) == out.reject
+                rej, reason, _ = ker.bootstrap_mean_reject(
+                    x[None, :], 0.9, alpha, n_boot, stream.generator()
+                )
+                assert reason[0] == 0 and bool(rej[0]) == out.reject
                 decisions.append(out.reject)
 
                 idx = ker.bootstrap_row_draws(stream.generator(), n_boot, n)
@@ -214,8 +216,12 @@ def test_median_test_TN_degenerate_reasons():
         lambda x: symmetry_test(x, "To"),
         lambda x: symmetry_test(x, "T1"),
         lambda x: symmetry_test(x, "TN"),
+        lambda x: bootstrap_t_test(x, 1.0, stream=RandomStream(1)),
     ],
-    ids=["median_To", "median_TN", "modified_mean", "symmetry_To", "symmetry_T1", "symmetry_TN"],
+    ids=[
+        "median_To", "median_TN", "modified_mean", "symmetry_To", "symmetry_T1", "symmetry_TN",
+        "bootstrap",
+    ],
 )
 def test_zero_range_sample_is_degenerate(test):
     # The mean of 50 copies of 0.7 is not exact, so the sd comes out near
