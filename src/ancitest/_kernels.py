@@ -32,6 +32,12 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 _BOOT_STEP = 50  # bootstrap resamples evaluated per step along B
 _BOOT_ELEMS = 1 << 20  # indices in one step of a full bootstrap row block
+# Entries per row tile of the statistic dispatch (power._statistics).  A
+# float64 tile is 512 KB, so the tile, its sorted copy and the kernels' other
+# temporaries stay in a 2 MB L2 cache (2**16 and 2**17 measured fastest on
+# table 3, 2**15 slower).  The kernels are row-independent, so the tile size
+# cannot change a result.
+_TILE_ELEMS = 1 << 16
 
 # Degeneracy reasons, indexed by the uint8 codes the kernels return.
 REASONS = (
@@ -109,14 +115,20 @@ class MomentPieces:
     flat: np.ndarray  # zero-range rows
 
 
+def centered_squares(d: np.ndarray, out=None):
+    """Squares of the row deviations d = x - mean, written to out when given,
+    and S^2 = their row sum / (n - 1).  This is numpy's own var reduction,
+    so sqrt(S^2) equals x.std(axis=1, ddof=1) bit for bit."""
+    dd = np.multiply(d, d, out=out)
+    return dd, dd.sum(axis=1) / (d.shape[1] - 1)
+
+
 def moment_pieces(x: np.ndarray, sigma=None, variant: str = "quartic") -> MomentPieces:
     if variant not in ("quartic", "quadratic"):
         raise ValueError("variant must be 'quartic' or 'quadratic'")
-    n = x.shape[1]
     mean = x.mean(axis=1)
     d = x - mean[:, None]
-    dd = d * d
-    s2 = dd.sum(axis=1) / (n - 1)
+    dd, s2 = centered_squares(d)
     mu3 = (dd * d).mean(axis=1)
     var_known = None
     if sigma is not None:
@@ -125,7 +137,7 @@ def moment_pieces(x: np.ndarray, sigma=None, variant: str = "quartic") -> Moment
     c_s = s2**2 if variant == "quartic" else s2
     var_s = ((dd - c_s[:, None]) ** 2).mean(axis=1)
     flat = np.ptp(x, axis=1) == 0.0
-    return MomentPieces(n, sigma, mean, s2, mu3, var_known, var_s, flat)
+    return MomentPieces(x.shape[1], sigma, mean, s2, mu3, var_known, var_s, flat)
 
 
 def mean_to(m: MomentPieces):
@@ -192,27 +204,45 @@ def type7_quantile(s: np.ndarray, q: float) -> np.ndarray:
 
 def kde_at(x: np.ndarray, point: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Gaussian kernel density estimate of each row at its point, bandwidth h."""
-    u = (point[:, None] - x) / h[:, None]
-    return np.exp(-0.5 * u * u).mean(axis=1) / (h * _SQRT_2PI)
+    return _kde_of_deviations(point[:, None] - x, h)
+
+
+def _kde_of_deviations(d: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """kde_at from the deviations d = point - x of each row, or their
+    absolute values, computed in place in d.  The kernel exponent is
+    (u * u) * -0.5 for u = d / h: a power-of-two scaling commutes with
+    rounding, so exp sees the values of -0.5 * u * u, and exp rounds to 1
+    wherever an exponent is too small for that to hold."""
+    d /= h[:, None]
+    np.multiply(d, d, out=d)
+    d *= -0.5
+    np.exp(d, out=d)
+    return d.mean(axis=1) / (h * _SQRT_2PI)
 
 
 def median_pieces(x: np.ndarray) -> MedianPieces:
     """Mean, median, S, w, the nrd0 bandwidth 0.9 min(S, IQR/1.34) n^(-1/5)
-    (S alone when the IQR is zero) and the KDE at the median of each row."""
+    (S alone when the IQR is zero) and the KDE at the median of each row.
+
+    One (R, n) buffer beyond x: the row-sorted copy, which after the order
+    statistics holds the centered squares for S (centered_squares, equal
+    to x.std(ddof=1)) and then |med - x|, which gives w and is turned into
+    the KDE's kernel values in place."""
     n = x.shape[1]
     mean = x.mean(axis=1)
     s = np.sort(x, axis=1)
     med = sorted_median(s)
-    sd = x.std(axis=1, ddof=1)
     iqr = type7_quantile(s, 0.75) - type7_quantile(s, 0.25)
     # A zero-range row can still get a tiny positive sd from rounding.
     flat = s[:, 0] == s[:, -1]
-    del s  # free the sorted copy before the KDE's temporaries
+    d = np.subtract(x, mean[:, None], out=s)
+    sd = np.sqrt(centered_squares(d, out=d)[1])
     spread = np.where(iqr > 0.0, np.minimum(sd, iqr / 1.34), sd)
     degen = (spread <= 0.0) | flat
     h = 0.9 * np.where(degen, 1.0, spread) * n ** (-0.2)
-    fhat = kde_at(x, med, h)
-    w = np.abs(x - med[:, None]).mean(axis=1)
+    np.subtract(med[:, None], x, out=d)
+    w = np.abs(d, out=d).mean(axis=1)
+    fhat = _kde_of_deviations(d, h)
     return MedianPieces(n=n, mean=mean, median=med, s=sd, w=w, h=h, fhat=fhat, degenerate=degen)
 
 
@@ -275,13 +305,16 @@ def signed_rank(x: np.ndarray):
     entries.  Tied |x| get mid-ranks, W+ sums the ranks of the positive
     entries, and the variance n(n+1)(2n+1)/24 loses the tie correction
     sum(t^3 - t)/48 over runs of t equal |x|.  No continuity correction.
-    Rows with fewer than 5 nonzero entries are degenerate.
+    Rows with fewer than 5 nonzero entries are degenerate.  Each row is
+    sorted once as one uint64 key per entry; the mid-rank pass runs only on
+    the rows that have a tie, so a continuous chunk skips it.
     """
     rows, n = x.shape
     # One sort per row of the key bits(|x|) << 1 | (x > 0): a non-negative
     # double's bit pattern orders like its value and fits in 63 bits, so the
-    # key sorts by |x| and carries each entry's sign in its low bit.
-    key = np.abs(np.asarray(x, dtype=np.float64)).view(np.uint64) << np.uint64(1)
+    # key sorts by |x| and carries each entry's sign in its low bit.  The
+    # shift drops the sign bit, so bits(x) << 1 is bits(|x|) << 1.
+    key = np.asarray(x, dtype=np.float64).view(np.uint64) << np.uint64(1)
     key |= x > 0.0
     key.sort(axis=1)
     positive = (key & np.uint64(1)).astype(bool)
@@ -291,7 +324,8 @@ def signed_rank(x: np.ndarray):
     wplus2 = 2 * (positive * np.arange(1, n + 1)).sum(axis=1)
     ties = np.zeros(rows, dtype=np.int64)
     tied = np.flatnonzero((key[:, 1:] == key[:, :-1]).any(axis=1))
-    wplus2[tied], ties[tied] = _tied_rank_sums(key[tied], positive[tied])
+    if tied.size:
+        wplus2[tied], ties[tied] = _tied_rank_sums(key[tied], positive[tied])
     # Zeros sort first and are never positive: dropping z0 of them lowers each
     # positive entry's rank by z0 and removes their run from the tie sum.
     m = np.full(rows, n)

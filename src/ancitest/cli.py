@@ -2,9 +2,9 @@
 
 Subcommands wire directly to the library modules; every file-producing run
 also writes a JSON manifest (<out>.manifest.json) carrying the subcommand,
-the full flag set, the seed, the library version, the stream-layout
-version, the wall time and the output paths, so any artifact can be
-reproduced from its manifest alone.
+the full flag set, the seed, the library, numpy and Python versions, the
+platform, the stream-layout version, the wall time and the output paths,
+so any artifact can be reproduced from its manifest alone.
 
 Exit codes: 0 success, 2 usage error (argparse), 1 runtime failure; all
 diagnostics go to stderr, all data to files or stdout.
@@ -78,12 +78,17 @@ def _nb_list(text):
 
 
 def _write_manifest(args, out_paths, started):
+    import platform  # only manifests need it
+
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "subcommand": args.subcommand,
         "flags": flags,
         "root_seed": flags.get("seed"),
         "version": __version__,
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
+        "platform": platform.platform(),
         "stream_layout": STREAM_LAYOUT,
         "wall_time_s": round(time.perf_counter() - started, 6),
         "output_paths": list(out_paths),

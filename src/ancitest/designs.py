@@ -123,20 +123,32 @@ class DesignParams:
 # ---------------------------------------------------------------------------
 # Primitive samplers.  Each takes a target shape and a Generator and consumes
 # the stream in a documented, fixed order; tests pin this order via snapshots.
+# The samplers with an expression in their comment apply its ufuncs in place
+# (out=), in the same order, so the result equals that expression bit for
+# bit; the tests hold each sampler to its expression.
 
 
 def _exp1(shape, gen):
-    # Inverse CDF with u in [0, 1): -log(1 - u) is finite and >= 0.
-    return -np.log1p(-gen.random(shape))
+    # -log1p(-u): inverse CDF with u in [0, 1), so the result is finite, >= 0.
+    x = gen.random(shape)
+    np.negative(x, out=x)
+    np.log1p(x, out=x)
+    return np.negative(x, out=x)
 
 
 def _std_normal(shape, gen):
     return gen.standard_normal(shape)
 
 
+def _normal_sd2(shape, gen):
+    return 2.0 * _std_normal(shape, gen)
+
+
 def _laplace(shape, gen):
-    # Difference of two independent unit exponentials.
-    return _exp1(shape, gen) - _exp1(shape, gen)
+    # exp1 - exp1: the difference of two independent unit exponentials.
+    x = _exp1(shape, gen)
+    x -= _exp1(shape, gen)
+    return x
 
 
 def _one_minus_exp(shape, gen):
@@ -157,12 +169,22 @@ def _exphalf_minus_lognormal(shape, gen):
 
 
 def _uniform_m1_1(shape, gen):
-    return 2.0 * gen.random(shape) - 1.0
+    # 2 u - 1
+    x = gen.random(shape)
+    x *= 2.0
+    x -= 1.0
+    return x
 
 
 def _arcsine_centered(shape, gen):
-    # Inverse CDF of the arcsine law on [0, 1]: F^{-1}(u) = sin^2(pi u / 2).
-    return np.sin(0.5 * np.pi * gen.random(shape)) ** 2 - 0.5
+    # sin(pi u / 2)^2 - 1/2: the inverse CDF of the arcsine law on [0, 1] is
+    # F^{-1}(u) = sin^2(pi u / 2).
+    x = gen.random(shape)
+    x *= 0.5 * np.pi
+    np.sin(x, out=x)
+    np.square(x, out=x)
+    x -= 0.5
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +357,7 @@ def _build_registry():
     _register("2", 1, 1, _one_minus_exp, 0.0,
               "1 - standard exponential (zero mean, positive median)",
               _one_minus_exp_params(0.0))
-    _register("2", 0, 2, lambda shape, gen: 2.0 * _std_normal(shape, gen), 0.0,
+    _register("2", 0, 2, _normal_sd2, 0.0,
               "normal, mean 0, sd 2", _normal_sd2_params())
     _register("2", 1, 2, _exphalf_minus_lognormal, 0.0,
               "exp(1/2) - lognormal(0, 1) (zero mean, positive median)",
@@ -441,7 +463,7 @@ def sample_design_matrix(design: DesignId, rows: int, n: int, stream: RandomStre
     gen = stream.generator()
     x = entry.base((rows, n), gen)
     if entry.shift:
-        x = x + entry.shift
+        x += entry.shift
     return x
 
 

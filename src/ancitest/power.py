@@ -24,9 +24,10 @@ coordinates, never on the worker schedule, and rates are reduced from
 integer rejection counts, so any thread count yields identical output.
 
 Every statistic comes from one dispatch (_statistics over the _KERNELS
-map), which the resample study in ``regression`` shares.  Per (cell, test)
-the engine keeps the kernel's (values, reason) pair: the statistics, or the
-bootstrap test's decisions, and a nonzero reason on each degenerate row.
+map, in cache-sized row tiles), which the resample study in ``regression``
+shares.  Per (cell, test) the engine keeps the kernel's (values, reason)
+pair: the statistics, or the bootstrap test's decisions, and a nonzero
+reason on each degenerate row.
 
 The bootstrap test has no scalar statistic (its threshold is resampled per
 replication), so its Pow is defined as PowA; by the tables' convention so
@@ -202,7 +203,21 @@ _KERNELS = {
 
 def _statistics(table, tests, x, sigma=None, variant="quartic"):
     """{test: (stat, reason)} of the given tests of a table on the rows of
-    x, every statistic from its _KERNELS kernel and the pieces built once."""
+    x, every statistic from its _KERNELS kernel.
+
+    The rows are scored in tiles of _kernels._TILE_ELEMS // n rows (at
+    least one), so that each tile's temporaries stay in cache; per tile the
+    pieces are built once and shared by the tests.  Every kernel is
+    row-independent, so the tile size does not change the output and is not
+    part of the stream layout.  No tests give {}."""
+    step = max(1, _kernels._TILE_ELEMS // x.shape[1])
+    tiles = [_tile_statistics(table, tests, x[r : r + step], sigma, variant)
+             for r in range(0, x.shape[0], step)]
+    return {t: tuple(np.concatenate([tile[t][i] for tile in tiles]) for i in (0, 1))
+            for t in tests}
+
+
+def _tile_statistics(table, tests, x, sigma, variant):
     pieces = None
     if any(t != "W" for t in tests):
         if table == "1":

@@ -4,11 +4,17 @@ Population parameters stored in the registry are checked against scipy's
 frozen-distribution moment machinery (an independent derivation route), and
 the samplers are checked against those parameters with large-sample Monte
 Carlo bands.  All randomness is seeded, so every band below is deterministic.
+The in-place samplers equal the plain expressions they replaced bit for bit,
+and a snapshot of each design's first draws pins the draw order.
 """
+
+import math
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
+
+from ancitest import designs as designs_module
 
 from ancitest import (
     DesignId,
@@ -248,3 +254,68 @@ def test_unknown_designs_rejected():
         DesignId("4", 0, 1)
     with pytest.raises(UnknownDesignError):
         DesignId("1", 2, 1)
+
+
+# The sampler expressions before they were written in place: test-only
+# oracles, keyed by the name of each design's base sampler.
+def _old_exp1(shape, gen):
+    return -np.log1p(-gen.random(shape))
+
+
+_OLD_SAMPLERS = {
+    "_std_normal": lambda shape, gen: gen.standard_normal(shape),
+    "_normal_sd2": lambda shape, gen: 2.0 * gen.standard_normal(shape),
+    "_laplace": lambda shape, gen: _old_exp1(shape, gen) - _old_exp1(shape, gen),
+    "_one_minus_exp": lambda shape, gen: 1.0 - _old_exp1(shape, gen),
+    "_exp_minus_one": lambda shape, gen: _old_exp1(shape, gen) - 1.0,
+    "_weibull_1_2_centered": lambda shape, gen: (2.0 * _old_exp1(shape, gen) - 2.0) / 2.0,
+    "_exphalf_minus_lognormal": lambda shape, gen: math.exp(0.5) - np.exp(gen.standard_normal(shape)),
+    "_uniform_m1_1": lambda shape, gen: 2.0 * gen.random(shape) - 1.0,
+    "_arcsine_centered": lambda shape, gen: np.sin(0.5 * np.pi * gen.random(shape)) ** 2 - 0.5,
+}
+
+
+@pytest.mark.parametrize("design", scalar_designs(), ids=lambda d: f"{d.table}-{d.label}")
+@pytest.mark.parametrize("rows, n", [(1, 11), (7, 50)])
+def test_in_place_samplers_equal_plain_expressions(design, rows, n):
+    entry = designs_module._entry(design)
+    stream = RandomStream(3, ("oracle", design.table, design.index))
+    got = sample_design_matrix(design, rows, n, stream)
+    want = _OLD_SAMPLERS[entry.base.__name__]((rows, n), stream.generator())
+    if entry.shift:
+        want = want + entry.shift
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# x[0, 0], x[0, 1] and x[1, 2] of sample_design_matrix(design, 2, 3,
+# RandomStream(20260815, ("snapshot",))): a change of draw order, or of which
+# draws a sampler uses, fails here on any platform.
+_SNAPSHOTS = [
+    (("1", 0, 1), (-0.33996145739663597, -0.8892698280924218, 1.6969494147441044)),
+    (("1", 1, 1), (-0.23996145739663596, -0.7892698280924219, 1.7969494147441045)),
+    (("1", 0, 2), (0.6854141122887076, -4.513885006733896, 0.14399802926862482)),
+    (("1", 1, 2), (0.7854141122887076, -4.413885006733897, 0.24399802926862482)),
+    (("1", 0, 3), (-0.6854141122887076, 4.513885006733896, -0.14399802926862482)),
+    (("1", 1, 3), (-0.5854141122887077, 4.613885006733896, -0.04399802926862481)),
+    (("1", 0, 4), (-0.6854141122887076, 4.513885006733896, -0.14399802926862482)),
+    (("1", 1, 4), (-0.4854141122887076, 4.713885006733896, 0.056001970731375195)),
+    (("2", 0, 1), (0.05031970480542225, 5.031875564159517, -0.4313764386345883)),
+    (("2", 1, 1), (0.6854141122887076, -4.513885006733896, 0.14399802926862482)),
+    (("2", 0, 2), (-0.6799229147932719, -1.7785396561848437, 3.393898829488209)),
+    (("2", 1, 2), (0.9369235139275963, 1.2377655591560228, -3.808552822412021)),
+    (("3", 0, 1), (-0.33996145739663597, -0.8892698280924218, 1.6969494147441044)),
+    (("3", 1, 1), (-0.23996145739663596, -0.7892698280924219, 1.7969494147441045)),
+    (("3", 0, 2), (0.05031970480542225, 5.031875564159517, -0.4313764386345883)),
+    (("3", 1, 2), (0.15031970480542226, 5.131875564159516, -0.3313764386345883)),
+    (("3", 0, 3), (-0.46018230278814, 0.9919391625524023, 0.1502854336369568)),
+    (("3", 1, 3), (-0.36018230278814, 1.0919391625524024, 0.25028543363695677)),
+    (("3", 0, 4), (-0.3307633202122948, 0.49995991939326845, 0.11694065515768515)),
+    (("3", 1, 4), (-0.23076332021229481, 0.5999599193932684, 0.21694065515768515)),
+]
+
+
+@pytest.mark.parametrize("key, values", _SNAPSHOTS, ids=[f"{t}-D_{h}{m}" for (t, h, m), _ in _SNAPSHOTS])
+def test_sampler_draw_order_snapshot(key, values):
+    x = sample_design_matrix(DesignId(*key), 2, 3, RandomStream(20260815, ("snapshot",)))
+    np.testing.assert_allclose([x[0, 0], x[0, 1], x[1, 2]], values, rtol=1e-12, atol=0)

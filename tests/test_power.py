@@ -20,10 +20,12 @@ from ancitest import (
     bootstrap_t_test,
     design_params,
     estimate_power,
+    make_fixture,
     null_quantile,
     pow_indicators,
     render_table,
     reproduce_table,
+    resample_power_study,
     sample_design_matrix,
     statistic_sample,
     thomas_transform,
@@ -176,6 +178,76 @@ def test_statistic_sample_spans_chunks_consistently():
     x_tail = sample_design_matrix(design, 17, 11, tail_stream)
     want = np.array([orc.t_test_known_sigma(r, 1.0).statistic for r in x_tail])
     np.testing.assert_allclose(stats[CHUNK:], want, rtol=1e-11)
+
+
+def _mixed_rows(n, rows, seed):
+    """rows rows of length n, cycling through continuous rows, rows resampled
+    from the residual fixture (ties), rounded rows (ties, 0.0 and -0.0),
+    sparse rows with -0.0, +-1 lattice rows and constant 0.7, 0.0 and -0.0
+    rows, so that every kind of row lands in every tile."""
+    gen = np.random.default_rng(seed)
+    fixture = make_fixture(100, seed)
+    shape = (-(-rows // 8), n)
+    kinds = [
+        gen.standard_normal(shape) + 0.2,
+        fixture[gen.integers(0, fixture.size, size=shape)],
+        np.round(gen.standard_normal(shape), 1),
+        np.where(gen.random(shape) < 0.3, -0.0, gen.standard_normal(shape)),
+        np.resize([-1.0, 1.0], shape),
+        np.full(shape, 0.7),
+        np.zeros(shape),
+        np.full(shape, -0.0),
+    ]
+    return np.stack(kinds, axis=1).reshape(-1, n)[:rows]
+
+
+@pytest.mark.parametrize("table, n, rows", [
+    ("1", 150, 2 * (ker._TILE_ELEMS // 150) + 5),
+    ("2", 75, ker._TILE_ELEMS // 75 + 9),
+    ("3", 50, ker._TILE_ELEMS // 50 + 7),
+    ("2", ker._TILE_ELEMS, 8),  # one row per tile
+    ("3", ker._TILE_ELEMS + 1, 9),
+])
+def test_statistics_tiles_equal_per_row_kernels(table, n, rows):
+    # _statistics scores a chunk in row tiles; every row must come out as
+    # the kernels give it on that row alone, as a (1, n) matrix.
+    x = _mixed_rows(n, rows, seed=n)
+    assert rows > max(1, ker._TILE_ELEMS // n)  # more than one tile
+    tests = [t for t in table_grid(table)["tests"] if t != "TB"]
+    got = power_module._statistics(table, tests, x, sigma=1.0)
+    for t in tests:
+        want = ([], [])
+        for row in x[:, None, :]:
+            if t == "W":
+                arg = row
+            elif table == "1":
+                arg = ker.moment_pieces(row, 1.0)
+            else:
+                arg = ker.median_pieces(row)
+            stat, reason, _ = power_module._KERNELS[table, t](arg)
+            want[0].append(stat)
+            want[1].append(reason)
+        for got_part, want_part in zip(got[t], want):
+            want_part = np.concatenate(want_part)
+            assert got_part.dtype == want_part.dtype and got_part.shape == (rows,)
+            assert got_part.tobytes() == want_part.tobytes()
+    assert all((got[t][1] == 0).any() for t in tests)
+    assert any((got[t][1] != 0).any() for t in tests)
+    assert power_module._statistics(table, [], x) == {}
+
+
+def test_tile_size_does_not_change_reports(monkeypatch):
+    def runs():
+        eps = make_fixture(100, 3)
+        return [
+            repr(reproduce_table("3", reps=1000, seed=6)),
+            repr(reproduce_table("2", reps=1000, seed=6)),
+            repr([resample_power_study(eps, n_b, 5000, seed=6) for n_b in (20, 70)]),
+        ]
+
+    default = runs()
+    monkeypatch.setattr(ker, "_TILE_ELEMS", 300)  # 2 to 15 rows per tile
+    assert runs() == default
 
 
 def test_quadratic_variant_changes_tn_only():
