@@ -59,14 +59,13 @@ def test_tables_output_and_manifest(tmp_path):
 
 
 def test_tables_byte_identical_across_threads(tmp_path):
-    for seed in ("2", "9"):
-        a = tmp_path / f"a{seed}.csv"
-        b = tmp_path / f"b{seed}.csv"
-        common = ["tables", "--table", "2", "--reps", "1000", "--seed", seed,
-                  "--bootstrap-b", "100"]
-        assert run_cli(*common, "--threads", "1", "--out", str(a)).returncode == 0
-        assert run_cli(*common, "--threads", "3", "--out", str(b)).returncode == 0
-        assert a.read_bytes() == b.read_bytes()
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    common = ["tables", "--table", "2", "--reps", "1000", "--seed", "9",
+              "--bootstrap-b", "100"]
+    assert run_cli(*common, "--threads", "1", "--out", str(a)).returncode == 0
+    assert run_cli(*common, "--threads", "3", "--out", str(b)).returncode == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_manifest_replay_reproduces_output(tmp_path):
@@ -204,6 +203,18 @@ def test_runtime_errors_exit_one(tmp_path):
         "--out", str(tmp_path / "no" / "dir" / "x.csv"),
     )
     assert res2.returncode == 1
+
+
+def test_thread_env_var_only_sets_default(tmp_path):
+    # The thread count never changes the output.
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    common = ["tables", "--table", "2", "--reps", "1000", "--seed", "2",
+              "--bootstrap-b", "100"]
+    r1 = run_cli(*common, "--out", str(a), "--threads", "3")
+    r2 = run_cli(*common, "--out", str(b), "--threads", "1")
+    assert r1.returncode == 0 and r2.returncode == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_cli_import_loads_no_scipy():
