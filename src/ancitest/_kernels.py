@@ -384,13 +384,13 @@ def bootstrap_row_draws(gen: np.random.Generator, n_boot: int, n: int):
     return np.concatenate([bootstrap_draw(gen, 1, b1 - b0, n)[0] for b0, b1 in steps])
 
 
-def bootstrap_decide(x, sigma, alpha, n_boot, draw, max_elems=_BOOT_ELEMS):
+def bootstrap_decide(x, sigma, alpha, n_boot, draw):
     """Early-stopped bootstrap-t decisions on the resamples that draw supplies.
 
     Row r rejects when its statistic To = sqrt(n) mean / sigma exceeds
     np.quantile(T*, 1 - alpha) of its n_boot resample statistics
     T*_b = sqrt(n) (mean*_b - mean) / sigma.  Rows are taken in blocks of
-    max_elems // (_BOOT_STEP * n) (83 rows at n = 250), and each block
+    _BOOT_ELEMS // (_BOOT_STEP * n) (83 rows at n = 250), and each block
     steps along B, _BOOT_STEP resamples at a time (bootstrap_steps).  At
     each step draw(rows, b0, b1) must return the (len(rows), b1 - b0, n)
     indices of resamples b0..b1-1 of the given rows of x, for the rows
@@ -417,7 +417,7 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw, max_elems=_BOOT_ELEMS):
     keep_at = n_boot - lo
     reject = np.empty(rows, dtype=bool)
     used = np.full(rows, n_boot)
-    block = max(1, max_elems // (_BOOT_STEP * n))
+    block = max(1, _BOOT_ELEMS // (_BOOT_STEP * n))
     for r0 in range(0, rows, block):
         m = min(block, rows - r0)
         flat = x[r0 : r0 + m].ravel()
@@ -450,15 +450,14 @@ def bootstrap_mean_reject(
     alpha: float,
     n_boot: int,
     gen: np.random.Generator,
-    max_elems: int = _BOOT_ELEMS,
 ):
     """Centered bootstrap-t with known sigma, one decision per row.
 
     The decision rule is bootstrap_decide's.  Each step draws
     bootstrap_draw(gen, live, step, n) for the rows of its block still
     undecided, block after block, so a row draws exactly the resamples it
-    evaluates.  The decisions depend only on (x, gen state, max_elems): the
-    block size is part of the stream layout.  How many indices are drawn
+    evaluates.  The decisions depend only on (x, gen state): the block size
+    _BOOT_ELEMS is part of the stream layout.  How many indices are drawn
     depends on when rows stop, so the generator's end state depends on x.
 
     Follows the kernel contract with a decision in place of a statistic:
@@ -471,6 +470,6 @@ def bootstrap_mean_reject(
     def draw(live, b0, b1):
         return bootstrap_draw(gen, live.size, b1 - b0, n)
 
-    reject = bootstrap_decide(x, sigma, alpha, n_boot, draw, max_elems)[0]
+    reject = bootstrap_decide(x, sigma, alpha, n_boot, draw)[0]
     reason = _first_reason((CONSTANT, np.ptp(x, axis=1) == 0.0))
     return reject & (reason == 0), reason, {}

@@ -1,10 +1,12 @@
 """Command-line front door.
 
-Subcommands wire directly to the library modules; every file-producing run
-also writes a JSON manifest (<out>.manifest.json) carrying the subcommand,
-the full flag set, the seed, the library, numpy and Python versions, the
-platform, the stream-layout version, the wall time and the output paths,
-so any artifact can be reproduced from its manifest alone.
+Subcommands wire directly to the library modules.  Each returns its text
+and exit code; main times the run and _emit writes the text to --out, with
+a JSON manifest (<out>.manifest.json) carrying the subcommand, the full
+flag set, the seed, the library, numpy and Python versions, the platform,
+the stream-layout version, the wall time and the output paths, so any
+artifact can be reproduced from its manifest alone.  A subcommand without
+--out writes its text to stdout.
 
 Exit codes: 0 success, 2 usage error (argparse), 1 runtime failure; all
 diagnostics go to stderr, all data to files or stdout.
@@ -77,7 +79,15 @@ def _nb_list(text):
     return values
 
 
-def _write_manifest(args, out_paths, started):
+def _emit(args, text, wall_time_s):
+    """Write text to args.out and its manifest, or to stdout without --out."""
+    out = getattr(args, "out", None)
+    if out is None:
+        sys.stdout.write(text)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
     import platform  # only manifests need it
 
     flags = {k: v for k, v in vars(args).items() if k != "func"}
@@ -90,25 +100,28 @@ def _write_manifest(args, out_paths, started):
         "python_version": platform.python_version(),
         "platform": platform.platform(),
         "stream_layout": STREAM_LAYOUT,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-        "output_paths": list(out_paths),
+        "wall_time_s": round(wall_time_s, 6),
+        "output_paths": [out],
     }
-    path = out_paths[0] + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _cmd_designs(args):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["table", "design", "description"])
-    for design, description in list_designs():
-        writer.writerow([design.table, design.label, description])
-    return 0
+    rows = ([design.table, design.label, description] for design, description in list_designs())
+    return _csv(["table", "design", "description"], rows), 0
 
 
 def _cmd_tables(args):
-    started = time.perf_counter()
     report = reproduce_table(
         args.table,
         reps=args.reps,
@@ -118,52 +131,27 @@ def _cmd_tables(args):
         bootstrap_b=args.bootstrap_b,
         threads=args.threads,
     )
-    text = render_table(report, args.format)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _write_manifest(args, [args.out], started)
-    return 0
-
-
-def _curve_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([f"{v:.10g}" for v in row])
-    return buf.getvalue()
+    return render_table(report, args.format), 0
 
 
 def _cmd_toy(args):
-    started = time.perf_counter()
     if args.figure == "1a":
         curve = toy_power_curve(default_a_grid(), alpha=args.alpha)
-        text = _curve_csv(["a", "power_gain", "covariance"], curve)
+        header = ["a", "power_gain", "covariance"]
     else:
         curve = toy_three_obs_powers(default_mu_grid(), alpha=args.alpha)
-        text = _curve_csv(
-            ["mu", "p_plain_mean", "p_decorrelated", "p_precision_weighted"], curve
-        )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    _write_manifest(args, [args.out], started)
-    return 0
+        header = ["mu", "p_plain_mean", "p_decorrelated", "p_precision_weighted"]
+    return _csv(header, ([f"{v:.10g}" for v in row] for row in curve)), 0
 
 
 def _cmd_verify(args):
-    rows = verify_propositions(seed=args.seed, n_models=args.models, n_pairs=args.pairs)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["claim", "status", "max_violation", "cases"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["name"],
-                "pass" if row["passed"] else "FAIL",
-                f"{row['max_violation']:.3e}",
-                row["cases"],
-            ]
-        )
-    return 0 if all(row["passed"] for row in rows) else 1
+    claims = verify_propositions(seed=args.seed, n_models=args.models, n_pairs=args.pairs)
+    rows = (
+        [c["name"], "pass" if c["passed"] else "FAIL", f"{c['max_violation']:.3e}", c["cases"]]
+        for c in claims
+    )
+    text = _csv(["claim", "status", "max_violation", "cases"], rows)
+    return text, 0 if all(c["passed"] for c in claims) else 1
 
 
 def _analysis_lines(fit, analysis, study, args):
@@ -201,7 +189,6 @@ def _analysis_lines(fit, analysis, study, args):
 
 
 def _cmd_analyze(args):
-    started = time.perf_counter()
     fit = None
     if args.zcol is not None:
         y, z = load_xy_csv(args.csv, args.ycol, args.zcol, log_transform=args.log)
@@ -219,28 +206,12 @@ def _cmd_analyze(args):
                 eps, n_b, reps=args.reps, alpha=args.alpha, seed=args.seed
             )
             study.append((n_b, freqs))
-    text = _analysis_lines(fit, analysis, study, args)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        _write_manifest(args, [args.out], started)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return _analysis_lines(fit, analysis, study, args), 0
 
 
 def _cmd_fixture(args):
-    started = time.perf_counter()
     sample = make_fixture(args.n, args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["residual"])
-    for value in np.asarray(sample):
-        writer.writerow([f"{value:.12g}"])
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(buf.getvalue())
-    _write_manifest(args, [args.out], started)
-    return 0
+    return _csv(["residual"], ([f"{v:.12g}"] for v in np.asarray(sample))), 0
 
 
 def _build_parser():
@@ -304,8 +275,11 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        text, code = args.func(args)
+        _emit(args, text, time.perf_counter() - started)
+        return code
     except Exception as exc:  # argparse handles usage errors with exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 1

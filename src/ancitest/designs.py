@@ -159,11 +159,6 @@ def _exp_minus_one(shape, gen):
     return _exp1(shape, gen) - 1.0
 
 
-def _weibull_1_2_centered(shape, gen):
-    # Shape 1, scale 2 is the exponential with mean 2; (x - 2)/2 recenters.
-    return (2.0 * _exp1(shape, gen) - 2.0) / 2.0
-
-
 def _exphalf_minus_lognormal(shape, gen):
     return math.exp(0.5) - np.exp(_std_normal(shape, gen))
 
@@ -344,9 +339,11 @@ def _build_registry():
             f"standard exponential - 1{' + 0.1' if k else ''} (right skewed)",
             _exp_minus_one_params(s),
         )
+        # (weibull(1, 2) - 2)/2 is (2e - 2)/2 = e - 1 for a unit exponential
+        # e, bit for bit: scaling by 2 is exact and commutes with rounding.
         s4 = 0.2 * k
         _register(
-            "1", k, 4, _weibull_1_2_centered, s4,
+            "1", k, 4, _exp_minus_one, s4,
             f"(weibull(shape 1, scale 2) - 2)/2{' + 0.2' if k else ''}",
             _exp_minus_one_params(s4),
         )

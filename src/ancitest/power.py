@@ -132,12 +132,7 @@ class StudyPlan:
     bootstrap_b: int = 1000
 
     def __post_init__(self):
-        if self.design_null.table not in _TABLE_TESTS:
-            raise ValueError("plans cover the scalar table designs only")
-        if self.test not in _TABLE_TESTS[self.design_null.table]:
-            raise ValueError(
-                f"test {self.test!r} is not part of table {self.design_null.table}"
-            )
+        _check_table_test(self.test, self.design_null)
         if self.design_null.hypothesis != 0:
             raise ValueError("design_null must have hypothesis 0")
         if (self.design_alt.table, self.design_alt.index) != (
@@ -150,6 +145,12 @@ class StudyPlan:
             raise ValueError("sample sizes must be >= 10")
         object.__setattr__(self, "ns", ns)
         _check_run(self.reps, self.alpha, self.moment_variant, self.bootstrap_b, self.root_seed)
+
+
+def _check_table_test(test, design):
+    """The test must be a column of the design's reported table."""
+    if test not in _TABLE_TESTS.get(design.table, ()):
+        raise ValueError(f"test {test!r} is not part of table {design.table}")
 
 
 def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
@@ -169,13 +170,6 @@ def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
 
 # ---------------------------------------------------------------------------
 # Cell simulation.
-
-
-@dataclass(frozen=True)
-class _CellSpec:
-    design: DesignId
-    n: int
-    tests: tuple
 
 
 def _chunks(reps):
@@ -227,49 +221,51 @@ def _tile_statistics(table, tests, x, sigma, variant):
     return {t: _KERNELS[table, t](x if t == "W" else pieces)[:2] for t in tests}
 
 
-def _chunk_statistics(spec, rows, chunk_idx, root_seed, variant, alpha, bootstrap_b):
-    """{test: (values, reason)} for one chunk of one cell: rows
+def _chunk_statistics(did, n, tests, rows, chunk_idx, root_seed, variant, alpha, bootstrap_b):
+    """{test: (values, reason)} for one chunk of the cell (did, n): rows
     replications drawn from the chunk's own stream path, scored by
     _statistics, and TB's decisions resampled from the child path."""
-    did = spec.design
-    stream = RandomStream(
-        root_seed, (did.table, did.index, did.hypothesis, spec.n, chunk_idx)
-    )
-    x = sample_design_matrix(did, rows, spec.n, stream)
+    stream = RandomStream(root_seed, (did.table, did.index, did.hypothesis, n, chunk_idx))
+    x = sample_design_matrix(did, rows, n, stream)
     # Table 1's alternatives are pure location shifts of the matched null
     # design, whose sigma the known-sigma tests use.
-    sigma = design_params(DesignId(did.table, 0, did.index)).sigma
-    out = _statistics(did.table, [t for t in spec.tests if t != "TB"], x, sigma, variant)
-    if "TB" in spec.tests:
+    sigma = design_params(_null_of(did)).sigma
+    out = _statistics(did.table, [t for t in tests if t != "TB"], x, sigma, variant)
+    if "TB" in tests:
         bgen = stream.child(1).generator()
         out["TB"] = _kernels.bootstrap_mean_reject(x, sigma, alpha, bootstrap_b, bgen)[:2]
     return out
 
 
-def _run_cells(cell_specs, reps, root_seed, variant, alpha, bootstrap_b, threads):
-    """Simulate every cell; returns {key: {test: (values, reason)}} with a
-    float statistic vector (a boolean decision vector for TB) and the
-    kernel's uint8 reason vector.
+def _null_of(did):
+    """The hypothesis-0 member of a design's matched pair."""
+    return DesignId(did.table, 0, did.index)
+
+
+def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads):
+    """Simulate every cell of {(design, n): tests}; returns
+    {(design, n): {test: (values, reason)}} with a float statistic vector (a
+    boolean decision vector for TB) and the kernel's uint8 reason vector.
 
     Work is split into (cell, chunk) tasks whose content is fixed by the
     stream path, then slotted into preallocated arrays by replication index,
     so the thread count cannot change the result.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     store = {
         key: {
             t: (np.empty(reps, dtype=bool if t == "TB" else float), np.empty(reps, dtype=np.uint8))
-            for t in spec.tests
+            for t in tests
         }
-        for key, spec in cell_specs.items()
+        for key, tests in cells.items()
     }
-    tasks = [
-        (key, c, lo, hi) for key in cell_specs for (c, lo, hi) in _chunks(reps)
-    ]
+    tasks = [(key, c, lo, hi) for key in cells for (c, lo, hi) in _chunks(reps)]
 
     def work(task):
         key, c, lo, hi = task
         out = _chunk_statistics(
-            cell_specs[key], hi - lo, c, root_seed, variant, alpha, bootstrap_b
+            *key, cells[key], hi - lo, c, root_seed, variant, alpha, bootstrap_b
         )
         return key, lo, hi, out
 
@@ -356,28 +352,21 @@ def estimate_power(plan: StudyPlan, threads: int = 1) -> dict:
 
     Pow thresholds come from replications of plan.design_null drawn on the
     null design's own stream paths, so they are independent of the evaluated
-    replications whenever the pair differs; when the pair coincides, the
-    evaluated vector is its own threshold source and Pow is exact.  W and TB
-    report Pow := PowA, exactly as reproduce_table scores the same cell.
+    replications whenever the pair differs; when the pair coincides, both
+    are one cell, the evaluated vector is its own threshold source and Pow
+    is exact.  W and TB report Pow := PowA, exactly as reproduce_table
+    scores the same cell.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    same = plan.design_alt == plan.design_null
-    cells = {}
-    for n in plan.ns:
-        cells[(0, n)] = _CellSpec(plan.design_null, n, (plan.test,))
-        if not same:
-            cells[(1, n)] = _CellSpec(plan.design_alt, n, (plan.test,))
+    test, null, alt = plan.test, plan.design_null, plan.design_alt
+    cells = {(d, n): (test,) for n in plan.ns for d in (null, alt)}
     store = _run_cells(
         cells, plan.reps, plan.root_seed, plan.moment_variant, plan.alpha,
         plan.bootstrap_b, threads,
     )
-    out = {}
-    for n in plan.ns:
-        null_cell = store[(0, n)][plan.test]
-        eval_cell = null_cell if same else store[(1, n)][plan.test]
-        out[n] = _score_cell(plan.test, eval_cell, null_cell, plan.alpha)
-    return out
+    return {
+        n: _score_cell(test, store[alt, n][test], store[null, n][test], plan.alpha)
+        for n in plan.ns
+    }
 
 
 def statistic_sample(
@@ -396,17 +385,14 @@ def statistic_sample(
     kernels against the test-only scalar oracles and for transform
     invariance checks.  The bootstrap test has no scalar statistic.
     """
-    if design.table not in _TABLE_TESTS:
-        raise ValueError("scalar table designs only")
+    _check_table_test(test, design)
     if test == "TB":
         raise ValueError("the bootstrap decision has no scalar statistic")
-    if test not in _TABLE_TESTS[design.table]:
-        raise ValueError(f"test {test!r} is not part of table {design.table}")
     if reps < 1 or n < 10:
         raise ValueError("need reps >= 1 and n >= 10")
-    spec = _CellSpec(design, int(n), (test,))
-    store = _run_cells({0: spec}, int(reps), root_seed, moment_variant, 0.05, 1000, 1)
-    stats, reason = store[0][test]
+    key = (design, int(n))
+    store = _run_cells({key: (test,)}, int(reps), root_seed, moment_variant, 0.05, 1000, 1)
+    stats, reason = store[key][test]
     return stats, reason != 0
 
 
@@ -482,26 +468,17 @@ def reproduce_table(
     grid = table_grid(table)
     table = str(table)
     _check_run(reps, alpha, moment_variant, bootstrap_b, seed)
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-
-    cells = {}
-    for m in grid["indices"]:
-        for hyp in (0, 1):
-            for n in grid["ns"]:
-                cells[(m, hyp, n)] = _CellSpec(DesignId(table, hyp, m), n, grid["tests"])
+    designs = [DesignId(table, hyp, m) for m in grid["indices"] for hyp in (0, 1)]
+    cells = {(d, n): grid["tests"] for d in designs for n in grid["ns"]}
     store = _run_cells(cells, reps, seed, moment_variant, alpha, bootstrap_b, threads)
-
-    rows = []
-    for m in grid["indices"]:
-        for hyp in (0, 1):
-            did = DesignId(table, hyp, m)
-            for t in grid["tests"]:
-                ests = []
-                for n in grid["ns"]:
-                    est = _score_cell(t, store[(m, hyp, n)][t], store[(m, 0, n)][t], alpha)
-                    ests.append((n, est))
-                rows.append(TableRow(design=did, test=t, estimates=tuple(ests)))
+    rows = [
+        TableRow(design=d, test=t, estimates=tuple(
+            (n, _score_cell(t, store[d, n][t], store[_null_of(d), n][t], alpha))
+            for n in grid["ns"]
+        ))
+        for d in designs
+        for t in grid["tests"]
+    ]
     return TableReport(
         table=table,
         reps=reps,

@@ -10,8 +10,9 @@ its own draw and p-value.
 
 All rejection rules use strict inequality at the threshold.  Statistics that
 are undefined for a particular sample raise DegenerateStatistic with the
-kernel's named reason; simulation callers score such replications as
-non-rejections.
+kernel's named reason, except wilcoxon_signed_rank, which raises ValueError
+with the reason as its message; simulation callers score such replications
+as non-rejections.
 """
 
 from __future__ import annotations

@@ -9,19 +9,26 @@ import io
 import json
 import os
 import platform
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ancitest
 from ancitest import STREAM_LAYOUT
 
 BASE = [sys.executable, "-m", "ancitest"]
+README = Path(__file__).resolve().parents[1] / "README.md"
+# The imported package's root, so that a run from any directory finds it.
+PACKAGE_ROOT = str(Path(ancitest.__file__).resolve().parents[1])
 
 
 def run_cli(*args, env_extra=None, **kw):
     env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -226,3 +233,58 @@ def test_cli_import_loads_no_scipy():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def _readme_cli_lines():
+    """The ``ancitest ...`` lines of the README's "Command line" block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("ancitest ")]
+
+
+def test_readme_command_line_example_runs(tmp_path):
+    lines = _readme_cli_lines()
+    assert len(lines) >= 6
+    # In order, from an empty directory: later lines read earlier outputs.
+    for line in lines:
+        res = run_cli(*shlex.split(line)[1:], cwd=tmp_path)
+        assert res.returncode == 0, (line, res.stderr)
+
+
+def test_output_routing(tmp_path):
+    # With --out: the file and its manifest, and nothing on stdout.
+    fixture = tmp_path / "fixture.out"
+    for argv in (
+        ["fixture", "--n", "60"],
+        ["tables", "--table", "2", "--reps", "1000"],
+        ["toy", "--figure", "1b"],
+        ["analyze", "--csv", str(fixture), "--ycol", "residual"],
+    ):
+        out = tmp_path / f"{argv[0]}.out"
+        res = run_cli(*argv, "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "" and out.stat().st_size > 0
+        manifest = json.loads((tmp_path / f"{argv[0]}.out.manifest.json").read_text())
+        assert manifest["subcommand"] == argv[0]
+        assert manifest["output_paths"] == [str(out)]
+
+    # Without --out: the text on stdout, and no file.
+    written = sorted(tmp_path.iterdir())
+    for argv in (
+        ["designs"],
+        ["verify", "--models", "10", "--pairs", "20"],
+        ["analyze", "--csv", str(fixture), "--ycol", "residual"],
+    ):
+        res = run_cli(*argv, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout
+    assert sorted(tmp_path.iterdir()) == written
+
+
+def test_empty_out_path_fails(tmp_path):
+    fixture = tmp_path / "fix.csv"
+    assert run_cli("fixture", "--out", str(fixture)).returncode == 0
+    for argv in (["toy", "--figure", "1a"], ["analyze", "--csv", str(fixture), "--ycol", "residual"]):
+        res = run_cli(*argv, "--out", "", cwd=tmp_path)
+        assert res.returncode == 1
+        assert res.stderr.startswith("error:")

@@ -210,14 +210,15 @@ def _bootstrap_rows(n, alpha, seed):
 
 @pytest.mark.parametrize("n", [15, 50, 250])
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
-def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, taken):
+def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, taken, monkeypatch):
     # Seeds chosen so that every case has rows ending at c = lo + 1.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
     idx = np.random.default_rng(n).integers(0, n, size=(len(x), n_boot, n))
-    max_elems = 8 * ker._BOOT_STEP * n  # 8-row blocks: 59 rows span eight of them
+    # 8-row blocks: 59 rows span eight of them
+    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)
     # The decision stage gets step slices of the pre-drawn indices.
     got, used = ker.bootstrap_decide(
-        x, 1.0, alpha, n_boot, lambda rows, b0, b1: idx[rows, b0:b1], max_elems
+        x, 1.0, alpha, n_boot, lambda rows, b0, b1: idx[rows, b0:b1]
     )
     want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, idx)
     assert np.array_equal(got, want)
@@ -288,17 +289,17 @@ class _CountingGenerator:
 
 @pytest.mark.parametrize("n", [15, 250])
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
-def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, taken):
+def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, taken, monkeypatch):
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
-    max_elems = 8 * ker._BOOT_STEP * n
+    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
     proxy = _CountingGenerator(3)
-    got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, proxy, max_elems)
+    got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, proxy)
     gathered = list(taken)
     # The same draws through the decision stage give each row's stop.
     gen = np.random.default_rng(3)
     want, used = ker.bootstrap_decide(
         x, 1.0, alpha, n_boot,
-        lambda rows, b0, b1: ker.bootstrap_draw(gen, rows.size, b1 - b0, n), max_elems,
+        lambda rows, b0, b1: ker.bootstrap_draw(gen, rows.size, b1 - b0, n),
     )
     # The constant row is resampled like the others but never rejects.
     assert np.array_equal(got[0], want & (np.ptp(x, axis=1) > 0.0))
