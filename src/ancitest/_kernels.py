@@ -384,6 +384,12 @@ def bootstrap_row_draws(gen: np.random.Generator, n_boot: int, n: int):
     return np.concatenate([bootstrap_draw(gen, 1, b1 - b0, n)[0] for b0, b1 in steps])
 
 
+def resample_means(row: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Means of the resamples row[idx] along the last axis of idx: numpy's
+    own mean reduction, so it equals row[idx].mean(axis=-1) bit for bit."""
+    return np.add.reduce(np.take(row, idx), axis=-1) / row.size
+
+
 def bootstrap_decide(x, sigma, alpha, n_boot, draw):
     """Early-stopped bootstrap-t decisions on the resamples that draw supplies.
 
@@ -394,9 +400,13 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw):
     steps along B, _BOOT_STEP resamples at a time (bootstrap_steps).  At
     each step draw(rows, b0, b1) must return the (len(rows), b1 - b0, n)
     indices of resamples b0..b1-1 of the given rows of x, for the rows
-    still live only.  The quantile sits at v = (n_boot - 1)(1 - alpha),
-    between the sorted T*_(lo) and T*_(lo+1) with lo = floor(v), so with
-    c = #{T*_b < To}:
+    still live only.  Each live row's resample means are gathered from that
+    row alone, with its own slice of the step's draw (resample_means): the
+    intp indices and float values np.take makes cover one row's step at a
+    time, never the whole block's.
+
+    The quantile sits at v = (n_boot - 1)(1 - alpha), between the sorted
+    T*_(lo) and T*_(lo+1) with lo = floor(v), so with c = #{T*_b < To}:
 
     - a row rejects once c >= lo + 2, or c >= lo + 1 when v is an integer;
     - a row keeps once #{T*_b >= To} >= n_boot - lo;
@@ -420,14 +430,14 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw):
     block = max(1, _BOOT_ELEMS // (_BOOT_STEP * n))
     for r0 in range(0, rows, block):
         m = min(block, rows - r0)
-        flat = x[r0 : r0 + m].ravel()
-        offset = np.arange(0, m * n, n, dtype=np.intp)[:, None, None]
         tstar = np.empty((m, n_boot))
         live = np.arange(m)
         below = np.zeros(m, dtype=np.int64)
         for b0, b1 in bootstrap_steps(n_boot):
-            sub = draw(r0 + live, b0, b1) + offset[live]  # intp indices
-            means = np.take(flat, sub).mean(axis=2)
+            idx = draw(r0 + live, b0, b1)
+            means = np.empty((live.size, b1 - b0))
+            for i, r in enumerate(r0 + live):
+                means[i] = resample_means(x[r], idx[i])
             t = math.sqrt(n) * (means - xbar[r0 + live, None]) / sigma
             tstar[live, b0:b1] = t
             below += np.count_nonzero(t < to[r0 + live, None], axis=1)
@@ -461,7 +471,8 @@ def bootstrap_mean_reject(
     depends on when rows stop, so the generator's end state depends on x.
 
     Follows the kernel contract with a decision in place of a statistic:
-    returns (reject, reason, {}) with the boolean decision vector.
+    returns (reject, reason, parts) with the boolean decision vector and
+    parts = {"resamples": the number of resamples each row evaluated}.
     Zero-range rows get reason CONSTANT and never reject; they are still
     resampled, so the draws of the other rows do not depend on them.
     """
@@ -470,6 +481,6 @@ def bootstrap_mean_reject(
     def draw(live, b0, b1):
         return bootstrap_draw(gen, live.size, b1 - b0, n)
 
-    reject = bootstrap_decide(x, sigma, alpha, n_boot, draw)[0]
+    reject, used = bootstrap_decide(x, sigma, alpha, n_boot, draw)
     reason = _first_reason((CONSTANT, np.ptp(x, axis=1) == 0.0))
-    return reject & (reason == 0), reason, {}
+    return reject & (reason == 0), reason, {"resamples": used}

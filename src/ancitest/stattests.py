@@ -145,7 +145,7 @@ def bootstrap_t_test(
     xbar = float(np.mean(arr))
     to = math.sqrt(n) * xbar / sigma
     idx = _kernels.bootstrap_row_draws(gen, n_boot, n)
-    tstar = math.sqrt(n) * (arr[idx].mean(axis=1) - xbar) / sigma
+    tstar = math.sqrt(n) * (_kernels.resample_means(arr, idx) - xbar) / sigma
     q = float(np.quantile(tstar, 1.0 - alpha))
     return TestOutcome(
         statistic=to,

@@ -11,12 +11,15 @@ The stdlib normal tails are checked against scipy.stats to rel 1e-12.
 bootstrap_decide stops each row early; the full-B loop below, which
 evaluates every resample, is its oracle on the same indices, fed to it a
 step at a time from one pre-drawn (rows, B, n) array.  bootstrap_mean_reject
-draws each step for the live rows only, and draws exactly what it evaluates;
-it returns (reject, reason, {}) like every other kernel, with zero-range
-rows degenerate and never rejecting.
+draws each step for the live rows only, draws exactly what it evaluates and
+gathers each live row's resamples from that row alone; it returns (reject,
+reason, parts) like every other kernel, with zero-range rows degenerate and
+never rejecting, and parts["resamples"] the resamples each row evaluated.
 """
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,7 +308,8 @@ def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, ta
     assert np.array_equal(got[0], want & (np.ptp(x, axis=1) > 0.0))
     assert proxy.gen.bit_generator.state == gen.bit_generator.state
     # Per 8-row block and step, the draw covers the rows still live, and
-    # every drawn index is gathered once.
+    # every drawn index is gathered once: one gather per live row, of that
+    # row's (b1 - b0, n) resamples.
     expected = []
     for r0 in range(0, len(x), 8):
         for b0, b1 in ker.bootstrap_steps(n_boot):
@@ -314,7 +318,7 @@ def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, ta
                 break
             expected.append((live, b1 - b0, n))
     assert proxy.sizes == expected
-    assert gathered == [math.prod(size) for size in expected]
+    assert gathered == [step * n for live, step, n in expected for _ in range(live)]
     assert sum(gathered) == n * used.sum() < len(x) * n_boot * n
 
 
@@ -330,10 +334,11 @@ def test_bootstrap_mean_reject_follows_the_kernel_contract():
     flat = np.isin(np.arange(12), [2, 5, 7])
     reject, reason, parts = ker.bootstrap_mean_reject(x, 1.0, 0.05, 200, np.random.default_rng(9))
     gen = np.random.default_rng(9)
-    want, _ = ker.bootstrap_decide(
+    want, used = ker.bootstrap_decide(
         x, 1.0, 0.05, 200, lambda rows, b0, b1: ker.bootstrap_draw(gen, rows.size, b1 - b0, n)
     )
-    assert reject.dtype == bool and reason.dtype == np.uint8 and parts == {}
+    assert reject.dtype == bool and reason.dtype == np.uint8
+    assert parts.keys() == {"resamples"} and np.array_equal(parts["resamples"], used)
     assert np.array_equal(reason, np.where(flat, ker.CONSTANT, 0))
     assert want[[2, 7]].all() and not want[5]
     assert not reject[flat].any()
@@ -361,3 +366,40 @@ def test_bootstrap_default_row_block():
     ker.bootstrap_mean_reject(x, 1.0, 0.05, 100, proxy)
     assert proxy.sizes[0] == (83, ker._BOOT_STEP, 250)
     assert (17, ker._BOOT_STEP, 250) in proxy.sizes
+
+
+@pytest.mark.parametrize(
+    "seed, rows, n, n_boot, packed_sha256, resamples",
+    [
+        (11, 200, 60, 200, "901b02b3fcd4f200afe76ab2924a0b1eece9cb4955c8721204d88084cfad26f1", 25800),
+        (12, 90, 250, 1000, "e6dc88526bb75028551bc6f6098ea4f3045fb8a46f6270fded2e8eb98c2ad8d0", 82400),
+    ],
+)
+def test_bootstrap_layout_2_snapshot(seed, rows, n, n_boot, packed_sha256, resamples):
+    # Pins TB's draws under stream layout 2, not only its rule: the
+    # decisions and the resamples evaluated on fixed seeds, recorded before
+    # the per-row gather.  A change to the draw order or to the row block or
+    # step size moves them.  A last-bit change in the resample means rarely
+    # flips a decision; test_bootstrap_scalar_matches_batched_kernel holds
+    # the scalar test's threshold to x[idx].mean(axis=1) bit for bit.
+    x = np.random.default_rng(seed).standard_normal((rows, n)) + 0.15
+    gen = np.random.default_rng(seed + 100)
+    reject, used = ker.bootstrap_decide(
+        x, 1.0, 0.05, n_boot, lambda r, b0, b1: ker.bootstrap_draw(gen, r.size, b1 - b0, n)
+    )
+    assert hashlib.sha256(np.packbits(reject).tobytes()).hexdigest() == packed_sha256
+    assert used.sum() == resamples
+
+
+def test_bootstrap_step_holds_no_block_sized_gather():
+    # One 1000-row cell at n = 250, B = 1000.  The step's uint16 draw is the
+    # only (live, step, n) array (2 MB); a block-wide intp index copy and
+    # float gather would add 8 MB each.
+    x = np.random.default_rng(5).standard_normal((1000, 250))
+    tracemalloc.start()
+    try:
+        ker.bootstrap_mean_reject(x, 1.0, 0.05, 1000, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
