@@ -190,12 +190,17 @@ def _identity_violation(model: DiscreteModel, **stats: FiniteStatistic) -> float
     return float(np.max(np.abs(p1 - u * p0)))
 
 
+def _power_gaps(
+    model: DiscreteModel, t1: FiniteStatistic, t2: FiniteStatistic, alpha_grid
+) -> np.ndarray:
+    """Power of t1 minus power of t2 at each alpha of the grid: the one place
+    two level_powers curves are compared."""
+    return level_powers(model, t1, alpha_grid) - level_powers(model, t2, alpha_grid)
+
+
 def _mp_power_gap(model: DiscreteModel, t: FiniteStatistic, alpha_grid) -> float:
     """Largest power difference between t and the likelihood ratio on the grid."""
-    lam = likelihood_ratio(model)
-    return float(np.max(
-        np.abs(level_powers(model, t, alpha_grid) - level_powers(model, lam, alpha_grid))
-    ))
+    return float(np.max(np.abs(_power_gaps(model, t, likelihood_ratio(model), alpha_grid))))
 
 
 def check_prop_1_1(model: DiscreteModel) -> dict:
@@ -246,15 +251,11 @@ def check_prop_2_3(model: DiscreteModel, t: FiniteStatistic, g_family) -> bool:
     f0, f1 = model.arrays()
     tv = _values(model, "t", t)
     gvs = [_values(model, f"g_family[{i}]", g) for i, g in enumerate(g_family)]
-    m = f0.size
-    found = [False] * m
-    for gv in gvs:
-        if np.any(gv < -TOL) or np.any(gv > 1.0 + TOL):
-            raise ValueError("family functions must map into [0, 1]")
-        for i in range(m):
-            if gv[i] == 1.0 and np.all(np.delete(gv, i) == 0.0):
-                found[i] = True
-    if not all(found):
+    if any(np.any(gv < -TOL) or np.any(gv > 1.0 + TOL) for gv in gvs):
+        raise ValueError("family functions must map into [0, 1]")
+    singletons = {int(np.argmax(gv)) for gv in gvs
+                  if np.count_nonzero(gv) == 1 and gv.max() == 1.0}
+    if len(singletons) < model.m:
         raise ValueError("family must include all singleton indicator functions")
     return not any(abs(np.dot(gv, f1) - np.dot(gv * tv, f0)) > TOL for gv in gvs)
 
@@ -274,7 +275,7 @@ def check_prop_2_4(
     worst = _identity_violation(model, t1=t1, t2=t2)
     if worst > TOL:
         return {"applicable": False, "hypothesis_violation": worst, "dominates": None}
-    gap = float(np.min(level_powers(model, t1, alpha_grid) - level_powers(model, t2, alpha_grid)))
+    gap = float(np.min(_power_gaps(model, t1, t2, alpha_grid)))
     return {
         "applicable": True,
         "hypothesis_violation": worst,
@@ -340,7 +341,7 @@ def check_prop_3_1(
     for premise, failed in premises:
         if np.any(failed):
             return {"premises_ok": False, "failed_premise": premise, "dominates": None}
-    gap = float(np.min(level_powers(model, tn, alpha_grid) - level_powers(model, t, alpha_grid)))
+    gap = float(np.min(_power_gaps(model, tn, t, alpha_grid)))
     return {"premises_ok": True, "failed_premise": None, "dominates": gap >= -TOL,
             "min_power_gap": gap}
 
@@ -406,13 +407,17 @@ def product_model(gen: np.random.Generator, i_size: int, j_size: int):
 def verify_propositions(seed: int = 20260815, n_models: int = 100, n_pairs: int = 1000):
     """Run the full certification suite; returns one report row per claim.
 
-    Each row carries name, passed, max_violation, and cases, the number of
-    checks the claim actually ran.  Identity checks use n_models random
-    models (the MP, sufficiency and conditional-dominance claims at most 20
-    of them, plus their counter-model checks); the dominance oracle uses
-    n_pairs random (model, statistic) pairs on the default alpha grid.  The
-    random models come from np.random.default_rng(seed), not from the
-    RandomStream layout of the Monte Carlo engine.
+    Each claim builds one list of per-case checks, and its row is derived
+    from that list: passed is all(checks), cases is len(checks), and
+    max_violation is the measured size where the claim has one (the largest
+    identity residual; for np-dominance the largest power gain of a
+    statistic over the likelihood ratio, or 0), otherwise 0.0 on a pass and
+    1.0 on a failure.  Identity checks use n_models random models (the MP,
+    sufficiency and conditional-dominance claims at most 20 of them, plus
+    their counter-model checks); the dominance oracle uses n_pairs random
+    (model, statistic) pairs on the default alpha grid.  The random models
+    come from np.random.default_rng(seed), not from the RandomStream layout
+    of the Monte Carlo engine.
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -424,112 +429,91 @@ def verify_propositions(seed: int = 20260815, n_models: int = 100, n_pairs: int 
     grid = default_alpha_grid()
     rows = []
 
-    def add(name, passed, violation, cases, detail=""):
+    def add(name, checks, violation=None, detail=""):
+        passed = all(checks)
+        if violation is None:
+            violation = 0.0 if passed else 1.0
         rows.append(
             {
                 "name": name,
-                "passed": bool(passed),
+                "passed": passed,
                 "max_violation": float(violation),
-                "cases": cases,
+                "cases": len(checks),
                 "detail": detail,
             }
         )
 
     models = [random_model(gen, int(gen.integers(2, 9))) for _ in range(n_models)]
 
-    worst = max(check_prop_1_1(mod)["max_violation"] for mod in models)
-    add("ratio-level-identity", worst <= TOL, worst, n_models)
+    sizes = [check_prop_1_1(mod)["max_violation"] for mod in models]
+    add("ratio-level-identity", [v <= TOL for v in sizes], max(sizes))
 
-    worst = max(
+    sizes = [
         check_prop_2_1(mod, random_statistic(gen, mod.m))["max_violation"] for mod in models
-    )
-    add("joint-level-identity", worst <= TOL, worst, n_models)
+    ]
+    add("joint-level-identity", [v <= TOL for v in sizes], max(sizes))
 
-    # The remaining claims count their checks as they run them.
-    ok, cases = True, 0
+    checks = []
     for mod in models:
         lam = likelihood_ratio(mod)
         family = singleton_indicators(mod.m) + [FiniteStatistic((1.0,) * mod.m)]
-        if not check_prop_2_3(mod, lam, family):
-            ok = False
         bumped = np.array(lam.values)
         bumped[0] += 1e-6
-        if check_prop_2_3(mod, FiniteStatistic(tuple(bumped)), family):
-            ok = False
-        cases += 2
-    add("moment-identity", ok, 0.0 if ok else 1.0, cases,
-        "ratio passes, pointwise perturbation fails")
+        checks.append(check_prop_2_3(mod, lam, family))
+        checks.append(not check_prop_2_3(mod, FiniteStatistic(tuple(bumped)), family))
+    add("moment-identity", checks, detail="ratio passes, pointwise perturbation fails")
 
-    ok, cases = True, 0
     counter_model, merged = coarsening_counter_model()
+    checks = []
     for mod in models[:20]:
         rep = check_prop_2_2(mod, likelihood_ratio(mod), grid)
-        ok &= rep["condition_holds"] and rep["is_mp"]
-        cases += 1
+        checks.append(rep["condition_holds"] and rep["is_mp"])
     rep = check_prop_2_2(counter_model, merged, grid)
-    ok &= (not rep["condition_holds"]) and (not rep["is_mp"])
+    checks.append(not rep["condition_holds"] and not rep["is_mp"])
     lam_c = likelihood_ratio(counter_model)
     doubled = FiniteStatistic(tuple(2.0 * v for v in lam_c.values))
     rep = check_prop_2_2(counter_model, doubled, grid)
     # Doubling preserves the ordering (still MP) but breaks the value
     # calibration; the condition is about values, not ranks.
-    ok &= (not rep["condition_holds"]) and rep["is_mp"]
-    cases += 2
-    add("mp-condition", ok, 0.0 if ok else 1.0, cases)
+    checks.append(not rep["condition_holds"] and rep["is_mp"])
+    add("mp-condition", checks)
 
-    ok, cases = True, 0
+    checks = []
     for mod in models[:20]:
         rep = check_prop_2_5(mod, likelihood_ratio(mod), grid)
-        ok &= rep["sufficient"] and rep["calibrated"] and rep["is_mp"]
-        cases += 1
+        checks.append(rep["sufficient"] and rep["calibrated"] and rep["is_mp"])
     rep = check_prop_2_5(counter_model, merged, grid)
-    ok &= (not rep["sufficient"]) and (not rep["is_mp"])
-    relabel = FiniteStatistic((10.0, 20.0, 30.0))
-    rep = check_prop_2_5(counter_model, relabel, grid)
-    ok &= rep["sufficient"] and (not rep["calibrated"])
-    cases += 2
-    add("sufficiency-calibration", ok, 0.0 if ok else 1.0, cases)
+    checks.append(not rep["sufficient"] and not rep["is_mp"])
+    rep = check_prop_2_5(counter_model, FiniteStatistic((10.0, 20.0, 30.0)), grid)
+    checks.append(rep["sufficient"] and not rep["calibrated"])
+    add("sufficiency-calibration", checks)
 
-    ok, cases = True, 0
+    checks = []
     for mod in models[:20]:
         lam = likelihood_ratio(mod)
         rep = check_prop_2_4(mod, lam, random_statistic(gen, mod.m), grid)
-        ok &= rep["applicable"] and rep["dominates"]
+        checks.append(rep["applicable"] and rep["dominates"])
         rep = check_prop_2_4(mod, lam, lam, grid)
-        ok &= rep["applicable"] and rep["dominates"]
-        cases += 2
-    rep = check_prop_2_4(counter_model, doubled, merged, grid)
-    ok &= not rep["applicable"]
-    cases += 1
-    add("conditional-dominance", ok, 0.0 if ok else 1.0, cases)
+        checks.append(rep["applicable"] and rep["dominates"])
+    checks.append(not check_prop_2_4(counter_model, doubled, merged, grid)["applicable"])
+    add("conditional-dominance", checks)
 
-    ok, cases = True, 0
+    checks = []
     for _ in range(20):
         i_size = int(gen.integers(2, 5))
         j_size = int(gen.integers(2, 4))
-        mod, t, a, tn = product_model(gen, i_size, j_size)
-        rep = check_prop_3_1(mod, t, a, tn, grid)
-        ok &= rep["premises_ok"] and rep["dominates"]
-        cases += 1
-    bad = check_prop_3_1(
-        counter_model,
-        merged,
-        likelihood_ratio(counter_model),
-        likelihood_ratio(counter_model),
-        grid,
-    )
-    ok &= (not bad["premises_ok"]) and bad["failed_premise"] == "ancillarity"
-    cases += 1
-    add("ancillary-refinement", ok, 0.0 if ok else 1.0, cases)
+        rep = check_prop_3_1(*product_model(gen, i_size, j_size), grid)
+        checks.append(rep["premises_ok"] and rep["dominates"])
+    rep = check_prop_3_1(counter_model, merged, lam_c, lam_c, grid)
+    checks.append(not rep["premises_ok"] and rep["failed_premise"] == "ancillarity")
+    add("ancillary-refinement", checks)
 
-    worst_gap = 0.0
+    gaps = []
     for _ in range(n_pairs):
         mod = random_model(gen, int(gen.integers(2, 9)))
         t = random_statistic(gen, mod.m)
-        lam = likelihood_ratio(mod)
-        gap = level_powers(mod, t, grid) - level_powers(mod, lam, grid)
-        worst_gap = max(worst_gap, float(np.max(gap)))
-    add("np-dominance", worst_gap <= TOL, worst_gap, n_pairs,
+        gaps.append(float(np.max(_power_gaps(mod, t, likelihood_ratio(mod), grid))))
+    add("np-dominance", [g <= TOL for g in gaps], max(0.0, *gaps),
         "likelihood ratio attains maximal power at every level")
 
     return rows

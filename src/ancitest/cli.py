@@ -15,8 +15,6 @@ diagnostics go to stderr, all data to files or stdout.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 import time
@@ -27,6 +25,7 @@ from . import __version__
 from .characterization import verify_propositions
 from .designs import STREAM_LAYOUT, list_designs
 from .power import (
+    _csv,
     default_a_grid,
     default_mu_grid,
     render_table,
@@ -106,14 +105,6 @@ def _emit(args, text, wall_time_s):
     with open(out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _cmd_designs(args):

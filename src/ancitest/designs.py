@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,109 +185,92 @@ def _arcsine_centered(shape, gen):
 # ---------------------------------------------------------------------------
 # Population quantities.
 
-_NORMAL_PARAMS = dict(
+# Each family's quantities at shift 0; _register adds an entry's shift to
+# the mean and the median.
+
+_NORMAL = DesignParams(
+    mean=0.0,
     sigma=1.0,
     mu3=0.0,
     mu4=3.0,
+    median=0.0,
     density_at_median=1.0 / _SQRT_2PI,
     mean_abs_dev_about_median=math.sqrt(2.0 / math.pi),
 )
 
+# X = 1 - E with E unit exponential: left tail long, median above mean.
+_ONE_MINUS_EXP = DesignParams(
+    mean=0.0,
+    sigma=1.0,
+    mu3=-2.0,
+    mu4=9.0,
+    median=1.0 - _LN2,
+    density_at_median=0.5,
+    mean_abs_dev_about_median=_LN2,
+)
 
-def _normal_params(shift):
-    return DesignParams(mean=shift, median=shift, **_NORMAL_PARAMS)
+_EXP_MINUS_ONE = DesignParams(
+    mean=0.0,
+    sigma=1.0,
+    mu3=2.0,
+    mu4=9.0,
+    median=_LN2 - 1.0,
+    density_at_median=0.5,
+    mean_abs_dev_about_median=_LN2,
+)
 
+_LAPLACE = DesignParams(
+    mean=0.0,
+    sigma=math.sqrt(2.0),
+    mu3=0.0,
+    mu4=24.0,
+    median=0.0,
+    density_at_median=0.5,
+    mean_abs_dev_about_median=1.0,
+)
 
-def _one_minus_exp_params(shift):
-    # X = 1 - E + shift with E unit exponential: left tail long, median above mean.
-    return DesignParams(
-        mean=shift,
-        sigma=1.0,
-        mu3=-2.0,
-        mu4=9.0,
-        median=1.0 - _LN2 + shift,
-        density_at_median=0.5,
-        mean_abs_dev_about_median=_LN2,
-    )
+_NORMAL_SD2 = DesignParams(
+    mean=0.0,
+    sigma=2.0,
+    mu3=0.0,
+    mu4=48.0,
+    median=0.0,
+    density_at_median=1.0 / (2.0 * _SQRT_2PI),
+    mean_abs_dev_about_median=2.0 * math.sqrt(2.0 / math.pi),
+)
 
+# X = e^{1/2} - L with L lognormal(0, 1): E L^k = e^{k^2/2}.
+_EXPHALF_MINUS_LOGNORMAL = DesignParams(
+    mean=0.0,
+    sigma=math.sqrt((_E - 1.0) * _E),
+    mu3=-(math.exp(4.5) - 3.0 * math.exp(2.5) + 2.0 * math.exp(1.5)),
+    mu4=math.exp(8.0) - 4.0 * math.exp(5.0) + 6.0 * math.exp(3.0) - 3.0 * math.exp(2.0),
+    median=math.exp(0.5) - 1.0,
+    # Density of e^{1/2} - L at its median equals the lognormal density at 1.
+    density_at_median=1.0 / _SQRT_2PI,
+    # E|L - 1| = e^{1/2} (2 Phi(1) - 1) = e^{1/2} erf(1/sqrt(2)).
+    mean_abs_dev_about_median=math.exp(0.5) * math.erf(1.0 / math.sqrt(2.0)),
+)
 
-def _exp_minus_one_params(shift):
-    return DesignParams(
-        mean=shift,
-        sigma=1.0,
-        mu3=2.0,
-        mu4=9.0,
-        median=_LN2 - 1.0 + shift,
-        density_at_median=0.5,
-        mean_abs_dev_about_median=_LN2,
-    )
+_UNIFORM = DesignParams(
+    mean=0.0,
+    sigma=math.sqrt(1.0 / 3.0),
+    mu3=0.0,
+    mu4=0.2,
+    median=0.0,
+    density_at_median=0.5,
+    mean_abs_dev_about_median=0.5,
+)
 
-
-def _laplace_params(shift):
-    return DesignParams(
-        mean=shift,
-        sigma=math.sqrt(2.0),
-        mu3=0.0,
-        mu4=24.0,
-        median=shift,
-        density_at_median=0.5,
-        mean_abs_dev_about_median=1.0,
-    )
-
-
-def _normal_sd2_params():
-    return DesignParams(
-        mean=0.0,
-        sigma=2.0,
-        mu3=0.0,
-        mu4=48.0,
-        median=0.0,
-        density_at_median=1.0 / (2.0 * _SQRT_2PI),
-        mean_abs_dev_about_median=2.0 * math.sqrt(2.0 / math.pi),
-    )
-
-
-def _exphalf_minus_lognormal_params():
-    # X = e^{1/2} - L with L lognormal(0, 1): E L^k = e^{k^2/2}.
-    m1 = math.exp(0.5)
-    var = (_E - 1.0) * _E
-    mu3_l = math.exp(4.5) - 3.0 * math.exp(2.5) + 2.0 * math.exp(1.5)
-    mu4_l = math.exp(8.0) - 4.0 * math.exp(5.0) + 6.0 * math.exp(3.0) - 3.0 * math.exp(2.0)
-    return DesignParams(
-        mean=0.0,
-        sigma=math.sqrt(var),
-        mu3=-mu3_l,
-        mu4=mu4_l,
-        median=m1 - 1.0,
-        # Density of e^{1/2} - L at its median equals the lognormal density at 1.
-        density_at_median=1.0 / _SQRT_2PI,
-        # E|L - 1| = e^{1/2} (2 Phi(1) - 1) = e^{1/2} erf(1/sqrt(2)).
-        mean_abs_dev_about_median=m1 * math.erf(1.0 / math.sqrt(2.0)),
-    )
-
-
-def _uniform_params(shift):
-    return DesignParams(
-        mean=shift,
-        sigma=math.sqrt(1.0 / 3.0),
-        mu3=0.0,
-        mu4=0.2,
-        median=shift,
-        density_at_median=0.5,
-        mean_abs_dev_about_median=0.5,
-    )
-
-
-def _arcsine_params(shift):
-    return DesignParams(
-        mean=shift,
-        sigma=math.sqrt(0.125),
-        mu3=0.0,
-        mu4=3.0 / 128.0,
-        median=shift,
-        density_at_median=2.0 / math.pi,
-        mean_abs_dev_about_median=1.0 / math.pi,
-    )
+_ARCSINE = DesignParams(
+    mean=0.0,
+    sigma=math.sqrt(0.125),
+    mu3=0.0,
+    mu4=3.0 / 128.0,
+    median=0.0,
+    density_at_median=2.0 / math.pi,
+    mean_abs_dev_about_median=1.0 / math.pi,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +303,8 @@ _REGISTRY: dict = {}
 
 
 def _register(table, hyp, index, base, shift, description, params, vector_dim=0):
+    if shift:
+        params = replace(params, mean=params.mean + shift, median=params.median + shift)
     _REGISTRY[(table, hyp, index)] = _Entry(base, shift, description, params, vector_dim)
 
 
@@ -328,16 +313,16 @@ def _build_registry():
     # same base draw, so hypothesis pairs share base samplers.
     for k in (0, 1):
         s = 0.1 * k
-        _register("1", k, 1, _std_normal, s, f"normal, mean {s:g}, sd 1", _normal_params(s))
+        _register("1", k, 1, _std_normal, s, f"normal, mean {s:g}, sd 1", _NORMAL)
         _register(
             "1", k, 2, _one_minus_exp, s,
             f"1 - standard exponential{' + 0.1' if k else ''} (left skewed)",
-            _one_minus_exp_params(s),
+            _ONE_MINUS_EXP,
         )
         _register(
             "1", k, 3, _exp_minus_one, s,
             f"standard exponential - 1{' + 0.1' if k else ''} (right skewed)",
-            _exp_minus_one_params(s),
+            _EXP_MINUS_ONE,
         )
         # (weibull(1, 2) - 2)/2 is (2e - 2)/2 = e - 1 for a unit exponential
         # e, bit for bit: scaling by 2 is exact and commutes with rounding.
@@ -345,31 +330,31 @@ def _build_registry():
         _register(
             "1", k, 4, _exp_minus_one, s4,
             f"(weibull(shape 1, scale 2) - 2)/2{' + 0.2' if k else ''}",
-            _exp_minus_one_params(s4),
+            _EXP_MINUS_ONE,
         )
 
     # Median-test table: the alternatives are not shifts of their nulls.
     _register("2", 0, 1, _laplace, 0.0,
-              "difference of two unit exponentials (laplace)", _laplace_params(0.0))
+              "difference of two unit exponentials (laplace)", _LAPLACE)
     _register("2", 1, 1, _one_minus_exp, 0.0,
               "1 - standard exponential (zero mean, positive median)",
-              _one_minus_exp_params(0.0))
+              _ONE_MINUS_EXP)
     _register("2", 0, 2, _normal_sd2, 0.0,
-              "normal, mean 0, sd 2", _normal_sd2_params())
+              "normal, mean 0, sd 2", _NORMAL_SD2)
     _register("2", 1, 2, _exphalf_minus_lognormal, 0.0,
               "exp(1/2) - lognormal(0, 1) (zero mean, positive median)",
-              _exphalf_minus_lognormal_params())
+              _EXPHALF_MINUS_LOGNORMAL)
 
     # Symmetric-location table.
     for k in (0, 1):
         s = 0.1 * k
-        _register("3", k, 1, _std_normal, s, f"normal, mean {s:g}, sd 1", _normal_params(s))
+        _register("3", k, 1, _std_normal, s, f"normal, mean {s:g}, sd 1", _NORMAL)
         _register("3", k, 2, _laplace, s,
-                  f"laplace{' + 0.1' if k else ''}", _laplace_params(s))
+                  f"laplace{' + 0.1' if k else ''}", _LAPLACE)
         _register("3", k, 3, _uniform_m1_1, s,
-                  f"uniform on (-1, 1){' + 0.1' if k else ''}", _uniform_params(s))
+                  f"uniform on (-1, 1){' + 0.1' if k else ''}", _UNIFORM)
         _register("3", k, 4, _arcsine_centered, s,
-                  f"arcsine on (0, 1) centered{' + 0.1' if k else ''}", _arcsine_params(s))
+                  f"arcsine on (0, 1) centered{' + 0.1' if k else ''}", _ARCSINE)
 
     # Toy heteroscedastic designs: fixed-dimension observation vectors used by
     # the closed-form power curves; draws return one vector per replication.
@@ -394,6 +379,13 @@ class DesignId:
     index: int
 
     def __post_init__(self):
+        # A bool or a non-integer would pass the registry lookup (True == 1)
+        # and fail later as a stream path element.
+        for field in ("hypothesis", "index"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"DesignId {field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         key = (str(self.table), self.hypothesis, self.index)
         if key not in _REGISTRY:
             raise UnknownDesignError(f"no such design: {key}")

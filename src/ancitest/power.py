@@ -491,6 +491,15 @@ def reproduce_table(
     )
 
 
+def _csv(header, rows) -> str:
+    """CSV text of a header row and data rows, newline-terminated."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def render_table(report: TableReport, fmt: str = "csv") -> str:
     """Stable text rendering: Design, Test, then PowA/Pow per sample size,
     three decimals."""
@@ -504,11 +513,7 @@ def render_table(report: TableReport, fmt: str = "csv") -> str:
             cells += [f"{est.powa:.3f}", f"{est.pow:.3f}"]
         body.append(cells)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(body)
-        return buf.getvalue()
+        return _csv(header, body)
     if fmt == "markdown":
         lines = [
             "| " + " | ".join(header) + " |",

@@ -5,11 +5,13 @@ The two-outcome model f0 = (1/2, 1/2), f1 = (1/4, 3/4) is small enough to
 solve by hand and anchors most oracles below.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from ancitest import characterization, cli
 from ancitest import (
     DiscreteModel,
     FiniteStatistic,
@@ -606,3 +608,67 @@ def test_verify_propositions_small_run():
 def test_verify_propositions_rejects_bad_input_by_name(kwargs, message):
     with pytest.raises(ValueError, match=message):
         verify_propositions(**{"n_models": 5, "n_pairs": 5, **kwargs})
+
+
+@pytest.mark.parametrize(
+    "kwargs, digest",
+    [
+        ({}, "205cee17bdf118a256c58c06747c417f036b4e38b16c30d25b69708a42175053"),
+        (
+            {"seed": 99, "n_models": 10, "n_pairs": 25},
+            "b0cc5eef4c5c52e4fd7799c22172218d8cf08ad470466a8b41463ceb32000cdd",
+        ),
+    ],
+)
+def test_verify_propositions_snapshot(kwargs, digest):
+    # Recorded before the claims were built from check lists; the draws and
+    # every row field must not move.
+    rows = verify_propositions(**kwargs)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+# claim -> (the function it calls per case, how one result is spoiled, the
+# claim's max_violation once that case fails).
+_SPOILERS = {
+    "ratio-level-identity": ("check_prop_1_1", lambda rep: {"max_violation": 0.25}, 0.25),
+    "joint-level-identity": ("check_prop_2_1", lambda rep: {"max_violation": 0.25}, 0.25),
+    "moment-identity": ("check_prop_2_3", lambda holds: not holds, 1.0),
+    "mp-condition": ("check_prop_2_2", lambda rep: {**rep, "is_mp": False}, 1.0),
+    "sufficiency-calibration": ("check_prop_2_5", lambda rep: {**rep, "calibrated": False}, 1.0),
+    "conditional-dominance": ("check_prop_2_4", lambda rep: {**rep, "dominates": False}, 1.0),
+    "ancillary-refinement": ("check_prop_3_1", lambda rep: {**rep, "dominates": False}, 1.0),
+    # np-dominance calls no check_prop_*; its last pair's gaps are spoiled.
+    "np-dominance": ("_power_gaps", lambda gaps: np.full_like(gaps, 0.25), 0.25),
+}
+
+
+@pytest.mark.parametrize("claim", list(_SPOILERS))
+def test_one_failed_case_fails_only_its_claim(monkeypatch, capsys, claim):
+    kwargs = {"n_models": 5, "n_pairs": 5}
+    baseline = verify_propositions(**kwargs)
+    name, spoil, size = _SPOILERS[claim]
+    original = getattr(characterization, name)
+    calls = []
+
+    def spoiled(*args):
+        calls.append(args)
+        out = original(*args)
+        return spoil(out) if len(calls) == target else out
+
+    monkeypatch.setattr(characterization, name, spoiled)
+    target = 1
+    if name == "_power_gaps":
+        target = 0  # count the calls first: np-dominance makes the last ones
+        verify_propositions(**kwargs)
+        target = len(calls)
+
+    calls.clear()
+    rows = verify_propositions(**kwargs)
+    assert [r["name"] for r in rows if not r["passed"]] == [claim]
+    assert [r["cases"] for r in rows] == [r["cases"] for r in baseline]
+    assert [r for r in rows if r["name"] != claim] == [r for r in baseline if r["name"] != claim]
+    assert next(r for r in rows if r["name"] == claim)["max_violation"] == size
+
+    calls.clear()
+    assert cli.main(["verify", "--models", "5", "--pairs", "5"]) == 1
+    assert f"{claim},FAIL," in capsys.readouterr().out

@@ -256,6 +256,26 @@ def test_unknown_designs_rejected():
         DesignId("1", 2, 1)
 
 
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+def test_design_id_stores_numpy_integers_as_int(integer):
+    design = DesignId("3", integer(0), integer(1))
+    plain = DesignId("3", 0, 1)
+    assert design == plain
+    assert type(design.hypothesis) is int and type(design.index) is int
+    for got, want in zip(statistic_sample("To", design, 20, 10, 1),
+                         statistic_sample("To", plain, 20, 10, 1)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", ["hypothesis", "index"])
+@pytest.mark.parametrize("bad", [True, 1.0, "0"])
+def test_design_id_rejects_non_integer_fields_by_name(field, bad):
+    # True and 1.0 equal a registered key, so only the type check stops them.
+    args = {"table": "1", "hypothesis": 1, "index": 1, field: bad}
+    with pytest.raises(ValueError, match=f"DesignId {field} must be an integer"):
+        DesignId(**args)
+
+
 # The sampler expressions before they were written in place: test-only
 # oracles, keyed by the name of each design's base sampler.
 def _old_exp1(shape, gen):
