@@ -4,7 +4,10 @@ This module is the only place where a statistic or a piece of one is
 computed.  The Monte Carlo engine (``power``) and the resampling study
 (``regression``) call the kernels on whole chunks of an (R, n) matrix, one
 replication per row; the public tests in ``stattests`` and the helpers in
-``empirical`` call them on a (1, n) matrix holding their one sample.
+``empirical`` call them on a (1, n) matrix holding their one sample.  A TN
+kernel is its base kernel plus an ancillary correction read from a kernel;
+both bootstrap tests take To, T*_b and their threshold from known_sigma_z
+and type7_quantile.
 
 Every statistic kernel returns (stat, reason, parts): the length-R statistic
 vector, a uint8 reason vector indexing REASONS (0 for a usable row, else
@@ -64,8 +67,9 @@ def as_sample(x, min_n: int, what: str) -> np.ndarray:
         raise ValueError("sample must be one-dimensional")
     if arr.size < min_n:
         raise ValueError(f"{what} requires at least {min_n} observations")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        raise ValueError(f"sample contains non-finite values, first at index {np.argmin(finite)}")
     return arr
 
 
@@ -140,20 +144,26 @@ def moment_pieces(x: np.ndarray, sigma=None, variant: str = "quartic") -> Moment
     return MomentPieces(x.shape[1], sigma, mean, s2, mu3, var_known, var_s, flat)
 
 
+def known_sigma_z(mean, n: int, sigma: float):
+    """sqrt(n) mean / sigma: the known-sigma mean statistic of a sample mean,
+    or a bootstrap T*_b of a centred resample mean."""
+    return math.sqrt(n) * mean / sigma
+
+
 def mean_to(m: MomentPieces):
     """Known-sigma mean statistic sqrt(n) mean / sigma; never degenerate."""
-    stat = math.sqrt(m.n) * m.mean / m.sigma
+    stat = known_sigma_z(m.mean, m.n, m.sigma)
     return stat, np.zeros(stat.shape, dtype=np.uint8), {}
 
 
 def mean_tn(m: MomentPieces):
-    """Skewness-corrected mean statistic with known sigma: the base
-    statistic less the scaled covariate S^2 - sigma^2, standardized by the
-    estimated variance of the corrected statistic."""
+    """Skewness-corrected mean statistic with known sigma: mean_to less the
+    scaled covariate S^2 - sigma^2, standardized by the estimated variance
+    of the corrected statistic."""
     n, sigma = m.n, m.sigma
+    to = mean_to(m)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = 1.0 - m.mu3**2 / (m.s2 * m.var_s)
-        to = math.sqrt(n) * m.mean / sigma
         correction = m.mu3 * math.sqrt(n) * (m.s2 - sigma**2) / (sigma * m.var_known)
         tn = (to - correction) / np.sqrt(delta)
     reason = _first_reason(
@@ -202,17 +212,12 @@ def type7_quantile(s: np.ndarray, q: float) -> np.ndarray:
     return b - d * (1.0 - g) if g >= 0.5 else a + d * g
 
 
-def kde_at(x: np.ndarray, point: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Gaussian kernel density estimate of each row at its point, bandwidth h."""
-    return _kde_of_deviations(point[:, None] - x, h)
-
-
 def _kde_of_deviations(d: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """kde_at from the deviations d = point - x of each row, or their
-    absolute values, computed in place in d.  The kernel exponent is
-    (u * u) * -0.5 for u = d / h: a power-of-two scaling commutes with
-    rounding, so exp sees the values of -0.5 * u * u, and exp rounds to 1
-    wherever an exponent is too small for that to hold."""
+    """Gaussian KDE of each row at its point, bandwidth h, from the
+    deviations d = point - x (or |d|), computed in place in d.  The kernel
+    exponent is (u * u) * -0.5 for u = d / h: a power-of-two scaling
+    commutes with rounding, so exp sees the values of -0.5 * u * u, and exp
+    rounds to 1 wherever an exponent is too small for that to hold."""
     d /= h[:, None]
     np.multiply(d, d, out=d)
     d *= -0.5
@@ -254,10 +259,10 @@ def median_to(p: MedianPieces):
 
 
 def median_tn(p: MedianPieces):
-    """Median statistic decorrelated from the studentized mean."""
+    """median_to decorrelated from the studentized mean sym_to.  Their -inf
+    rows are CONSTANT rows, which this kernel marks degenerate first."""
+    to, ancillary = median_to(p)[0], sym_to(p)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        to = 2.0 * math.sqrt(p.n) * p.median * p.fhat
-        ancillary = math.sqrt(p.n) * p.mean / p.s
         tn = (to * p.s / p.w - ancillary) / np.sqrt(p.s**2 / p.w**2 - 1.0)
     reason = _first_reason(
         (CONSTANT, p.degenerate),
@@ -277,16 +282,16 @@ def sym_to(p: MedianPieces):
 
 
 def sym_tn(p: MedianPieces):
-    """Symmetry-point statistic combining the studentized mean with the
-    scaled mean-median contrast.  V simplifies to 1 - delta^2; the expanded
-    algebraic forms are checked against this in the tests."""
+    """Symmetry-point statistic combining the studentized mean sym_to with
+    the scaled mean-median contrast.  V simplifies to 1 - delta^2; the
+    expanded algebraic forms are checked against this in the tests."""
+    to = sym_to(p)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         dhat = p.s**2 - p.w / p.fhat + 1.0 / (4.0 * p.fhat**2)
         degen_d = p.degenerate | (p.s <= 0.0) | ~np.isfinite(dhat) | (dhat <= 0.0)
         dhat_safe = np.where(degen_d, 1.0, dhat)
         delta = (p.w / (2.0 * p.s * p.fhat) - p.s) / np.sqrt(dhat_safe)
         v = 1.0 - delta * delta
-        to = math.sqrt(p.n) * p.mean / p.s
         tn = (to + delta * math.sqrt(p.n) * (p.mean - p.median) / np.sqrt(dhat_safe)) / np.sqrt(v)
     reason = _first_reason(
         (CONSTANT, p.degenerate | (p.s <= 0.0)),
@@ -394,16 +399,16 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw):
     """Early-stopped bootstrap-t decisions on the resamples that draw supplies.
 
     Row r rejects when its statistic To = sqrt(n) mean / sigma exceeds
-    np.quantile(T*, 1 - alpha) of its n_boot resample statistics
-    T*_b = sqrt(n) (mean*_b - mean) / sigma.  Rows are taken in blocks of
-    _BOOT_ELEMS // (_BOOT_STEP * n) (83 rows at n = 250), and each block
-    steps along B, _BOOT_STEP resamples at a time (bootstrap_steps).  At
-    each step draw(rows, b0, b1) must return the (len(rows), b1 - b0, n)
-    indices of resamples b0..b1-1 of the given rows of x, for the rows
-    still live only.  Each live row's resample means are gathered from that
-    row alone, with its own slice of the step's draw (resample_means): the
-    intp indices and float values np.take makes cover one row's step at a
-    time, never the whole block's.
+    type7_quantile(T*, 1 - alpha) of its n_boot resample statistics
+    T*_b = sqrt(n) (mean*_b - mean) / sigma, both from known_sigma_z.  Rows
+    are taken in blocks of _BOOT_ELEMS // (_BOOT_STEP * n) (83 rows at
+    n = 250), and each block steps along B, _BOOT_STEP resamples at a time
+    (bootstrap_steps).  At each step draw(rows, b0, b1) must return the
+    (len(rows), b1 - b0, n) indices of resamples b0..b1-1 of the given rows
+    of x, for the rows still live only.  Each live row's resample means are
+    gathered from that row alone, with its own slice of the step's draw
+    (resample_means): the intp indices and float values np.take makes cover
+    one row's step at a time, never the whole block's.
 
     The quantile sits at v = (n_boot - 1)(1 - alpha), between the sorted
     T*_(lo) and T*_(lo+1) with lo = floor(v), so with c = #{T*_b < To}:
@@ -411,17 +416,17 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw):
     - a row rejects once c >= lo + 2, or c >= lo + 1 when v is an integer;
     - a row keeps once #{T*_b >= To} >= n_boot - lo;
     - only a row that ends at c = lo + 1 with a fractional v needs the
-      quantile itself, which np.quantile then takes from all its T*_b.
+      quantile itself, which type7_quantile then takes from all its T*_b.
 
     Each resample mean is the same whichever rows and steps are evaluated
-    together, so the decisions equal To > np.quantile(T*, 1 - alpha) over
+    together, so the decisions equal To > type7_quantile(T*, 1 - alpha) over
     all n_boot resamples of the same indices, bit for bit.  Returns the
     decision vector and the number of resamples each row evaluated.
     """
     rows, n = x.shape
     xbar = x.mean(axis=1)
-    to = math.sqrt(n) * xbar / sigma
-    v = (n_boot - 1) * (1.0 - alpha)  # numpy's own virtual index
+    to = known_sigma_z(xbar, n, sigma)
+    v = (n_boot - 1) * (1.0 - alpha)  # type7_quantile's position
     lo = math.floor(v)
     reject_at = lo + 1 if v == lo else lo + 2
     keep_at = n_boot - lo
@@ -438,7 +443,7 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw):
             means = np.empty((live.size, b1 - b0))
             for i, r in enumerate(r0 + live):
                 means[i] = resample_means(x[r], idx[i])
-            t = math.sqrt(n) * (means - xbar[r0 + live, None]) / sigma
+            t = known_sigma_z(means - xbar[r0 + live, None], n, sigma)
             tstar[live, b0:b1] = t
             below += np.count_nonzero(t < to[r0 + live, None], axis=1)
             up = below >= reject_at
@@ -449,7 +454,7 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw):
             if not live.size:
                 break
         if live.size:
-            q = np.quantile(tstar[live], 1.0 - alpha, axis=1)
+            q = type7_quantile(np.sort(tstar[live], axis=1), 1.0 - alpha)
             reject[r0 + live] = to[r0 + live] > q
     return reject, used
 

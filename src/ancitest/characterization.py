@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .designs import RandomStream
+
 __all__ = [
     "DiscreteModel",
     "FiniteStatistic",
@@ -416,16 +418,14 @@ def verify_propositions(seed: int = 20260815, n_models: int = 100, n_pairs: int 
     sufficiency and conditional-dominance claims at most 20 of them, plus
     their counter-model checks); the dominance oracle uses n_pairs random
     (model, statistic) pairs on the default alpha grid.  The random models
-    come from np.random.default_rng(seed), not from the RandomStream layout
-    of the Monte Carlo engine.
+    and statistics are drawn in sequence from the root stream
+    RandomStream(seed), so the draws depend on n_models as well as on seed.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    gen = RandomStream(seed).generator()
     if n_models < 1:
         raise ValueError(f"n_models must be >= 1, got {n_models}")
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    gen = np.random.default_rng(seed)
     grid = default_alpha_grid()
     rows = []
 

@@ -70,12 +70,9 @@ def _nb_list(text):
     if not text.startswith("nb="):
         raise argparse.ArgumentTypeError("expected nb=<int>,<int>,...")
     try:
-        values = tuple(int(part) for part in text[3:].split(","))
+        return tuple(int(part) for part in text[3:].split(","))
     except ValueError:
         raise argparse.ArgumentTypeError("expected nb=<int>,<int>,...") from None
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one resample size")
-    return values
 
 
 def _emit(args, text, wall_time_s):

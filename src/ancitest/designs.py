@@ -86,7 +86,7 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.root_seed, spawn_key=_spawn_words(self.path))
-        return np.random.default_rng(seq)
+        return np.random.Generator(np.random.PCG64(seq))
 
 
 @dataclass(frozen=True)

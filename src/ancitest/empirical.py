@@ -1,13 +1,13 @@
 """Sample summaries: medians, type-7 quantiles, moments, and a Gaussian KDE
 evaluated at a point.
 
-Each helper calls the ``_kernels`` piece that the statistics use, on its
-one sample as a (1, n) matrix, so a helper returns exactly the value the
-tests and the Monte Carlo engine compute.  The bandwidth rule and the point
-KDE mirror the defaults of R's density(): Gaussian kernel with nrd0
-bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5), with the sd substituted when
-the IQR is zero.  The even-n median is the midpoint of the two central
-order statistics.
+Each helper calls the ``_kernels`` piece that the statistics use (kde_at:
+the KDE of median_pieces) on its one sample as a (1, n) matrix, so a helper
+returns exactly the value the tests and the Monte Carlo engine compute.
+The bandwidth rule and the point KDE mirror the defaults of R's density():
+Gaussian kernel with nrd0 bandwidth 0.9 * min(sd, IQR/1.34) * n^(-1/5),
+with the sd substituted when the IQR is zero.  The even-n median is the
+midpoint of the two central order statistics.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def kde_at(x, point: float, bandwidth: float) -> float:
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     point, bandwidth = np.full(1, point, dtype=float), np.full(1, bandwidth, dtype=float)
-    return float(_kernels.kde_at(arr[None, :], point, bandwidth)[0])
+    return float(_kernels._kde_of_deviations(point[:, None] - arr[None, :], bandwidth)[0])
 
 
 @dataclass(frozen=True)

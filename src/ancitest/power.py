@@ -46,7 +46,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .designs import STREAM_LAYOUT, DesignId, RandomStream, design_params, sample_design_matrix
+from .designs import (
+    STREAM_LAYOUT, DesignId, RandomStream, design_params, list_designs, sample_design_matrix,
+)
 
 __all__ = [
     "CHUNK",
@@ -69,23 +71,19 @@ __all__ = [
 
 CHUNK = 4096
 
-# Tests, sample sizes and design families of each reported table, in the
-# row/column order of the reports.
+# Tests and sample sizes of each reported table, in the column order of the
+# reports; the design families are the registry's (list_designs).
 _TABLE_TESTS = {"1": ("To", "TN", "TB"), "2": ("W", "To", "TN"), "3": ("W", "To", "T1", "TN")}
 _TABLE_NS = {"1": (150, 200, 250, 300, 350), "2": (25, 50, 75), "3": (50, 150)}
-_TABLE_INDICES = {"1": (1, 2, 3, 4), "2": (1, 2), "3": (1, 2, 3, 4)}
 
 
 def table_grid(table: str) -> dict:
-    """Tests, sample sizes and design indices of one reported table."""
+    """Tests, sample sizes and registered design indices of one table."""
     table = str(table)
     if table not in _TABLE_TESTS:
         raise ValueError(f"no such table: {table!r} (expected 1, 2 or 3)")
-    return {
-        "tests": _TABLE_TESTS[table],
-        "ns": _TABLE_NS[table],
-        "indices": _TABLE_INDICES[table],
-    }
+    indices = tuple(d.index for d, _ in list_designs() if d.table == table and d.hypothesis == 0)
+    return {"tests": _TABLE_TESTS[table], "ns": _TABLE_NS[table], "indices": indices}
 
 
 @dataclass(frozen=True)
@@ -388,8 +386,10 @@ def statistic_sample(
     _check_table_test(test, design)
     if test == "TB":
         raise ValueError("the bootstrap decision has no scalar statistic")
-    if reps < 1 or n < 10:
-        raise ValueError("need reps >= 1 and n >= 10")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if n < 10:
+        raise ValueError(f"n must be >= 10, got {n}")
     key = (design, int(n))
     store = _run_cells({key: (test,)}, int(reps), root_seed, moment_variant, 0.05, 1000, 1)
     stats, reason = store[key][test]
@@ -457,7 +457,7 @@ def reproduce_table(
 ) -> TableReport:
     """Full PowA/Pow grid of one reported table.
 
-    Row order is design-family major, null before alternative, tests in the
+    Rows follow list_designs (family major, null first), tests in the
     table's column order.  Signed-rank and bootstrap rows report Pow = PowA
     (neither has a usable scalar null quantile: the bootstrap threshold is
     per-replication, and the table convention treats the signed-rank test
@@ -468,7 +468,7 @@ def reproduce_table(
     grid = table_grid(table)
     table = str(table)
     _check_run(reps, alpha, moment_variant, bootstrap_b, seed)
-    designs = [DesignId(table, hyp, m) for m in grid["indices"] for hyp in (0, 1)]
+    designs = [d for d, _ in list_designs() if d.table == table]
     cells = {(d, n): grid["tests"] for d in designs for n in grid["ns"]}
     store = _run_cells(cells, reps, seed, moment_variant, alpha, bootstrap_b, threads)
     rows = [

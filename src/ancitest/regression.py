@@ -217,7 +217,7 @@ def make_fixture(n: int, seed: int):
     invalidate every recorded frequency.
     """
     if n < 10:
-        raise ValueError("fixture size must be >= 10")
+        raise ValueError(f"fixture size n must be >= 10, got {n}")
     gen = RandomStream(int(seed), ("fixture",)).generator()
     u = gen.random(n)
     z = gen.standard_normal(n)

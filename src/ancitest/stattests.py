@@ -5,8 +5,9 @@ variance-stabilizing monotone transform.
 
 Each test computes its statistic, and the components it reports, by calling
 the matching ``_kernels`` kernel on its one sample as a (1, n) matrix, so a
-test and the Monte Carlo engine share one formula.  The bootstrap test keeps
-its own draw and p-value.
+test and the Monte Carlo engine share one formula.  The bootstrap test takes
+To, T*_b and its threshold from ``known_sigma_z`` and ``type7_quantile`` and
+keeps only its own draw and p-value.
 
 All rejection rules use strict inequality at the threshold.  Statistics that
 are undefined for a particular sample raise DegenerateStatistic with the
@@ -17,7 +18,6 @@ as non-rejections.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +125,7 @@ def bootstrap_t_test(
 
     Draws n_boot resamples with replacement, forms the centered statistics
     T*_b = sqrt(n) (mean*_b - mean) / sigma, and rejects when the observed
-    statistic exceeds their empirical (1 - alpha) quantile.  The p-value is
+    statistic exceeds their type-7 (1 - alpha) quantile.  The p-value is
     the fraction of T*_b at or above the observed statistic.  The indices
     are drawn step by step as the engine draws them for one row, so on the
     same generator the T*_b equal the engine's on every step it evaluates.
@@ -143,10 +143,10 @@ def bootstrap_t_test(
     n = arr.size
     gen = stream.generator()
     xbar = float(np.mean(arr))
-    to = math.sqrt(n) * xbar / sigma
+    to = _kernels.known_sigma_z(xbar, n, sigma)
     idx = _kernels.bootstrap_row_draws(gen, n_boot, n)
-    tstar = math.sqrt(n) * (_kernels.resample_means(arr, idx) - xbar) / sigma
-    q = float(np.quantile(tstar, 1.0 - alpha))
+    tstar = _kernels.known_sigma_z(_kernels.resample_means(arr, idx) - xbar, n, sigma)
+    q = float(_kernels.type7_quantile(np.sort(tstar)[None, :], 1.0 - alpha)[0])
     return TestOutcome(
         statistic=to,
         threshold=q,

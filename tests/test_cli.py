@@ -199,6 +199,8 @@ def test_usage_errors_exit_two(tmp_path):
         "analyze", "--csv", "f.csv", "--ycol", "y", "--study", "garbage"
     ).returncode == 2
     assert run_cli("toy", "--figure", "2c", "--out", "x.csv").returncode == 2
+    for study in ("nb=", "nb=70,"):
+        assert run_cli("analyze", "--csv", "f.csv", "--ycol", "y", "--study", study).returncode == 2
 
 
 def test_runtime_errors_exit_one(tmp_path):

@@ -15,16 +15,22 @@ draws each step for the live rows only, draws exactly what it evaluates and
 gathers each live row's resamples from that row alone; it returns (reject,
 reason, parts) like every other kernel, with zero-range rows degenerate and
 never rejecting, and parts["resamples"] the resamples each row evaluated.
+Each TN kernel must follow the base kernels it reads, and both bootstrap
+paths must take To, T*_b and their threshold from known_sigma_z and
+type7_quantile.
 """
 
+import ast
 import hashlib
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+from ancitest import RandomStream, bootstrap_t_test
 from ancitest import _kernels as ker
 from ancitest.regression import make_fixture
 from scalar_oracles import wilcoxon_z as _reference_wilcoxon_z
@@ -403,3 +409,97 @@ def test_bootstrap_step_holds_no_block_sized_gather():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _median_gap(parts):
+    return np.sqrt(parts["s"] ** 2 / parts["w_hat"] ** 2 - 1.0)
+
+
+# Each TN kernel, a base kernel it reads, the part that reports that base
+# statistic, and dTN/dbase on a usable row (from the TN kernel's parts).
+_TN_BASES = [
+    ("mean_tn", "mean_to", "to", lambda p: 1.0 / np.sqrt(p["delta_hat"])),
+    ("sym_tn", "sym_to", "to", lambda p: 1.0 / np.sqrt(p["v"])),
+    ("median_tn", "median_to", None, lambda p: p["s"] / p["w_hat"] / _median_gap(p)),
+    ("median_tn", "sym_to", "ancillary_term", lambda p: -1.0 / _median_gap(p)),
+]
+
+
+@pytest.mark.parametrize(
+    "tn, base, part, slope", _TN_BASES, ids=[f"{tn}-{base}" for tn, base, _, _ in _TN_BASES]
+)
+def test_tn_kernels_read_their_base_kernels(tn, base, part, slope, monkeypatch):
+    # Shifting a base kernel's statistic by 0.5 moves the TN statistic by
+    # 0.5 dTN/dbase on every usable row and keeps the degenerate rows at
+    # -inf: a TN kernel that restated the base formula would not move.
+    x = _rows(50, seed=21)
+    pieces = ker.moment_pieces(x, 1.3) if base == "mean_to" else ker.median_pieces(x)
+    kernel, unshifted = getattr(ker, tn), getattr(ker, base)
+    base_stat = unshifted(pieces)[0]
+
+    def shifted(p):
+        stat, reason, parts = unshifted(p)
+        return stat + 0.5, reason, parts
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        before, reason, parts = kernel(pieces)
+        want = 0.5 * slope(parts)
+        monkeypatch.setattr(ker, base, shifted)
+        after, reason_after, parts_after = kernel(pieces)
+    usable = reason == 0
+    assert usable.sum() > 100 and (~usable).any()
+    assert np.array_equal(reason_after, reason)
+    assert np.all(after[~usable] == -np.inf)
+    np.testing.assert_allclose(after[usable] - before[usable], want[usable], rtol=1e-8, atol=1e-12)
+    if part is not None:
+        assert np.array_equal(parts_after[part][usable], base_stat[usable] + 0.5)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of known_sigma_z and type7_quantile, by name, with arguments."""
+    calls = {"known_sigma_z": [], "type7_quantile": []}
+    for name in calls:
+        def recorded(*args, _name=name, _f=getattr(ker, name)):
+            calls[_name].append(args)
+            return _f(*args)
+
+        monkeypatch.setattr(ker, name, recorded)
+    return calls
+
+
+def test_bootstrap_t_test_takes_its_arithmetic_from_the_kernels(counted):
+    x = np.random.default_rng(2).standard_normal(40) + 0.2
+    out = bootstrap_t_test(x, 1.0, 0.05, 400, RandomStream(5))
+    # To, then the T*_b of all resamples, then one type-7 quantile of the
+    # sorted T*_b.
+    assert len(counted["known_sigma_z"]) == 2 and len(counted["type7_quantile"]) == 1
+    sorted_tstar, q = counted["type7_quantile"][0]
+    assert sorted_tstar.shape == (1, 400) and np.all(np.diff(sorted_tstar) >= 0.0)
+    assert q == 0.95 and out.threshold == ker.type7_quantile(sorted_tstar, q)[0]
+    assert out.statistic == ker.known_sigma_z(float(np.mean(x)), 40, 1.0)
+
+
+def test_bootstrap_fallback_takes_the_type7_quantile(counted):
+    # n_boot = 100 at alpha = 0.05: v = 94.05 is fractional, so rows that
+    # end at c = lo + 1 = 95 need the quantile of all their sorted T*_b.
+    x = _bootstrap_rows(50, 0.05, seed=155)
+    reject, _, parts = ker.bootstrap_mean_reject(x, 1.0, 0.05, 100, np.random.default_rng(0))
+    steps = len(ker.bootstrap_steps(100))
+    assert len(counted["known_sigma_z"]) == 1 + steps  # To, then T*_b per step
+    ((sorted_tstar, q),) = counted["type7_quantile"]
+    assert q == 0.95 and sorted_tstar.shape[1] == 100
+    assert sorted_tstar.shape[0] > 0 and np.all(np.diff(sorted_tstar, axis=1) >= 0.0)
+    assert np.count_nonzero(parts["resamples"] == 100) >= sorted_tstar.shape[0]
+
+
+def test_src_calls_no_np_quantile_or_default_rng():
+    # Every quantile is type7_quantile and every generator comes from
+    # RandomStream; calls only, so docstrings may name the numpy functions.
+    banned = {"np.quantile", "numpy.quantile", "np.random.default_rng", "numpy.random.default_rng"}
+    found = []
+    for path in sorted(Path(ker.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in banned:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}")
+    assert found == []

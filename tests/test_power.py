@@ -4,6 +4,7 @@ reproduction shapes, rendering, and the closed-form toy curves.
 """
 
 import csv
+import hashlib
 import io
 import math
 
@@ -21,6 +22,7 @@ from ancitest import (
     design_params,
     estimate_power,
     make_fixture,
+    median_test_To,
     null_quantile,
     pow_indicators,
     render_table,
@@ -373,6 +375,45 @@ def test_reproduce_table_render_byte_identical_across_threads():
     rows = list(csv.reader(io.StringIO(a)))
     assert rows[0] == ["design", "test", "powa_n50", "pow_n50", "powa_n150", "pow_n150"]
     assert len(rows) == 1 + 32  # 8 designs x 4 tests
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("table 2", "1df25e27a66a5dbd0fd72334e5a6ef9e29f241b00ae7ff22bb888f3886b5ba02"),
+        ("table 3", "94d5ca04b21977247f54c500ac3ce53fa3e856c9d11d2c264ce868dc070f7839"),
+        ("TB D_02->D_12", "85f80678eda1a265c0a40c9297b7f17ce6fde2d64823607a173f921bdd750306"),
+    ],
+)
+def test_table_output_snapshot(case, digest):
+    # sha256 of fixed-seed outputs, recorded before the TN kernels were built
+    # from their base kernels.  Tables stay byte-identical unless the stream
+    # layout changes, and a layout bump updates these digests.
+    if case == "TB D_02->D_12":
+        null, alt = DesignId("1", 0, 2), DesignId("1", 1, 2)
+        text = repr(estimate_power(StudyPlan("TB", null, alt, (150,), 1000, 1, bootstrap_b=100)))
+    else:
+        text = render_table(reproduce_table(case[-1], reps=5000, seed=1))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+D_01_TABLE_2 = DesignId("2", 0, 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: statistic_sample("To", D_01_TABLE_2, 50, 0, 1), r"reps must be >= 1, got 0"),
+        (lambda: statistic_sample("To", D_01_TABLE_2, 9, 100, 1), r"n must be >= 10, got 9"),
+        (lambda: make_fixture(7, 0), r"fixture size n must be >= 10, got 7"),
+        (lambda: median_test_To([1.0, 2.0, np.nan, np.inf]), r"non-finite values, first at index 2"),
+        (lambda: bootstrap_t_test([np.inf, 1.0], 1.0), r"non-finite values, first at index 0"),
+    ],
+    ids=["statistic_sample-reps", "statistic_sample-n", "make_fixture-n", "test", "bootstrap"],
+)
+def test_bad_input_errors_name_the_parameter_and_value(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_render_table_formats():
