@@ -23,16 +23,13 @@ Chunk content therefore depends only on the root seed and the cell
 coordinates, never on the worker schedule, and rates are reduced from
 integer rejection counts, so any thread count yields identical output.
 
-Every statistic comes from one dispatch (_statistics over the _KERNELS
-map, in cache-sized row tiles), which the resample study in ``regression``
-shares.  Per (cell, test) the engine keeps the kernel's (values, reason)
-pair: the statistics, or the bootstrap test's decisions, and a nonzero
-reason on each degenerate row.
-
-The bootstrap test has no scalar statistic (its threshold is resampled per
-replication), so its Pow is defined as PowA; by the tables' convention so
-is the signed-rank test's.  estimate_power and reproduce_table score every
-cell through one function, so both give a cell the same estimate.
+Every cell is simulated and scored from one test table (_TABLES), which
+holds each test's kernel, the kernel's input and the cell's scoring rule.
+W (by the normal critical value) and the bootstrap test TB (by its own
+decisions) report Pow := PowA.  Per (cell, test) the engine keeps the
+kernel's (values, reason) pair, with a nonzero reason on each degenerate
+row.  The resample study in ``regression`` shares the row-tile dispatch,
+and both public drivers score a cell through one function.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -71,19 +69,45 @@ __all__ = [
 
 CHUNK = 4096
 
-# Tests and sample sizes of each reported table, in the column order of the
-# reports; the design families are the registry's (list_designs).
-_TABLE_TESTS = {"1": ("To", "TN", "TB"), "2": ("W", "To", "TN"), "3": ("W", "To", "T1", "TN")}
-_TABLE_NS = {"1": (150, 200, 250, 300, 350), "2": (25, 50, 75), "3": (50, 150)}
+# The test table: per reported table its sample sizes, the pieces builder
+# pieces(x, sigma, variant) of a row tile, and a record per test in column
+# order.  A ROWS kernel reads the tile's rows and a PIECES kernel its
+# pieces; a CHUNK_STREAM kernel(x, sigma, alpha, bootstrap_b, generator)
+# reads the whole chunk and its child stream, whose resample blocks are part
+# of the stream layout.  RANK takes Pow from the matched null's rank
+# threshold; ASYMPTOTIC and DECISION report Pow := PowA.  The design
+# families are the registry's (list_designs).
+_Table = namedtuple("_Table", "ns pieces tests")
+_Test = namedtuple("_Test", "kernel input rule")
+ROWS, PIECES, CHUNK_STREAM = "rows", "pieces", "chunk+stream"
+RANK, ASYMPTOTIC, DECISION = "rank", "asymptotic", "decision"
+_TABLES = {
+    "1": _Table((150, 200, 250, 300, 350), _kernels.moment_pieces, {
+        "To": _Test(_kernels.mean_to, PIECES, RANK),
+        "TN": _Test(_kernels.mean_tn, PIECES, RANK),
+        "TB": _Test(_kernels.bootstrap_mean_reject, CHUNK_STREAM, DECISION),
+    }),
+    "2": _Table((25, 50, 75), lambda x, sigma, variant: _kernels.median_pieces(x), {
+        "W": _Test(_kernels.signed_rank, ROWS, ASYMPTOTIC),
+        "To": _Test(_kernels.median_to, PIECES, RANK),
+        "TN": _Test(_kernels.median_tn, PIECES, RANK),
+    }),
+    "3": _Table((50, 150), lambda x, sigma, variant: _kernels.median_pieces(x), {
+        "W": _Test(_kernels.signed_rank, ROWS, ASYMPTOTIC),
+        "To": _Test(_kernels.sym_to, PIECES, RANK),
+        "T1": _Test(_kernels.median_to, PIECES, RANK),
+        "TN": _Test(_kernels.sym_tn, PIECES, RANK),
+    }),
+}
 
 
 def table_grid(table: str) -> dict:
     """Tests, sample sizes and registered design indices of one table."""
     table = str(table)
-    if table not in _TABLE_TESTS:
+    if table not in _TABLES:
         raise ValueError(f"no such table: {table!r} (expected 1, 2 or 3)")
     indices = tuple(d.index for d, _ in list_designs() if d.table == table and d.hypothesis == 0)
-    return {"tests": _TABLE_TESTS[table], "ns": _TABLE_NS[table], "indices": indices}
+    return {"tests": tuple(_TABLES[table].tests), "ns": _TABLES[table].ns, "indices": indices}
 
 
 @dataclass(frozen=True)
@@ -92,7 +116,7 @@ class PowerEstimate:
 
     null_quantile_used is not a quantile: it holds the rank threshold that
     Pow compares against, the (reps - k)-th order statistic of the matched
-    null vector, or NaN for W and TB, whose Pow is PowA.
+    null vector, or NaN when the test's rule is not RANK and Pow is PowA.
     """
 
     powa: float
@@ -130,7 +154,7 @@ class StudyPlan:
     bootstrap_b: int = 1000
 
     def __post_init__(self):
-        _check_table_test(self.test, self.design_null)
+        _test_record(self.test, self.design_null)
         if self.design_null.hypothesis != 0:
             raise ValueError("design_null must have hypothesis 0")
         if (self.design_alt.table, self.design_alt.index) != (
@@ -139,16 +163,18 @@ class StudyPlan:
         ):
             raise ValueError("design pair must share table and index")
         ns = tuple(int(n) for n in self.ns)
-        if not ns or any(n < 10 for n in ns):
-            raise ValueError("sample sizes must be >= 10")
+        if not ns or min(ns) < 10:
+            raise ValueError(f"ns must be >= 10, got {min(ns, default='no sample size')}")
         object.__setattr__(self, "ns", ns)
         _check_run(self.reps, self.alpha, self.moment_variant, self.bootstrap_b, self.root_seed)
 
 
-def _check_table_test(test, design):
-    """The test must be a column of the design's reported table."""
-    if test not in _TABLE_TESTS.get(design.table, ()):
+def _test_record(test, design):
+    """The record of test, which must be a column of the design's table."""
+    tests = _TABLES[design.table].tests if design.table in _TABLES else {}
+    if test not in tests:
         raise ValueError(f"test {test!r} is not part of table {design.table}")
+    return tests[test]
 
 
 def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
@@ -177,25 +203,9 @@ def _chunks(reps):
     ]
 
 
-# Statistic kernel of each (table, test).  W reads the sample rows; the
-# others read their pieces: MomentPieces (with the known sigma) in table 1
-# and MedianPieces in tables 2 and 3.  TB is a decision, not a statistic.
-_KERNELS = {
-    ("1", "To"): _kernels.mean_to,
-    ("1", "TN"): _kernels.mean_tn,
-    ("2", "W"): _kernels.signed_rank,
-    ("2", "To"): _kernels.median_to,
-    ("2", "TN"): _kernels.median_tn,
-    ("3", "W"): _kernels.signed_rank,
-    ("3", "To"): _kernels.sym_to,
-    ("3", "T1"): _kernels.median_to,
-    ("3", "TN"): _kernels.sym_tn,
-}
-
-
 def _statistics(table, tests, x, sigma=None, variant="quartic"):
-    """{test: (stat, reason)} of the given tests of a table on the rows of
-    x, every statistic from its _KERNELS kernel.
+    """{test: (stat, reason)} of the given ROWS and PIECES tests of a table
+    on the rows of x, each from its record's kernel.
 
     The rows are scored in tiles of _kernels._TILE_ELEMS // n rows (at
     least one), so that each tile's temporaries stay in cache; per tile the
@@ -203,35 +213,34 @@ def _statistics(table, tests, x, sigma=None, variant="quartic"):
     row-independent, so the tile size does not change the output and is not
     part of the stream layout.  No tests give {}."""
     step = max(1, _kernels._TILE_ELEMS // x.shape[1])
-    tiles = [_tile_statistics(table, tests, x[r : r + step], sigma, variant)
+    tiles = [_tile_statistics(_TABLES[table], tests, x[r : r + step], sigma, variant)
              for r in range(0, x.shape[0], step)]
     return {t: tuple(np.concatenate([tile[t][i] for tile in tiles]) for i in (0, 1))
             for t in tests}
 
 
-def _tile_statistics(table, tests, x, sigma, variant):
-    pieces = None
-    if any(t != "W" for t in tests):
-        if table == "1":
-            pieces = _kernels.moment_pieces(x, sigma, variant)
-        else:
-            pieces = _kernels.median_pieces(x)
-    return {t: _KERNELS[table, t](x if t == "W" else pieces)[:2] for t in tests}
+def _tile_statistics(spec, tests, x, sigma, variant):
+    records = {t: spec.tests[t] for t in tests}
+    uses_pieces = any(r.input == PIECES for r in records.values())
+    pieces = spec.pieces(x, sigma, variant) if uses_pieces else None
+    return {t: r.kernel(pieces if r.input == PIECES else x)[:2] for t, r in records.items()}
 
 
 def _chunk_statistics(did, n, tests, rows, chunk_idx, root_seed, variant, alpha, bootstrap_b):
     """{test: (values, reason)} for one chunk of the cell (did, n): rows
-    replications drawn from the chunk's own stream path, scored by
-    _statistics, and TB's decisions resampled from the child path."""
+    replications drawn from the chunk's own stream path and scored by
+    _statistics, then each CHUNK_STREAM test on the whole chunk and the
+    child path."""
     stream = RandomStream(root_seed, (did.table, did.index, did.hypothesis, n, chunk_idx))
     x = sample_design_matrix(did, rows, n, stream)
     # Table 1's alternatives are pure location shifts of the matched null
     # design, whose sigma the known-sigma tests use.
     sigma = design_params(_null_of(did)).sigma
-    out = _statistics(did.table, [t for t in tests if t != "TB"], x, sigma, variant)
-    if "TB" in tests:
-        bgen = stream.child(1).generator()
-        out["TB"] = _kernels.bootstrap_mean_reject(x, sigma, alpha, bootstrap_b, bgen)[:2]
+    records = _TABLES[did.table].tests
+    whole = [t for t in tests if records[t].input == CHUNK_STREAM]
+    out = _statistics(did.table, [t for t in tests if t not in whole], x, sigma, variant)
+    for t in whole:
+        out[t] = records[t].kernel(x, sigma, alpha, bootstrap_b, stream.child(1).generator())[:2]
     return out
 
 
@@ -242,33 +251,27 @@ def _null_of(did):
 
 def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads):
     """Simulate every cell of {(design, n): tests}; returns
-    {(design, n): {test: (values, reason)}} with a float statistic vector (a
-    boolean decision vector for TB) and the kernel's uint8 reason vector.
+    {(design, n): {test: (values, reason)}} with the kernel's values (float
+    statistics or boolean decisions) and its uint8 reason vector.
 
     Work is split into (cell, chunk) tasks whose content is fixed by the
-    stream path, then slotted into preallocated arrays by replication index,
-    so the thread count cannot change the result.
+    stream path, then slotted by replication index into arrays of the
+    kernel's dtypes, so the thread count cannot change the result.
     """
     if threads < 1:
-        raise ValueError("threads must be >= 1")
-    store = {
-        key: {
-            t: (np.empty(reps, dtype=bool if t == "TB" else float), np.empty(reps, dtype=np.uint8))
-            for t in tests
-        }
-        for key, tests in cells.items()
-    }
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    store = {key: {} for key in cells}
     tasks = [(key, c, lo, hi) for key in cells for (c, lo, hi) in _chunks(reps)]
 
     def work(task):
         key, c, lo, hi = task
-        out = _chunk_statistics(
-            *key, cells[key], hi - lo, c, root_seed, variant, alpha, bootstrap_b
-        )
-        return key, lo, hi, out
+        return key, lo, hi, _chunk_statistics(
+            *key, cells[key], hi - lo, c, root_seed, variant, alpha, bootstrap_b)
 
     def slot(key, lo, hi, out):
         for t, chunk in out.items():
+            if t not in store[key]:
+                store[key][t] = tuple(np.empty(reps, dtype=part.dtype) for part in chunk)
             for whole, part in zip(store[key][t], chunk):
                 whole[lo:hi] = part
 
@@ -316,21 +319,20 @@ def _mc_se(p, reps):
     return math.sqrt(p * (1.0 - p) / reps)
 
 
-def _score_cell(test, cell, null_cell, alpha):
-    """PowerEstimate of one cell's (values, reason) record.  TB (by its
-    decisions) and W (by the asymptotic rule) report Pow := PowA; every
-    other test's Pow uses the rank threshold of its matched null cell."""
+def _score_cell(rule, cell, null_cell, alpha):
+    """PowerEstimate of one cell's (values, reason) pair by its test's rule;
+    only RANK reads the matched null cell."""
     values, reason = cell
     reps = reason.size
     degenerate = int(np.count_nonzero(reason))
     if degenerate == reps:
         raise RuntimeError("all replications are degenerate")
     threshold = math.nan
-    if test == "TB":
+    if rule == DECISION:
         powa_count = pow_count = int(np.count_nonzero(values))
     else:
         powa_count = pow_count = int(np.count_nonzero(values > _kernels.normal_upper(alpha)))
-        if test != "W":
+        if rule == RANK:
             threshold = _rejection_rank_threshold(null_cell[0], alpha)
             pow_count = int(np.count_nonzero(values > threshold))
     powa, pw = powa_count / reps, pow_count / reps
@@ -352,17 +354,16 @@ def estimate_power(plan: StudyPlan, threads: int = 1) -> dict:
     null design's own stream paths, so they are independent of the evaluated
     replications whenever the pair differs; when the pair coincides, both
     are one cell, the evaluated vector is its own threshold source and Pow
-    is exact.  W and TB report Pow := PowA, exactly as reproduce_table
-    scores the same cell.
+    is exact.  The test's record gives the scoring rule, exactly as
+    reproduce_table scores the same cell.
     """
     test, null, alt = plan.test, plan.design_null, plan.design_alt
+    rule = _test_record(test, null).rule
     cells = {(d, n): (test,) for n in plan.ns for d in (null, alt)}
-    store = _run_cells(
-        cells, plan.reps, plan.root_seed, plan.moment_variant, plan.alpha,
-        plan.bootstrap_b, threads,
-    )
+    store = _run_cells(cells, plan.reps, plan.root_seed, plan.moment_variant, plan.alpha,
+                       plan.bootstrap_b, threads)
     return {
-        n: _score_cell(test, store[alt, n][test], store[null, n][test], plan.alpha)
+        n: _score_cell(rule, store[alt, n][test], store[null, n][test], plan.alpha)
         for n in plan.ns
     }
 
@@ -381,10 +382,9 @@ def statistic_sample(
     Replications are drawn exactly as the table engine draws them (same
     stream paths), which makes this the hook for cross-checking the batched
     kernels against the test-only scalar oracles and for transform
-    invariance checks.  The bootstrap test has no scalar statistic.
+    invariance checks.  The bootstrap decision has no scalar statistic.
     """
-    _check_table_test(test, design)
-    if test == "TB":
+    if _test_record(test, design).input == CHUNK_STREAM:
         raise ValueError("the bootstrap decision has no scalar statistic")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -458,22 +458,21 @@ def reproduce_table(
     """Full PowA/Pow grid of one reported table.
 
     Rows follow list_designs (family major, null first), tests in the
-    table's column order.  Signed-rank and bootstrap rows report Pow = PowA
-    (neither has a usable scalar null quantile: the bootstrap threshold is
-    per-replication, and the table convention treats the signed-rank test
-    the same way).  Each family's single null statistic vector provides both
-    the null row's evaluations and every row's empirical thresholds, which
-    keeps null-row Pow exact and alternative-row thresholds independent.
+    table's column order, each cell scored by its test's rule.  For a RANK
+    test each family's single null statistic vector provides both the null
+    row's evaluations and every row's empirical thresholds, which keeps
+    null-row Pow exact and alternative-row thresholds independent.
     """
     grid = table_grid(table)
     table = str(table)
     _check_run(reps, alpha, moment_variant, bootstrap_b, seed)
     designs = [d for d, _ in list_designs() if d.table == table]
+    records = _TABLES[table].tests
     cells = {(d, n): grid["tests"] for d in designs for n in grid["ns"]}
     store = _run_cells(cells, reps, seed, moment_variant, alpha, bootstrap_b, threads)
     rows = [
         TableRow(design=d, test=t, estimates=tuple(
-            (n, _score_cell(t, store[d, n][t], store[_null_of(d), n][t], alpha))
+            (n, _score_cell(records[t].rule, store[d, n][t], store[_null_of(d), n][t], alpha))
             for n in grid["ns"]
         ))
         for d in designs
@@ -521,7 +520,7 @@ def render_table(report: TableReport, fmt: str = "csv") -> str:
         ]
         lines += ["| " + " | ".join(cells) + " |" for cells in body]
         return "\n".join(lines) + "\n"
-    raise ValueError("format must be 'csv' or 'markdown'")
+    raise ValueError(f"format must be 'csv' or 'markdown', got {fmt!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -296,9 +296,9 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
     arr = _kernels.as_sample(eps, 11, "resample study")
     n = arr.size
     if not 10 <= n_b < n:
-        raise ValueError("resample size must satisfy 10 <= n_b < sample size")
+        raise ValueError(f"resample size must satisfy 10 <= n_b < sample size {n}, got n_b={n_b}")
     if reps < 1:
-        raise ValueError("reps must be >= 1")
+        raise ValueError(f"reps must be >= 1, got {reps}")
     _kernels.check_alpha(alpha)
     gen = RandomStream(int(seed), ("resample", int(n_b))).generator()
     crit = _kernels.normal_upper(alpha / 2.0) ** 2

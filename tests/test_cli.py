@@ -214,6 +214,15 @@ def test_runtime_errors_exit_one(tmp_path):
     assert res2.returncode == 1
 
 
+def test_study_size_error_names_the_sizes(tmp_path):
+    data = tmp_path / "resid.csv"
+    assert run_cli("fixture", "--out", str(data)).returncode == 0
+    res = run_cli("analyze", "--csv", str(data), "--ycol", "residual",
+                  "--study", "nb=70,150", "--reps", "1000")
+    assert res.returncode == 1
+    assert "10 <= n_b < sample size 100, got n_b=150" in res.stderr
+
+
 def test_thread_env_var_only_sets_default(tmp_path):
     # The thread count never changes the output.
     a = tmp_path / "a.csv"

@@ -3,10 +3,12 @@ across worker counts, dual-route checks against the scalar oracles, table
 reproduction shapes, rendering, and the closed-form toy curves.
 """
 
+import ast
 import csv
 import hashlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,18 +217,15 @@ def test_statistics_tiles_equal_per_row_kernels(table, n, rows):
     # the kernels give it on that row alone, as a (1, n) matrix.
     x = _mixed_rows(n, rows, seed=n)
     assert rows > max(1, ker._TILE_ELEMS // n)  # more than one tile
-    tests = [t for t in table_grid(table)["tests"] if t != "TB"]
+    spec = power_module._TABLES[table]
+    tests = [t for t, rec in spec.tests.items() if rec.input != power_module.CHUNK_STREAM]
     got = power_module._statistics(table, tests, x, sigma=1.0)
     for t in tests:
+        rec = spec.tests[t]
         want = ([], [])
         for row in x[:, None, :]:
-            if t == "W":
-                arg = row
-            elif table == "1":
-                arg = ker.moment_pieces(row, 1.0)
-            else:
-                arg = ker.median_pieces(row)
-            stat, reason, _ = power_module._KERNELS[table, t](arg)
+            arg = spec.pieces(row, 1.0, "quartic") if rec.input == power_module.PIECES else row
+            stat, reason, _ = rec.kernel(arg)
             want[0].append(stat)
             want[1].append(reason)
         for got_part, want_part in zip(got[t], want):
@@ -408,12 +407,90 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
         (lambda: make_fixture(7, 0), r"fixture size n must be >= 10, got 7"),
         (lambda: median_test_To([1.0, 2.0, np.nan, np.inf]), r"non-finite values, first at index 2"),
         (lambda: bootstrap_t_test([np.inf, 1.0], 1.0), r"non-finite values, first at index 0"),
+        (lambda: estimate_power(_plan("To", D01_T1, D11_T1, [50], 1000), threads=0),
+         r"threads must be >= 1, got 0"),
+        (lambda: _plan("To", D01_T1, D11_T1, [50, 9], 1000), r"ns must be >= 10, got 9"),
+        (lambda: render_table(TableReport("2", 1000, 0, 0.05, "quartic", 1000, (25,), ()),
+                              "json"),
+         r"format must be 'csv' or 'markdown', got 'json'"),
+        (lambda: resample_power_study(make_fixture(100, 0), 150, 1000),
+         r"10 <= n_b < sample size 100, got n_b=150"),
+        (lambda: resample_power_study(make_fixture(100, 0), 70, 0), r"reps must be >= 1, got 0"),
     ],
-    ids=["statistic_sample-reps", "statistic_sample-n", "make_fixture-n", "test", "bootstrap"],
+    ids=["statistic_sample-reps", "statistic_sample-n", "make_fixture-n", "test", "bootstrap",
+         "threads", "StudyPlan-ns", "render_table-format", "resample-n_b", "resample-reps"],
 )
 def test_bad_input_errors_name_the_parameter_and_value(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _patch_record(monkeypatch, table, test, **fields):
+    tests = power_module._TABLES[table].tests
+    monkeypatch.setitem(tests, test, tests[test]._replace(**fields))
+
+
+def test_engine_follows_a_patched_kernel(monkeypatch):
+    # Every driver takes table 2's To from its record: shifting the record's
+    # kernel by 0.5 shifts the statistics and the rank threshold, and moves
+    # only To's rejections in the resample study.
+    alt, n, seed = DesignId("2", 1, 1), 25, 2
+    eps = make_fixture(100, 3)
+
+    def runs():
+        return (
+            reproduce_table("2", reps=1000, seed=seed).cell(alt.label, "To", n),
+            estimate_power(_plan("To", DesignId("2", 0, 1), alt, [n], 1000, seed=seed))[n],
+            statistic_sample("To", alt, n, 1000, seed),
+            resample_power_study(eps, 20, 2000, seed=seed),
+        )
+
+    cell0, est0, (stats0, degen0), study0 = runs()
+    kernel = power_module._TABLES["2"].tests["To"].kernel
+
+    def shifted(pieces):
+        stat, reason, parts = kernel(pieces)
+        return stat + 0.5, reason, parts
+
+    _patch_record(monkeypatch, "2", "To", kernel=shifted)
+    cell, est, (stats, degen), study = runs()
+    assert repr(cell) == repr(est) and repr(cell0) == repr(est0)
+    assert est.null_quantile_used == est0.null_quantile_used + 0.5
+    assert est.powa > est0.powa and est.pow == est0.pow
+    assert np.array_equal(stats, stats0 + 0.5) and np.array_equal(degen, degen0)
+    assert study["To2"] != study0["To2"]
+    assert (study["W"], study["TN2"]) == (study0["W"], study0["TN2"])
+
+
+def test_engine_follows_a_patched_rule(monkeypatch):
+    # Scored by the rank rule, W's cells take Pow from the rank threshold of
+    # the matched null's statistics, in both drivers.
+    null, alt, n, seed = DesignId("3", 0, 2), DesignId("3", 1, 2), 50, 3
+    _patch_record(monkeypatch, "3", "W", rule=power_module.RANK)
+    report = reproduce_table("3", reps=1000, seed=seed)
+    est = estimate_power(_plan("W", null, alt, [n], 1000, seed=seed))[n]
+    assert repr(est) == repr(report.cell(alt.label, "W", n))
+    threshold = _rejection_rank_threshold(statistic_sample("W", null, n, 1000, seed)[0], 0.05)
+    stats, _ = statistic_sample("W", alt, n, 1000, seed)
+    assert est.null_quantile_used == threshold
+    assert est.pow == np.count_nonzero(stats > threshold) / 1000
+    assert est.powa == np.count_nonzero(stats > ker.normal_upper(0.05)) / 1000
+    assert est.pow != est.powa
+
+
+def test_power_compares_no_test_name():
+    # The engine reads what it knows of a test from the test's record, so no
+    # comparison in power.py has a test name as an operand.
+    names = {"W", "To", "T1", "TN", "TB"}
+    tree = ast.parse(Path(power_module.__file__).read_text(encoding="utf-8"))
+    found = [
+        f"power.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for leaf in ast.walk(operand)
+        if isinstance(leaf, ast.Constant) and leaf.value in names
+    ]
+    assert found == []
 
 
 def test_render_table_formats():
