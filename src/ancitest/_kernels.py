@@ -15,7 +15,8 @@ the first check that failed), and the named per-row intermediates that the
 public tests report as components.  Rows with a reason carry stat = -inf
 and must be scored as non-rejections; zero-range rows are always degenerate.
 The bootstrap decision follows the same contract with a boolean decision
-vector in place of the statistic, False on every row with a reason.
+vector in place of the statistic (one per location shift it decides),
+False on every row with a reason.
 
 Rows may contain ties and exact zeros (resampled rows always have ties).
 Order statistics come from one sort per row and equal numpy's ``median`` and
@@ -395,7 +396,7 @@ def resample_means(row: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.take(row, idx), axis=-1) / row.size
 
 
-def bootstrap_decide(x, sigma, alpha, n_boot, draw):
+def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0, alt_draw=None):
     """Early-stopped bootstrap-t decisions on the resamples that draw supplies.
 
     Row r rejects when its statistic To = sqrt(n) mean / sigma exceeds
@@ -403,60 +404,81 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw):
     T*_b = sqrt(n) (mean*_b - mean) / sigma, both from known_sigma_z.  Rows
     are taken in blocks of _BOOT_ELEMS // (_BOOT_STEP * n) (83 rows at
     n = 250), and each block steps along B, _BOOT_STEP resamples at a time
-    (bootstrap_steps).  At each step draw(rows, b0, b1) must return the
-    (len(rows), b1 - b0, n) indices of resamples b0..b1-1 of the given rows
-    of x, for the rows still live only.  Each live row's resample means are
-    gathered from that row alone, with its own slice of the step's draw
-    (resample_means): the intp indices and float values np.take makes cover
-    one row's step at a time, never the whole block's.
+    (bootstrap_steps).  Each live row's resample means are gathered from
+    that row alone, with its own slice of the step's draw (resample_means):
+    the intp indices and float values np.take makes cover one row's step at
+    a time, never the whole block's.
+
+    Each shift s of shifts gets its own decision on every row, for the row
+    x + s: its To is known_sigma_z of the mean of x + s (taken per block),
+    and its T*_b are those of x, since a centred T*_b does not change when
+    the row is shifted.  So one set of resamples decides every shift, and a
+    row stays live until all its decisions are fixed.  At each step,
+    draw(rows, b0, b1) must return the (len(rows), b1 - b0, n) indices of
+    resamples b0..b1-1 of the given live rows whose first decision is
+    still open, and alt_draw(rows, b0, b1) those of the rows kept live only
+    for a later shift; neither is called for no rows.  A scalar shift (the
+    default 0.0) decides x itself, calls draw for the live rows only and
+    returns one decision per row.
 
     The quantile sits at v = (n_boot - 1)(1 - alpha), between the sorted
     T*_(lo) and T*_(lo+1) with lo = floor(v), so with c = #{T*_b < To}:
 
-    - a row rejects once c >= lo + 2, or c >= lo + 1 when v is an integer;
-    - a row keeps once #{T*_b >= To} >= n_boot - lo;
-    - only a row that ends at c = lo + 1 with a fractional v needs the
-      quantile itself, which type7_quantile then takes from all its T*_b.
+    - a decision rejects once c >= lo + 2, or c >= lo + 1 when v is an
+      integer;
+    - a decision keeps once #{T*_b >= To} >= n_boot - lo;
+    - only a row still live at n_boot needs the quantile itself, which
+      type7_quantile then takes once from all its sorted T*_b.
 
-    Each resample mean is the same whichever rows and steps are evaluated
-    together, so the decisions equal To > type7_quantile(T*, 1 - alpha) over
-    all n_boot resamples of the same indices, bit for bit.  Returns the
-    decision vector and the number of resamples each row evaluated.
+    Both counts only grow, so a fixed decision stays fixed, and it equals
+    To > type7_quantile(T*, 1 - alpha) over all n_boot resamples.  Each
+    resample mean is the same whichever rows and steps are evaluated
+    together, so the decisions equal that rule on the same indices, bit for
+    bit.  Returns the decisions, of shape np.shape(shifts) + (rows,), and
+    the number of resamples each row evaluated.
     """
     rows, n = x.shape
     xbar = x.mean(axis=1)
-    to = known_sigma_z(xbar, n, sigma)
     v = (n_boot - 1) * (1.0 - alpha)  # type7_quantile's position
     lo = math.floor(v)
     reject_at = lo + 1 if v == lo else lo + 2
     keep_at = n_boot - lo
-    reject = np.empty(rows, dtype=bool)
+    s = np.ravel(shifts)
+    reject = np.empty((s.size, rows), dtype=bool)
     used = np.full(rows, n_boot)
     block = max(1, _BOOT_ELEMS // (_BOOT_STEP * n))
     for r0 in range(0, rows, block):
         m = min(block, rows - r0)
+        blk = slice(r0, r0 + m)
+        to = known_sigma_z(np.array([(x[blk] + d).mean(axis=1) if d else xbar[blk] for d in s]),
+                           n, sigma)
         tstar = np.empty((m, n_boot))
         live = np.arange(m)
-        below = np.zeros(m, dtype=np.int64)
+        first = np.ones(m, dtype=bool)  # the live rows whose first decision is open
+        below = np.zeros((s.size, m), dtype=np.int64)
         for b0, b1 in bootstrap_steps(n_boot):
-            idx = draw(r0 + live, b0, b1)
             means = np.empty((live.size, b1 - b0))
-            for i, r in enumerate(r0 + live):
-                means[i] = resample_means(x[r], idx[i])
+            for sel, f in ((first, draw), (~first, alt_draw)):
+                at = np.flatnonzero(sel)
+                if at.size:
+                    idx = f(r0 + live[at], b0, b1)
+                    for i, j in enumerate(at):
+                        means[j] = resample_means(x[r0 + live[j]], idx[i])
             t = known_sigma_z(means - xbar[r0 + live, None], n, sigma)
             tstar[live, b0:b1] = t
-            below += np.count_nonzero(t < to[r0 + live, None], axis=1)
+            below += np.count_nonzero(t < to[:, live, None], axis=2)
             up = below >= reject_at
             done = up | (b1 - below >= keep_at)
-            reject[r0 + live[done]] = up[done]
-            used[r0 + live[done]] = b1
-            live, below = live[~done], below[~done]
+            out = done.all(axis=0)
+            reject[:, r0 + live[out]] = up[:, out]
+            used[r0 + live[out]] = b1
+            live, below, first = live[~out], below[:, ~out], ~done[0, ~out]
             if not live.size:
                 break
         if live.size:
             q = type7_quantile(np.sort(tstar[live], axis=1), 1.0 - alpha)
-            reject[r0 + live] = to[r0 + live] > q
-    return reject, used
+            reject[:, r0 + live] = to[:, live] > q
+    return reject.reshape(np.shape(shifts) + (rows,)), used
 
 
 def bootstrap_mean_reject(
@@ -465,27 +487,39 @@ def bootstrap_mean_reject(
     alpha: float,
     n_boot: int,
     gen: np.random.Generator,
+    shifts=0.0,
+    alt_gen: np.random.Generator | None = None,
 ):
-    """Centered bootstrap-t with known sigma, one decision per row.
+    """Centered bootstrap-t with known sigma, one decision per row and shift.
 
     The decision rule is bootstrap_decide's.  Each step draws
-    bootstrap_draw(gen, live, step, n) for the rows of its block still
-    undecided, block after block, so a row draws exactly the resamples it
-    evaluates.  The decisions depend only on (x, gen state): the block size
-    _BOOT_ELEMS is part of the stream layout.  How many indices are drawn
-    depends on when rows stop, so the generator's end state depends on x.
+    bootstrap_draw(gen, live, step, n) for the rows of its block whose first
+    decision is still open, then bootstrap_draw(alt_gen, ...) for the rows
+    kept live only for a later shift, block after block, so a row draws
+    exactly the resamples it evaluates.  The first decision's draws, and so
+    its decisions, are those of a one-shift call on gen alone: the rows
+    live for it are the same.  The decisions depend only on (x, shifts,
+    generator states): the block size _BOOT_ELEMS is part of the stream
+    layout.  How many indices are drawn depends on when rows stop, so the
+    generators' end states depend on x.
 
     Follows the kernel contract with a decision in place of a statistic:
-    returns (reject, reason, parts) with the boolean decision vector and
-    parts = {"resamples": the number of resamples each row evaluated}.
-    Zero-range rows get reason CONSTANT and never reject; they are still
-    resampled, so the draws of the other rows do not depend on them.
+    returns (reject, reason, parts) with the boolean decisions and uint8
+    reasons, both of shape np.shape(shifts) + (rows,), and parts =
+    {"resamples": the number of resamples each row evaluated}.  Rows whose
+    shifted sample x + s has zero range get reason CONSTANT for that shift
+    and never reject it; they are still resampled, so the draws of the
+    other rows do not depend on them.
     """
     n = x.shape[1]
 
-    def draw(live, b0, b1):
-        return bootstrap_draw(gen, live.size, b1 - b0, n)
+    def drawing(g):
+        return lambda live, b0, b1: bootstrap_draw(g, live.size, b1 - b0, n)
 
-    reject, used = bootstrap_decide(x, sigma, alpha, n_boot, draw)
-    reason = _first_reason((CONSTANT, np.ptp(x, axis=1) == 0.0))
+    reject, used = bootstrap_decide(x, sigma, alpha, n_boot, drawing(gen), shifts, drawing(alt_gen))
+    # Rounding is monotone, so max(x + s) and min(x + s) are the shifted
+    # max and min, and x + s is flat exactly where they agree.
+    s = np.reshape(shifts, (-1, 1))
+    flat = (x.max(axis=1) + s == x.min(axis=1) + s).reshape(reject.shape)
+    reason = _first_reason((CONSTANT, flat))
     return reject & (reason == 0), reason, {"resamples": used}

@@ -34,6 +34,7 @@ from .power import (
     toy_three_obs_powers,
 )
 from .regression import (
+    check_resample_sizes,
     load_xy_csv,
     make_fixture,
     ols_fit,
@@ -189,6 +190,7 @@ def _cmd_analyze(args):
     analysis = residual_median_analysis(eps, alpha=args.alpha)
     study = []
     if args.study:
+        check_resample_sizes(args.study, eps.size)  # every size before the first study
         for n_b in args.study:
             freqs = resample_power_study(
                 eps, n_b, reps=args.reps, alpha=args.alpha, seed=args.seed

@@ -23,14 +23,16 @@ __all__ = [
     "UnknownDesignError",
     "design_params",
     "list_designs",
+    "null_shift",
     "sample_design",
     "sample_design_matrix",
 ]
 
 # Version of the stream layout: which draws every stream path feeds.  It is
 # bumped by any change to the draws; the README lists what each version
-# changed.
-STREAM_LAYOUT = 2
+# changed.  Version 3 decides a table-1 alternative's bootstrap test on its
+# null's chunk path, from the null's resamples.
+STREAM_LAYOUT = 3
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
@@ -434,6 +436,19 @@ def design_params(design: DesignId) -> DesignParams:
             "its power curves are closed form and use no scalar parameters"
         )
     return entry.params
+
+
+def null_shift(design: DesignId) -> float:
+    """The shift s with sample_design_matrix(design, ...) equal to
+    sample_design_matrix(null, ...) + s bit for bit on any stream, where null
+    is the design's hypothesis-0 pair member (0.0 for the null itself).
+
+    Raises ValueError when the design is not such a shift of its null.
+    """
+    entry, null = _entry(design), _entry(DesignId(design.table, 0, design.index))
+    if entry.base is not null.base or null.shift:
+        raise ValueError(f"{design} is not a location shift of its null design")
+    return entry.shift
 
 
 def sample_design_matrix(design: DesignId, rows: int, n: int, stream: RandomStream):

@@ -16,9 +16,13 @@ Two rejection-rate criteria are computed per (test, design, n) cell:
 
 Reproducibility contract: replications are produced in fixed-size chunks,
 and chunk c of a cell draws from the stream path (table, index, hypothesis,
-n, c).  The bootstrap test resamples chunk c from the child path
-(table, index, hypothesis, n, c, 1), one step of resamples at a time for
-the rows still undecided (stream layout 2, see designs.STREAM_LAYOUT).
+n, c).  The bootstrap test TB decides a null cell and its alternative, a
+location shift of it, on the null's chunk path (table, index, 0, n, c): one
+pass over the null rows' resamples decides both.  Rows whose null decision
+is still open resample from the child path (table, index, 0, n, c, 1), one
+step of resamples at a time, exactly as a null cell alone does; rows kept
+live only for the alternative resample from the child path
+(table, index, 0, n, c, 2) (stream layout 3, see designs.STREAM_LAYOUT).
 Chunk content therefore depends only on the root seed and the cell
 coordinates, never on the worker schedule, and rates are reduced from
 integer rejection counts, so any thread count yields identical output.
@@ -45,7 +49,8 @@ import numpy as np
 
 from . import _kernels
 from .designs import (
-    STREAM_LAYOUT, DesignId, RandomStream, design_params, list_designs, sample_design_matrix,
+    STREAM_LAYOUT, DesignId, RandomStream, design_params, list_designs, null_shift,
+    sample_design_matrix,
 )
 
 __all__ = [
@@ -72,20 +77,22 @@ CHUNK = 4096
 # The test table: per reported table its sample sizes, the pieces builder
 # pieces(x, sigma, variant) of a row tile, and a record per test in column
 # order.  A ROWS kernel reads the tile's rows and a PIECES kernel its
-# pieces; a CHUNK_STREAM kernel(x, sigma, alpha, bootstrap_b, generator)
-# reads the whole chunk and its child stream, whose resample blocks are part
-# of the stream layout.  RANK takes Pow from the matched null's rank
-# threshold; ASYMPTOTIC and DECISION report Pow := PowA.  The design
-# families are the registry's (list_designs).
+# pieces; a NULL_CHUNK kernel(x, sigma, alpha, bootstrap_b, generator,
+# shifts, alt_generator) reads the matched null's whole chunk and its child
+# streams 1 and 2, and decides the null and each requested shift of it
+# (designs.null_shift); its resample blocks are part of the stream layout.
+# RANK takes Pow from the matched null's rank threshold; ASYMPTOTIC and
+# DECISION report Pow := PowA.  The design families are the registry's
+# (list_designs).
 _Table = namedtuple("_Table", "ns pieces tests")
 _Test = namedtuple("_Test", "kernel input rule")
-ROWS, PIECES, CHUNK_STREAM = "rows", "pieces", "chunk+stream"
+ROWS, PIECES, NULL_CHUNK = "rows", "pieces", "null chunk+streams"
 RANK, ASYMPTOTIC, DECISION = "rank", "asymptotic", "decision"
 _TABLES = {
     "1": _Table((150, 200, 250, 300, 350), _kernels.moment_pieces, {
         "To": _Test(_kernels.mean_to, PIECES, RANK),
         "TN": _Test(_kernels.mean_tn, PIECES, RANK),
-        "TB": _Test(_kernels.bootstrap_mean_reject, CHUNK_STREAM, DECISION),
+        "TB": _Test(_kernels.bootstrap_mean_reject, NULL_CHUNK, DECISION),
     }),
     "2": _Table((25, 50, 75), lambda x, sigma, variant: _kernels.median_pieces(x), {
         "W": _Test(_kernels.signed_rank, ROWS, ASYMPTOTIC),
@@ -227,20 +234,27 @@ def _tile_statistics(spec, tests, x, sigma, variant):
 
 
 def _chunk_statistics(did, n, tests, rows, chunk_idx, root_seed, variant, alpha, bootstrap_b):
-    """{test: (values, reason)} for one chunk of the cell (did, n): rows
-    replications drawn from the chunk's own stream path and scored by
-    _statistics, then each CHUNK_STREAM test on the whole chunk and the
-    child path."""
+    """{(design, test): (values, reason)} for one chunk of the path (did, n),
+    where tests maps each test to the designs it fills: rows replications
+    drawn from the chunk's own stream path and scored by _statistics for
+    did, then each NULL_CHUNK test on the whole chunk and its child paths,
+    deciding did first and then each other design as a shift of it."""
     stream = RandomStream(root_seed, (did.table, did.index, did.hypothesis, n, chunk_idx))
     x = sample_design_matrix(did, rows, n, stream)
     # Table 1's alternatives are pure location shifts of the matched null
     # design, whose sigma the known-sigma tests use.
     sigma = design_params(_null_of(did)).sigma
     records = _TABLES[did.table].tests
-    whole = [t for t in tests if records[t].input == CHUNK_STREAM]
-    out = _statistics(did.table, [t for t in tests if t not in whole], x, sigma, variant)
+    whole = [t for t in tests if records[t].input == NULL_CHUNK]
+    own = _statistics(did.table, [t for t in tests if t not in whole], x, sigma, variant)
+    out = {(did, t): values for t, values in own.items()}
     for t in whole:
-        out[t] = records[t].kernel(x, sigma, alpha, bootstrap_b, stream.child(1).generator())[:2]
+        designs = [did] + [d for d in tests[t] if d != did]
+        reject, reason, _ = records[t].kernel(
+            x, sigma, alpha, bootstrap_b, stream.child(1).generator(),
+            [null_shift(d) for d in designs], stream.child(2).generator())
+        out.update({(d, t): (reject[j], reason[j])
+                    for j, d in enumerate(designs) if d in tests[t]})
     return out
 
 
@@ -254,25 +268,34 @@ def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads):
     {(design, n): {test: (values, reason)}} with the kernel's values (float
     statistics or boolean decisions) and its uint8 reason vector.
 
-    Work is split into (cell, chunk) tasks whose content is fixed by the
-    stream path, then slotted by replication index into arrays of the
-    kernel's dtypes, so the thread count cannot change the result.
+    A cell is simulated on its own path (design, n), except that a
+    NULL_CHUNK test's cell is simulated on its matched null's path, whose
+    chunk task fills the null's cell and every requested shift of it.  Work
+    is split into (path, chunk) tasks whose content is fixed by the stream
+    path, then slotted by replication index into arrays of the kernel's
+    dtypes, so the thread count cannot change the result.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     store = {key: {} for key in cells}
-    tasks = [(key, c, lo, hi) for key in cells for (c, lo, hi) in _chunks(reps)]
+    paths = {}  # {(design, n): {test: designs it fills}}
+    for (d, n), tests in cells.items():
+        for t in tests:
+            src = _null_of(d) if _TABLES[d.table].tests[t].input == NULL_CHUNK else d
+            paths.setdefault((src, n), {}).setdefault(t, []).append(d)
+    tasks = [(key, c, lo, hi) for key in paths for (c, lo, hi) in _chunks(reps)]
 
     def work(task):
-        key, c, lo, hi = task
-        return key, lo, hi, _chunk_statistics(
-            *key, cells[key], hi - lo, c, root_seed, variant, alpha, bootstrap_b)
+        (did, n), c, lo, hi = task
+        return n, lo, hi, _chunk_statistics(
+            did, n, paths[did, n], hi - lo, c, root_seed, variant, alpha, bootstrap_b)
 
-    def slot(key, lo, hi, out):
-        for t, chunk in out.items():
-            if t not in store[key]:
-                store[key][t] = tuple(np.empty(reps, dtype=part.dtype) for part in chunk)
-            for whole, part in zip(store[key][t], chunk):
+    def slot(n, lo, hi, out):
+        for (d, t), chunk in out.items():
+            cell = store[d, n]
+            if t not in cell:
+                cell[t] = tuple(np.empty(reps, dtype=part.dtype) for part in chunk)
+            for whole, part in zip(cell[t], chunk):
                 whole[lo:hi] = part
 
     if threads > 1:
@@ -350,20 +373,26 @@ def _score_cell(rule, cell, null_cell, alpha):
 def estimate_power(plan: StudyPlan, threads: int = 1) -> dict:
     """PowerEstimate of plan.design_alt per sample size, keyed by n.
 
+    The test's record gives the scoring rule, and the alternative cell is
+    simulated and scored exactly as reproduce_table does it.  The matched
+    null cell is simulated only where the score reads it, for a RANK test:
     Pow thresholds come from replications of plan.design_null drawn on the
     null design's own stream paths, so they are independent of the evaluated
     replications whenever the pair differs; when the pair coincides, both
     are one cell, the evaluated vector is its own threshold source and Pow
-    is exact.  The test's record gives the scoring rule, exactly as
-    reproduce_table scores the same cell.
+    is exact.  TB's alternative is decided on the null's chunk paths from
+    the null rows' resamples (common random numbers with the null cell),
+    and a W plan simulates its alternative cell alone.
     """
     test, null, alt = plan.test, plan.design_null, plan.design_alt
     rule = _test_record(test, null).rule
-    cells = {(d, n): (test,) for n in plan.ns for d in (null, alt)}
+    designs = (null, alt) if rule == RANK else (alt,)
+    cells = {(d, n): (test,) for n in plan.ns for d in designs}
     store = _run_cells(cells, plan.reps, plan.root_seed, plan.moment_variant, plan.alpha,
                        plan.bootstrap_b, threads)
     return {
-        n: _score_cell(rule, store[alt, n][test], store[null, n][test], plan.alpha)
+        n: _score_cell(rule, store[alt, n][test], store[null, n][test] if rule == RANK else None,
+                       plan.alpha)
         for n in plan.ns
     }
 
@@ -384,7 +413,7 @@ def statistic_sample(
     kernels against the test-only scalar oracles and for transform
     invariance checks.  The bootstrap decision has no scalar statistic.
     """
-    if _test_record(test, design).input == CHUNK_STREAM:
+    if _test_record(test, design).input == NULL_CHUNK:
         raise ValueError("the bootstrap decision has no scalar statistic")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -461,7 +490,11 @@ def reproduce_table(
     table's column order, each cell scored by its test's rule.  For a RANK
     test each family's single null statistic vector provides both the null
     row's evaluations and every row's empirical thresholds, which keeps
-    null-row Pow exact and alternative-row thresholds independent.
+    null-row Pow exact and alternative-row thresholds independent.  Table
+    1's TB null and alternative rows are decided in one pass over the null
+    rows' resamples, so they share draws (common random numbers): each row
+    is an unbiased estimate of its own rate, but the two are not
+    independent.  To and TN keep their own draws.
     """
     grid = table_grid(table)
     table = str(table)

@@ -29,6 +29,7 @@ from .stattests import median_test_TN, median_test_To, two_sided, wilcoxon_signe
 __all__ = [
     "MedianAnalysis",
     "RegressionFit",
+    "check_resample_sizes",
     "fixture_population_summary",
     "load_xy_csv",
     "make_fixture",
@@ -279,6 +280,15 @@ def residual_median_analysis(eps, alpha: float = 0.05) -> MedianAnalysis:
     )
 
 
+def check_resample_sizes(n_bs, n: int) -> None:
+    """Raise ValueError naming the first resample size n_b outside
+    10 <= n_b < n, the sample size."""
+    for n_b in n_bs:
+        if not 10 <= n_b < n:
+            raise ValueError(
+                f"resample size must satisfy 10 <= n_b < sample size {n}, got n_b={n_b}")
+
+
 def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: int = 0):
     """Rejection frequency of each two-sided test over with-replacement
     resamples of size n_b.
@@ -295,8 +305,7 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
     """
     arr = _kernels.as_sample(eps, 11, "resample study")
     n = arr.size
-    if not 10 <= n_b < n:
-        raise ValueError(f"resample size must satisfy 10 <= n_b < sample size {n}, got n_b={n_b}")
+    check_resample_sizes((n_b,), n)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     _kernels.check_alpha(alpha)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import ancitest
-from ancitest import STREAM_LAYOUT
+from ancitest import STREAM_LAYOUT, cli
 
 BASE = [sys.executable, "-m", "ancitest"]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -62,7 +62,7 @@ def test_tables_output_and_manifest(tmp_path):
     assert manifest["output_paths"] == [str(out_path)]
     assert manifest["wall_time_s"] >= 0.0
     assert "version" in manifest
-    assert manifest["stream_layout"] == STREAM_LAYOUT == 2
+    assert manifest["stream_layout"] == STREAM_LAYOUT == 3
 
 
 def test_tables_byte_identical_across_threads(tmp_path):
@@ -214,13 +214,21 @@ def test_runtime_errors_exit_one(tmp_path):
     assert res2.returncode == 1
 
 
-def test_study_size_error_names_the_sizes(tmp_path):
+def test_study_size_error_names_the_sizes(tmp_path, monkeypatch, capsys):
     data = tmp_path / "resid.csv"
     assert run_cli("fixture", "--out", str(data)).returncode == 0
     res = run_cli("analyze", "--csv", str(data), "--ycol", "residual",
                   "--study", "nb=70,150", "--reps", "1000")
     assert res.returncode == 1
     assert "10 <= n_b < sample size 100, got n_b=150" in res.stderr
+    # Every size is checked before the first study runs.
+    studies = []
+    monkeypatch.setattr(cli, "resample_power_study", lambda *a, **k: studies.append(a))
+    args = ["analyze", "--csv", str(data), "--ycol", "residual",
+            "--study", "nb=70,80,90,150", "--reps", "55000"]
+    assert cli.main(args) == 1
+    assert studies == []
+    assert "got n_b=150" in capsys.readouterr().err
 
 
 def test_thread_env_var_only_sets_default(tmp_path):

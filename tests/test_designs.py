@@ -174,6 +174,15 @@ def test_alternative_is_exact_shift_of_null_draw(table):
         a = sample_design(alt, 64, RandomStream(11, ("shift", table, m)))
         b = sample_design(null, 64, RandomStream(11, ("shift", table, m)))
         assert np.array_equal(a, b + shift)
+        # null_shift states the shift itself, which is what the draw adds.
+        assert designs_module.null_shift(null) == 0.0
+        assert np.array_equal(a, b + designs_module.null_shift(alt))
+
+
+def test_null_shift_refuses_a_design_that_is_not_a_shift():
+    # Table 2's alternatives draw from other base samplers than their nulls.
+    with pytest.raises(ValueError, match="table 2 D_11 is not a location shift"):
+        designs_module.null_shift(DesignId("2", 1, 1))
 
 
 def test_stream_determinism_and_child_separation():

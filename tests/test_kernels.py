@@ -15,6 +15,9 @@ draws each step for the live rows only, draws exactly what it evaluates and
 gathers each live row's resamples from that row alone; it returns (reject,
 reason, parts) like every other kernel, with zero-range rows degenerate and
 never rejecting, and parts["resamples"] the resamples each row evaluated.
+Deciding a shift pair keeps the one-shift null decisions and draws, and
+each of its decisions is the one-shift decision of its shift on the same
+indices.
 Each TN kernel must follow the base kernels it reads, and both bootstrap
 paths must take To, T*_b and their threshold from known_sigma_z and
 type7_quantile.
@@ -30,7 +33,8 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from ancitest import RandomStream, bootstrap_t_test
+from ancitest import DesignId, RandomStream, bootstrap_t_test, design_params, sample_design_matrix
+from ancitest.designs import null_shift
 from ancitest import _kernels as ker
 from ancitest.regression import make_fixture
 from scalar_oracles import wilcoxon_z as _reference_wilcoxon_z
@@ -395,6 +399,88 @@ def test_bootstrap_layout_2_snapshot(seed, rows, n, n_boot, packed_sha256, resam
     )
     assert hashlib.sha256(np.packbits(reject).tobytes()).hexdigest() == packed_sha256
     assert used.sum() == resamples
+
+
+@pytest.mark.parametrize("n", [15, 250])
+@pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
+def test_bootstrap_pair_keeps_the_one_shift_null_decisions(n, n_boot, alpha, monkeypatch):
+    # A shift pair's null decisions, reasons and draws are those of the
+    # one-shift kernel on the same generator, bit for bit: the rows live for
+    # the null draw from it exactly as before, and the rows kept live only
+    # for the alternative draw from the other generator.
+    x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
+    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
+    one = _CountingGenerator(3)
+    reject, reason, parts = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, one)
+    null, alt = _CountingGenerator(3), _CountingGenerator(4)
+    pair = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, null, (0.0, 1.0 / math.sqrt(n)), alt)
+    assert pair[0].shape == pair[1].shape == (2, len(x))
+    assert np.array_equal(pair[0][0], reject) and np.array_equal(pair[1][0], reason)
+    assert null.sizes == one.sizes
+    assert null.gen.bit_generator.state == one.gen.bit_generator.state
+    assert alt.sizes and np.all(pair[2]["resamples"] >= parts["resamples"])
+
+
+@pytest.mark.parametrize("n", [15, 250])
+@pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
+def test_bootstrap_pair_resamples_are_the_larger_single_count(n, n_boot, alpha, monkeypatch):
+    # Fed the same per-row indices whichever stream asks for them, each
+    # decision of a pair is the one-shift decision of its shift, and a row
+    # evaluates as many resamples as the longer of the two.
+    x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
+    idx = np.random.default_rng(n).integers(0, n, size=(len(x), n_boot, n))
+    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
+
+    def draw(rows, b0, b1):
+        return idx[rows, b0:b1]
+
+    shifts = (0.0, 1.0 / math.sqrt(n))
+    got, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw, shifts, draw)
+    singles = [ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw, s) for s in shifts]
+    for decisions, (want, _) in zip(got, singles):
+        assert np.array_equal(decisions, want)
+    assert np.array_equal(used, np.maximum(singles[0][1], singles[1][1]))
+    assert np.any(used > singles[0][1])  # rows kept live for the alternative
+
+
+def test_bootstrap_pair_alternative_matches_the_shifted_rows(record_property):
+    # A table-1 alternative is decided from its null rows' T*_b against the
+    # To of x + shift.  A direct decision on x + shift with the same indices
+    # has T*_b that differ only in their last bits, so the two may differ
+    # only where a T*_b lies within rounding of To.  Count the flips over the
+    # four families at fixed seeds.
+    n, n_boot, rows = 60, 200, 500
+    flips = total = 0
+    for m in (1, 2, 3, 4):
+        null, alt = DesignId("1", 0, m), DesignId("1", 1, m)
+        sigma, shift = design_params(null).sigma, null_shift(alt)
+        for seed in (1, 2):
+            x = sample_design_matrix(null, rows, n, RandomStream(seed, ("pair", m)))
+            idx = np.random.default_rng(seed).integers(0, n, size=(rows, n_boot, n), dtype=np.uint16)
+
+            def draw(r, b0, b1):
+                return idx[r, b0:b1]
+
+            got, _ = ker.bootstrap_decide(x, sigma, 0.05, n_boot, draw, (0.0, shift), draw)
+            want, _ = ker.bootstrap_decide(x + shift, sigma, 0.05, n_boot, draw)
+            flips += np.count_nonzero(got[1] != want)
+            total += rows
+    record_property("flipped_decisions", f"{flips} of {total}")
+    assert total == 4000 and flips == 0, f"{flips} of {total} alternative decisions flipped"
+
+
+def test_bootstrap_pair_reasons_follow_each_shifted_row():
+    # A row whose shifted copy rounds to one value is flat for that shift
+    # only; a constant row is flat for every shift.  Flat rows never reject.
+    n = 40
+    x = np.random.default_rng(8).standard_normal((6, n)) + 0.3
+    x[1] = np.linspace(1e-20, 4e-20, n)  # x + 1.0 is 1.0 throughout
+    x[4] = 0.7
+    reject, reason, _ = ker.bootstrap_mean_reject(
+        x, 1.0, 0.05, 200, np.random.default_rng(9), (0.0, 1.0), np.random.default_rng(10))
+    assert np.array_equal(reason[0], np.where(np.arange(6) == 4, ker.CONSTANT, 0))
+    assert np.array_equal(reason[1], np.where(np.isin(np.arange(6), [1, 4]), ker.CONSTANT, 0))
+    assert not reject[1, [1, 4]].any() and reject[1].any()
 
 
 def test_bootstrap_step_holds_no_block_sized_gather():

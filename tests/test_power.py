@@ -218,7 +218,7 @@ def test_statistics_tiles_equal_per_row_kernels(table, n, rows):
     x = _mixed_rows(n, rows, seed=n)
     assert rows > max(1, ker._TILE_ELEMS // n)  # more than one tile
     spec = power_module._TABLES[table]
-    tests = [t for t, rec in spec.tests.items() if rec.input != power_module.CHUNK_STREAM]
+    tests = [t for t, rec in spec.tests.items() if rec.input != power_module.NULL_CHUNK]
     got = power_module._statistics(table, tests, x, sigma=1.0)
     for t in tests:
         rec = spec.tests[t]
@@ -262,15 +262,16 @@ def test_quadratic_variant_changes_tn_only():
 
 def test_bootstrap_cell_rate_agrees_with_scalar_loop():
     # Statistical dual route for the bootstrap cell: the engine's batched
-    # resampling and a per-sample scalar loop see the same data matrix, so
-    # their rejection rates differ only by resampling noise.
+    # resampling and a per-sample scalar loop see the same data matrix (the
+    # alternative decided on its null's chunk path, so the null rows plus
+    # the shift), so their rejection rates differ only by resampling noise.
     design_null = DesignId("1", 0, 3)
     design_alt = DesignId("1", 1, 3)
     n, reps, b = 15, 1000, 200
     plan = _plan("TB", design_null, design_alt, [n], reps, seed=21, bootstrap_b=b)
     est = estimate_power(plan)[n]
     x = sample_design_matrix(
-        design_alt, reps, n, RandomStream(21, ("1", 3, 1, n, 0))
+        design_alt, reps, n, RandomStream(21, ("1", 3, 0, n, 0))
     )
     rejects = 0
     for i in range(reps):
@@ -283,6 +284,51 @@ def test_bootstrap_cell_rate_agrees_with_scalar_loop():
     assert est.powa == pytest.approx(rate, abs=4 * se)
     assert est.pow == est.powa  # decision-based cell, no separate threshold
     assert math.isnan(est.null_quantile_used)
+
+
+def test_table_1_tb_pairs_do_not_depend_on_threads_or_driver():
+    # One pass over the null rows' resamples fills both TB rows of a family.
+    # The table is the same on any thread count, estimate_power scores the
+    # alternative cell as the table does, and the null rows are those of the
+    # one-shift kernel on the null's chunk path and child stream 1.
+    reps, seed, b, n = 1000, 4, 100, 150
+    one = reproduce_table("1", reps=reps, seed=seed, bootstrap_b=b, threads=1)
+    assert repr(one) == repr(reproduce_table("1", reps=reps, seed=seed, bootstrap_b=b, threads=3))
+    null, alt = DesignId("1", 0, 2), DesignId("1", 1, 2)
+    est = estimate_power(_plan("TB", null, alt, [n], reps, seed=seed, bootstrap_b=b))[n]
+    assert repr(est) == repr(one.cell(alt.label, "TB", n))
+    stream = RandomStream(seed, ("1", 2, 0, n, 0))
+    x = sample_design_matrix(null, reps, n, stream)
+    reject, _, _ = ker.bootstrap_mean_reject(x, 1.0, 0.05, b, stream.child(1).generator())
+    assert one.cell(null.label, "TB", n).powa == np.count_nonzero(reject) / reps
+
+
+@pytest.mark.parametrize("test, table, drawn", [
+    ("W", "3", ["D_12"]),  # ASYMPTOTIC: the alternative cell alone
+    ("To", "3", ["D_02", "D_12"]),  # RANK: the threshold reads the null cell
+    ("TB", "1", ["D_02"]),  # the alternative is decided on the null's path
+])
+def test_estimate_power_simulates_the_null_cell_only_where_read(test, table, drawn, monkeypatch):
+    calls = []
+    sample = power_module.sample_design_matrix
+
+    def counting(did, rows, n, stream):
+        calls.append((did.label, n))
+        return sample(did, rows, n, stream)
+
+    monkeypatch.setattr(power_module, "sample_design_matrix", counting)
+    plan = _plan(test, DesignId(table, 0, 2), DesignId(table, 1, 2), [50], 1000, seed=3,
+                 bootstrap_b=100)
+    estimate_power(plan)
+    assert sorted(calls) == [(label, 50) for label in drawn]  # one chunk per cell
+
+
+def test_w_estimate_unchanged_without_its_null_cell():
+    # sha256 recorded while estimate_power still simulated the matched null
+    # cell of every plan; W's score never read it.
+    plan = _plan("W", DesignId("3", 0, 2), DesignId("3", 1, 2), [50, 150], 5000, seed=7)
+    digest = hashlib.sha256(repr(estimate_power(plan)).encode()).hexdigest()
+    assert digest == "91913b729850c1f3c96af9404879e7a83975d491c48a69a1a0a33c4e0efa74f7"
 
 
 def test_study_plan_validation():
@@ -381,13 +427,14 @@ def test_reproduce_table_render_byte_identical_across_threads():
     [
         ("table 2", "1df25e27a66a5dbd0fd72334e5a6ef9e29f241b00ae7ff22bb888f3886b5ba02"),
         ("table 3", "94d5ca04b21977247f54c500ac3ce53fa3e856c9d11d2c264ce868dc070f7839"),
-        ("TB D_02->D_12", "85f80678eda1a265c0a40c9297b7f17ce6fde2d64823607a173f921bdd750306"),
+        ("TB D_02->D_12", "cc212f54e375104181d63a88794e32e3ad3446156aa98de68b65c0dd964f6bf1"),
     ],
 )
 def test_table_output_snapshot(case, digest):
     # sha256 of fixed-seed outputs, recorded before the TN kernels were built
-    # from their base kernels.  Tables stay byte-identical unless the stream
-    # layout changes, and a layout bump updates these digests.
+    # from their base kernels (the TB plan at stream layout 3).  Tables stay
+    # byte-identical unless the stream layout changes, and a layout bump
+    # updates these digests.
     if case == "TB D_02->D_12":
         null, alt = DesignId("1", 0, 2), DesignId("1", 1, 2)
         text = repr(estimate_power(StudyPlan("TB", null, alt, (150,), 1000, 1, bootstrap_b=100)))
