@@ -21,7 +21,7 @@ False on every row with a reason.
 Rows may contain ties and exact zeros (resampled rows always have ties).
 Order statistics come from one sort per row and equal numpy's ``median`` and
 type-7 ``quantile`` bit for bit; the signed-rank kernel drops exact zeros and
-gives tied absolute values their mid-ranks.  Rows must be finite.
+gives tied |x| mid-ranks from ordinal ranks and run lengths.  Rows must be finite.
 """
 
 from __future__ import annotations
@@ -61,16 +61,17 @@ KNOWN_SQ_VAR, SQ_VAR, STANDARDIZER, FEW_NONZERO = range(6, 10)
 
 
 def as_sample(x, min_n: int, what: str) -> np.ndarray:
-    """x as a finite 1-D float array of at least min_n values: the input
-    check of every per-sample entry point, whose name is what."""
+    """x as a finite 1-D float array of at least min_n values: the input check
+    of every per-sample entry point, what, which each error names."""
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
-        raise ValueError("sample must be one-dimensional")
+        raise ValueError(f"{what}: sample must be one-dimensional, got shape {arr.shape}")
     if arr.size < min_n:
-        raise ValueError(f"{what} requires at least {min_n} observations")
+        raise ValueError(f"{what} requires at least {min_n} observations, got {arr.size}")
     finite = np.isfinite(arr)
     if not finite.all():
-        raise ValueError(f"sample contains non-finite values, first at index {np.argmin(finite)}")
+        i = np.argmin(finite)
+        raise ValueError(f"{what}: sample contains non-finite values, first at index {i} ({arr[i]})")
     return arr
 
 
@@ -312,26 +313,38 @@ def signed_rank(x: np.ndarray):
     entries, and the variance n(n+1)(2n+1)/24 loses the tie correction
     sum(t^3 - t)/48 over runs of t equal |x|.  No continuity correction.
     Rows with fewer than 5 nonzero entries are degenerate.  Each row is
-    sorted once as one uint64 key per entry; the mid-rank pass runs only on
-    the rows that have a tie, so a continuous chunk skips it.
+    sorted once as one uint64 key per entry.  W+ comes from the ordinal
+    ranks less a term per run that mixes signs, and the tie sum from the
+    run lengths; an x without ties skips the run pass.
     """
     rows, n = x.shape
     # One sort per row of the key bits(|x|) << 1 | (x > 0): a non-negative
     # double's bit pattern orders like its value and fits in 63 bits, so the
-    # key sorts by |x| and carries each entry's sign in its low bit.  The
-    # shift drops the sign bit, so bits(x) << 1 is bits(|x|) << 1.
+    # key sorts by |x|, non-positive entries first within a run of equal |x|.
+    # The shift drops the sign bit, so bits(x) << 1 is bits(|x|) << 1.
     key = np.asarray(x, dtype=np.float64).view(np.uint64) << np.uint64(1)
     key |= x > 0.0
     key.sort(axis=1)
     positive = (key & np.uint64(1)).astype(bool)
     key >>= np.uint64(1)
-    # Twice W+ over all n entries, in integers: ordinal ranks, then mid-ranks
-    # on the rows that have ties.  Ranks are half-integers, so W+ is exact.
+    # Twice W+ over all n entries, in integers, from the ordinal ranks.  In a
+    # run of t equal |x| holding q non-positive entries and then p positive
+    # ones, the positives' mid-ranks sum to their ordinal ranks less p q / 2,
+    # and sum(p q) = (sum(t^2) - sum(u^2)) / 2 over the runs u of equal keys.
     wplus2 = 2 * (positive * np.arange(1, n + 1)).sum(axis=1)
     ties = np.zeros(rows, dtype=np.int64)
-    tied = np.flatnonzero((key[:, 1:] == key[:, :-1]).any(axis=1))
-    if tied.size:
-        wplus2[tied], ties[tied] = _tied_rank_sums(key[tied], positive[tied])
+    flat, pos = key.ravel(), positive.ravel()
+    starts = np.empty(flat.size, dtype=bool)  # the first entry of each run
+    np.not_equal(flat[1:], flat[:-1], out=starts[1:])
+    starts[::n] = True
+    if not starts.all():
+        t, first = _runs(starts, n)
+        ties = np.add.reduceat((t * t - 1) * t, first)
+        mixed = pos[1:] > (pos[:-1] | starts[1:])  # a positive after a non-positive of its run
+        if mixed.any():
+            starts[1:] |= mixed
+            u, u_first = _runs(starts, n)
+            wplus2 -= (np.add.reduceat(t * t, first) - np.add.reduceat(u * u, u_first)) // 2
     # Zeros sort first and are never positive: dropping z0 of them lowers each
     # positive entry's rank by z0 and removes their run from the tie sum.
     m = np.full(rows, n)
@@ -349,25 +362,12 @@ def signed_rank(x: np.ndarray):
     return _scored(z, reason, {"w_plus": w_plus, "n_used": m, "tie_correction": tie_correction})
 
 
-def _tied_rank_sums(v: np.ndarray, selected: np.ndarray):
-    """Per row of the row-sorted v: twice the sum of the mid-ranks of the
-    selected entries, and sum(t^3 - t) over the runs of t equal values.
-
-    An entry at 0-based position j in a run spanning positions first..last
-    has mid-rank (first + last) / 2 + 1.  With d = last - first = t - 1,
-    each of the run's t entries adds d (d + 2), which sums to t^3 - t."""
-    rows, n = v.shape
-    # d (d + 2) < n^2 must fit the index dtype.
-    j = np.arange(n, dtype=np.int32 if n <= 46340 else np.int64)
-    # starts[:, j] marks a run starting at j; starts[:, j + 1] one ending at j.
-    starts = np.ones((rows, n + 1), dtype=bool)
-    np.not_equal(v[:, 1:], v[:, :-1], out=starts[:, 1:-1])
-    first = np.maximum.accumulate(np.where(starts[:, :-1], j, 0), axis=1)
-    last = np.minimum.accumulate(np.where(starts[:, :0:-1], j[::-1], n), axis=1)[:, ::-1]
-    d = last - first
-    ties = (d * (d + 2)).sum(axis=1)
-    first += last
-    return (first * selected).sum(axis=1) + 2 * np.count_nonzero(selected, axis=1), ties
+def _runs(starts: np.ndarray, n: int):
+    """The lengths of the runs that the flat flags starts open, as intp (int64
+    on 64-bit hosts), and the index of each row's first run in them; every
+    row of n entries opens one."""
+    at = np.flatnonzero(starts)
+    return np.diff(at, append=starts.size), np.searchsorted(at, np.arange(0, starts.size, n))
 
 
 def bootstrap_steps(n_boot: int):

@@ -6,7 +6,10 @@ signed_rank ranks the nonzero |x| from one sort per row; the reference
 (scalar_oracles.wilcoxon_z) drops the zeros, takes mid-ranks from
 scipy.stats.rankdata and the tie correction from np.unique, and serves only
 as a test oracle here.  Both must agree
-exactly, on continuous rows and on the tied rows that resampling produces.
+exactly, on continuous rows and on the tied rows that resampling produces,
+including runs of equal |x| that hold both signs; signed_rank must also
+give the same bits when a row is scaled by any power of two that keeps it
+exact.
 The stdlib normal tails are checked against scipy.stats to rel 1e-12.
 bootstrap_decide stops each row early; the full-B loop below, which
 evaluates every resample, is its oracle on the same indices, fed to it a
@@ -31,6 +34,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from ancitest import DesignId, RandomStream, bootstrap_t_test, design_params, sample_design_matrix
@@ -138,6 +143,63 @@ def test_wilcoxon_z_drops_zeros_and_tie_corrects():
     # Four nonzero entries are too few, whatever the row length.
     z, reason, _ = ker.signed_rank(np.array([[0.0, 0.0, 1.0, -2.0, 3.0, 4.0]]))
     assert (z[0], reason[0]) == (-np.inf, ker.FEW_NONZERO)
+
+
+def test_signed_rank_mixed_sign_runs_take_mid_ranks():
+    # The zero is dropped, leaving |x| = 1, 1, 2, 2, 2, 3, 3, 3, 4 with
+    # mid-ranks 1.5, 4, 7 and 9.  Every run of equal |x| but the last holds
+    # both signs.  Positive entries: one 1, two 2s, one 3 and the 4, so
+    # W+ = 1.5 + 4 + 4 + 7 + 9 = 25.5; the runs of 2, 3 and 3 give the tie
+    # sum 6 + 24 + 24 = 54.
+    x = np.array([[0.0, -1.0, 1.0, -2.0, 2.0, 2.0, 3.0, -3.0, -3.0, 4.0]])
+    z, reason, parts = ker.signed_rank(x)
+    got = (parts["w_plus"][0], parts["n_used"][0], parts["tie_correction"][0])
+    assert got == (25.5, 9, 54.0 / 48.0)
+    assert reason[0] == 0
+    _assert_bit_equal(z, _reference_wilcoxon_z(x))
+
+
+def _reference_signed_rank_parts(x):
+    """w_plus, n_used and tie_correction of each row from rankdata and
+    np.unique, on the nonzero entries."""
+    w_plus, n_used, tie_correction = [], [], []
+    for row in x:
+        nz = row[row != 0.0]
+        _, counts = np.unique(np.abs(nz), return_counts=True)
+        w_plus.append(float(sps.rankdata(np.abs(nz))[nz > 0].sum()))
+        n_used.append(nz.size)
+        tie_correction.append(int(np.sum(counts**3 - counts)) / 48.0)
+    return {"w_plus": w_plus, "n_used": n_used, "tie_correction": tie_correction}
+
+
+SMALL_INTEGERS = st.sampled_from([-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda n: st.lists(st.lists(SMALL_INTEGERS, min_size=n, max_size=n), min_size=1, max_size=8)))
+def test_signed_rank_on_small_integer_rows_equals_rankdata(rows):
+    # Rows of a few small integers have long runs of equal |x|, most of them
+    # with both signs, and zeros of either sign.
+    x = np.array(rows)
+    z, _, parts = ker.signed_rank(x)
+    _assert_bit_equal(z, _reference_wilcoxon_z(x))
+    for name, want in _reference_signed_rank_parts(x).items():
+        assert parts[name].tolist() == want
+
+
+@settings(deadline=None)
+@given(st.integers(-1074, 1023))
+def test_signed_rank_is_bit_equal_under_power_of_two_scaling(k):
+    # Ranks and signs do not change when every entry is scaled exactly, so
+    # neither does any output, however large or small the scale.
+    x = np.vstack([_rows(40, seed=7), np.array([[-3.0, -1.0, 1.0, 1.0, -0.0, 2.0, 3.0, 3.0] * 5])])
+    with np.errstate(over="ignore"):
+        y = np.ldexp(x, k)
+    assume(np.isfinite(y).all() and np.array_equal(np.ldexp(y, -k), x))
+    want, got = ker.signed_rank(x), ker.signed_rank(y)
+    for a, b in zip((want[0], want[1], *want[2].values()), (got[0], got[1], *got[2].values())):
+        _assert_bit_equal(b, a)
 
 
 ALPHAS = (0.01, 0.025, 0.037, 0.05, 0.1)

@@ -452,8 +452,9 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
         (lambda: statistic_sample("To", D_01_TABLE_2, 50, 0, 1), r"reps must be >= 1, got 0"),
         (lambda: statistic_sample("To", D_01_TABLE_2, 9, 100, 1), r"n must be >= 10, got 9"),
         (lambda: make_fixture(7, 0), r"fixture size n must be >= 10, got 7"),
-        (lambda: median_test_To([1.0, 2.0, np.nan, np.inf]), r"non-finite values, first at index 2"),
-        (lambda: bootstrap_t_test([np.inf, 1.0], 1.0), r"non-finite values, first at index 0"),
+        (lambda: median_test_To([1.0, 2.0, np.nan, np.inf]),
+         r"test: sample contains non-finite values, first at index 2 \(nan\)"),
+        (lambda: bootstrap_t_test([np.inf, 1.0], 1.0), r"non-finite values, first at index 0 \(inf\)"),
         (lambda: estimate_power(_plan("To", D01_T1, D11_T1, [50], 1000), threads=0),
          r"threads must be >= 1, got 0"),
         (lambda: _plan("To", D01_T1, D11_T1, [50, 9], 1000), r"ns must be >= 10, got 9"),
@@ -463,9 +464,14 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
         (lambda: resample_power_study(make_fixture(100, 0), 150, 1000),
          r"10 <= n_b < sample size 100, got n_b=150"),
         (lambda: resample_power_study(make_fixture(100, 0), 70, 0), r"reps must be >= 1, got 0"),
+        (lambda: median_test_To(np.ones((2, 5))),
+         r"test: sample must be one-dimensional, got shape \(2, 5\)"),
+        (lambda: resample_power_study(make_fixture(100, 0)[:9], 5, 100),
+         r"resample study requires at least 11 observations, got 9"),
     ],
     ids=["statistic_sample-reps", "statistic_sample-n", "make_fixture-n", "test", "bootstrap",
-         "threads", "StudyPlan-ns", "render_table-format", "resample-n_b", "resample-reps"],
+         "threads", "StudyPlan-ns", "render_table-format", "resample-n_b", "resample-reps",
+         "test-shape", "resample-size"],
 )
 def test_bad_input_errors_name_the_parameter_and_value(call, message):
     with pytest.raises(ValueError, match=message):

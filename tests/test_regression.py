@@ -7,6 +7,7 @@ The fixture's population facts (mean 0, variance 0.073, positive median)
 are re-derived from scipy's lognormal moments rather than trusted.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -294,3 +295,21 @@ def test_resample_power_ordering_on_reference_seed():
     freqs = {nb: resample_power_study(x, nb, reps=1500, seed=0) for nb in (70, 90)}
     assert freqs[90]["TN2"] >= freqs[70]["TN2"]
     assert freqs[90]["TN2"] > freqs[90]["W"]
+
+
+@pytest.mark.parametrize(
+    "case, digest",
+    [
+        ("fixture", "090ab4036b43fa69dffde4de66c16c6192ceec09536cdba330173a53fd099fb2"),
+        ("mixed-sign", "a390ddbd8c7244009a068640ab9842223922c9152b39eb7ad4c592bc24f5f04d"),
+    ],
+)
+def test_resample_power_study_snapshot(case, digest):
+    # sha256 of the study's frequencies at n_b = 70, 80, 90, recorded while
+    # signed_rank still took mid-ranks in a separate pass.  Every resampled
+    # row is tied; the mixed-sign input holds each of its values as a and -a,
+    # so its resampled rows also have runs of equal |x| with both signs.
+    f = make_fixture(100, 1)
+    x = f if case == "fixture" else np.concatenate([f[:50], -f[:50]])
+    text = repr([resample_power_study(x, n_b, 20000, seed=1) for n_b in (70, 80, 90)])
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
