@@ -10,9 +10,7 @@ Two rejection-rate criteria are computed per (test, design, n) cell:
   vector.  On the null vector itself this rejects exactly k of reps
   replications, so a null design's Pow equals k/reps by construction, and
   the rejection indicators are invariant under strictly increasing
-  transforms of the statistic.  The interpolated type-7 quantile (exposed
-  as null_quantile) has neither exactness property and is not used for the
-  indicators.
+  transforms of the statistic.
 
 Reproducibility contract: replications are produced in fixed-size chunks,
 and chunk c of a cell draws from the stream path (table, index, hypothesis,
@@ -30,10 +28,14 @@ integer rejection counts, so any thread count yields identical output.
 Every cell is simulated and scored from one test table (_TABLES), which
 holds each test's kernel, the kernel's input and the cell's scoring rule.
 W (by the normal critical value) and the bootstrap test TB (by its own
-decisions) report Pow := PowA.  Per (cell, test) the engine keeps the
-kernel's (values, reason) pair, with a nonzero reason on each degenerate
-row.  The resample study in ``regression`` shares the row-tile dispatch,
-and both public drivers score a cell through one function.
+decisions) report Pow := PowA.  Every kernel returns its values with a
+reason vector, nonzero on each degenerate row.  Per (cell, test) the engine
+keeps only what the score reads, reduced chunk by chunk as tasks finish:
+the PowA, Pow and degenerate counts, and for a matched null cell of a RANK
+test its k + 1 largest values, whose smallest is the threshold.  No
+reps-long vector is kept.  The resample study in ``regression``
+shares the row-tile dispatch, and both public drivers score a cell through
+one function.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ __all__ = [
     "default_a_grid",
     "default_mu_grid",
     "estimate_power",
-    "null_quantile",
     "pow_indicators",
     "render_table",
     "reproduce_table",
@@ -121,9 +122,9 @@ def table_grid(table: str) -> dict:
 class PowerEstimate:
     """Monte Carlo rejection rates of one (test, design, n) cell.
 
-    null_quantile_used is not a quantile: it holds the rank threshold that
-    Pow compares against, the (reps - k)-th order statistic of the matched
-    null vector, or NaN when the test's rule is not RANK and Pow is PowA.
+    rank_threshold is the threshold that Pow compares against, the
+    (reps - k)-th order statistic of the matched null vector, or NaN when
+    the test's rule is not RANK and Pow is PowA.
     """
 
     powa: float
@@ -132,7 +133,7 @@ class PowerEstimate:
     degenerate_count: int
     mc_se_powa: float
     mc_se_pow: float
-    null_quantile_used: float
+    rank_threshold: float
 
     def __post_init__(self):
         if not 0.0 <= self.powa <= 1.0 or not 0.0 <= self.pow <= 1.0:
@@ -189,7 +190,7 @@ def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000 for reportable output, got {reps}")
     _kernels.check_alpha(alpha)
-    if int(math.floor(alpha * reps + 1e-9)) < 1:
+    if _rank_k(alpha, reps) < 1:
         raise ValueError(f"alpha * reps must be at least 1, got alpha={alpha}, reps={reps}")
     if moment_variant not in ("quartic", "quadratic"):
         raise ValueError(f"moment_variant must be 'quartic' or 'quadratic', got {moment_variant!r}")
@@ -263,53 +264,54 @@ def _null_of(did):
     return DesignId(did.table, 0, did.index)
 
 
-def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads):
-    """Simulate every cell of {(design, n): tests}; returns
-    {(design, n): {test: (values, reason)}} with the kernel's values (float
-    statistics or boolean decisions) and its uint8 reason vector.
+def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads, reducer):
+    """Simulate every cell of {(design, n): tests} into reducer and return it.
 
     A cell is simulated on its own path (design, n), except that a
     NULL_CHUNK test's cell is simulated on its matched null's path, whose
     chunk task fills the null's cell and every requested shift of it.  Work
     is split into (path, chunk) tasks whose content is fixed by the stream
-    path, then slotted by replication index into arrays of the kernel's
-    dtypes, so the thread count cannot change the result.
+    path.  Each task reduces its kernels' (values, reason) pairs with
+    reducer.chunk(design, n, test, values, reason), and the main thread
+    merges the reductions in task order with reducer.add(design, n, test,
+    lo, hi, reduction), so the thread count cannot change the result.  The
+    matched-null paths (hypothesis 0) run first and the other paths only
+    after all of them are merged, so that a chunk of an alternative can be
+    reduced against its matched null's rank threshold.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    store = {key: {} for key in cells}
     paths = {}  # {(design, n): {test: designs it fills}}
     for (d, n), tests in cells.items():
         for t in tests:
             src = _null_of(d) if _TABLES[d.table].tests[t].input == NULL_CHUNK else d
             paths.setdefault((src, n), {}).setdefault(t, []).append(d)
-    tasks = [(key, c, lo, hi) for key in paths for (c, lo, hi) in _chunks(reps)]
 
     def work(task):
         (did, n), c, lo, hi = task
-        return n, lo, hi, _chunk_statistics(
+        out = _chunk_statistics(
             did, n, paths[did, n], hi - lo, c, root_seed, variant, alpha, bootstrap_b)
+        return n, lo, hi, [(d, t, reducer.chunk(d, n, t, *pair)) for (d, t), pair in out.items()]
 
-    def slot(n, lo, hi, out):
-        for (d, t), chunk in out.items():
-            cell = store[d, n]
-            if t not in cell:
-                cell[t] = tuple(np.empty(reps, dtype=part.dtype) for part in chunk)
-            for whole, part in zip(cell[t], chunk):
-                whole[lo:hi] = part
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for key, lo, hi, out in pool.map(work, tasks):
-                slot(key, lo, hi, out)
-    else:
-        for task in tasks:
-            slot(*work(task))
-    return store
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for nulls in (True, False):
+            tasks = [(key, c, lo, hi) for key in paths if (key[0].hypothesis == 0) == nulls
+                     for c, lo, hi in _chunks(reps)]
+            for n, lo, hi, parts in (pool.map if threads > 1 else map)(work, tasks):
+                for d, t, part in parts:
+                    reducer.add(d, n, t, lo, hi, part)
+    return reducer
 
 
 # ---------------------------------------------------------------------------
 # Estimates.
+
+
+def _rank_k(alpha, reps):
+    """k = floor(alpha reps), the number of null replications that strictly
+    exceed the rank threshold; the guard keeps products like 0.95 * 5000,
+    a hair below the integer in binary, from losing a rank."""
+    return int(math.floor(alpha * reps + 1e-9))
 
 
 def _rejection_rank_threshold(null_stats, alpha):
@@ -319,7 +321,7 @@ def _rejection_rank_threshold(null_stats, alpha):
     (ties aside), which pins the null rejection rate at k/reps.
     """
     reps = null_stats.size
-    k = int(math.floor(alpha * reps + 1e-9))
+    k = _rank_k(alpha, reps)
     if k < 1:
         raise ValueError("alpha * reps is below one rejection rank")
     if not np.any(np.isfinite(null_stats)):
@@ -338,35 +340,80 @@ def pow_indicators(stats, null_stats, alpha):
     return stats > thr
 
 
+class _Tally:
+    """What the score of one (cell, test) reads, summed over its chunks:
+    the PowA rejections, the degenerate rows and a RANK alternative's Pow
+    rejections.  A RANK matched null keeps its k + 1 largest values in top
+    instead, ranked as np.partition ranks them (NaN highest) with the
+    smallest at top[0], and whether any of its values is finite."""
+
+    def __init__(self, powa=0, degenerate=0):
+        self.powa, self.degenerate, self.pow = powa, degenerate, 0
+        self.top, self.finite = None, False
+
+
+class _Scores:
+    """The scoring reducer of _run_cells: cells maps (design, n, test) to
+    the cell's _Tally.  chunk counts a RANK alternative's rejections against
+    top[0] of its matched null, final by then since _run_cells merges every
+    matched-null chunk first, and hands a matched null's whole chunk on in
+    top.  add keeps the k + 1 largest of the cell's top and that chunk with
+    one np.partition (an introselect, Knuth, TAOCP vol. 3, 5.3.3) of at most
+    k + 1 + CHUNK values."""
+
+    def __init__(self, reps, alpha):
+        self.keep = _rank_k(alpha, reps) + 1
+        self.z = _kernels.normal_upper(alpha)
+        self.cells = {}
+
+    def chunk(self, d, n, t, values, reason):
+        rule = _TABLES[d.table].tests[t].rule
+        part = _Tally(powa=int(np.count_nonzero(values if rule == DECISION else values > self.z)),
+                      degenerate=int(np.count_nonzero(reason)))
+        if rule == RANK and d == _null_of(d):
+            part.top, part.finite = values, bool(np.isfinite(values).any())
+        elif rule == RANK:
+            part.pow = int(np.count_nonzero(values > self.cells[_null_of(d), n, t].top[0]))
+        return part
+
+    def add(self, d, n, t, lo, hi, part):
+        cell = self.cells.setdefault((d, n, t), _Tally())
+        cell.powa += part.powa
+        cell.degenerate += part.degenerate
+        cell.pow += part.pow
+        cell.finite = cell.finite or part.finite
+        if part.top is not None:
+            both = part.top if cell.top is None else np.concatenate([cell.top, part.top])
+            cut = max(0, both.size - self.keep)
+            cell.top = np.partition(both, cut)[cut:].copy()  # a view would keep all of both
+
+
 def _mc_se(p, reps):
     return math.sqrt(p * (1.0 - p) / reps)
 
 
-def _score_cell(rule, cell, null_cell, alpha):
-    """PowerEstimate of one cell's (values, reason) pair by its test's rule;
-    only RANK reads the matched null cell."""
-    values, reason = cell
-    reps = reason.size
-    degenerate = int(np.count_nonzero(reason))
-    if degenerate == reps:
+def _score_cell(rule, cell, null_cell, reps):
+    """PowerEstimate of one cell's _Tally by its test's rule; only RANK reads
+    the matched null's tally, whose smallest kept value is the threshold.
+    A matched null counts its own Pow from its kept values, since every
+    value above the threshold is among them."""
+    if cell.degenerate == reps:
         raise RuntimeError("all replications are degenerate")
-    threshold = math.nan
-    if rule == DECISION:
-        powa_count = pow_count = int(np.count_nonzero(values))
-    else:
-        powa_count = pow_count = int(np.count_nonzero(values > _kernels.normal_upper(alpha)))
-        if rule == RANK:
-            threshold = _rejection_rank_threshold(null_cell[0], alpha)
-            pow_count = int(np.count_nonzero(values > threshold))
-    powa, pw = powa_count / reps, pow_count / reps
+    threshold, pow_count = math.nan, cell.powa
+    if rule == RANK:
+        if not null_cell.finite:
+            raise RuntimeError("all matched-null replications are degenerate")
+        threshold = float(null_cell.top[0])
+        pow_count = cell.pow if cell.top is None else int(np.count_nonzero(cell.top > threshold))
+    powa, pw = cell.powa / reps, pow_count / reps
     return PowerEstimate(
         powa=powa,
         pow=pw,
         reps=reps,
-        degenerate_count=degenerate,
+        degenerate_count=cell.degenerate,
         mc_se_powa=_mc_se(powa, reps),
         mc_se_pow=_mc_se(pw, reps),
-        null_quantile_used=threshold,
+        rank_threshold=threshold,
     )
 
 
@@ -388,13 +435,29 @@ def estimate_power(plan: StudyPlan, threads: int = 1) -> dict:
     rule = _test_record(test, null).rule
     designs = (null, alt) if rule == RANK else (alt,)
     cells = {(d, n): (test,) for n in plan.ns for d in designs}
-    store = _run_cells(cells, plan.reps, plan.root_seed, plan.moment_variant, plan.alpha,
-                       plan.bootstrap_b, threads)
-    return {
-        n: _score_cell(rule, store[alt, n][test], store[null, n][test] if rule == RANK else None,
-                       plan.alpha)
-        for n in plan.ns
-    }
+    scores = _run_cells(cells, plan.reps, plan.root_seed, plan.moment_variant, plan.alpha,
+                        plan.bootstrap_b, threads, _Scores(plan.reps, plan.alpha)).cells
+    return {n: _score_cell(rule, scores[alt, n, test], scores.get((null, n, test)), plan.reps)
+            for n in plan.ns}
+
+
+class _Slots:
+    """The reducer of _run_cells that keeps raw vectors: cells maps
+    (design, n, test) to its (values, reason) arrays of the kernel's dtypes,
+    into which each chunk is slotted by replication index."""
+
+    def __init__(self, reps):
+        self.reps = reps
+        self.cells = {}
+
+    def chunk(self, d, n, t, values, reason):
+        return values, reason
+
+    def add(self, d, n, t, lo, hi, part):
+        if (d, n, t) not in self.cells:
+            self.cells[d, n, t] = tuple(np.empty(self.reps, dtype=p.dtype) for p in part)
+        for whole, p in zip(self.cells[d, n, t], part):
+            whole[lo:hi] = p
 
 
 def statistic_sample(
@@ -409,9 +472,11 @@ def statistic_sample(
     for one cell.
 
     Replications are drawn exactly as the table engine draws them (same
-    stream paths), which makes this the hook for cross-checking the batched
-    kernels against the test-only scalar oracles and for transform
-    invariance checks.  The bootstrap decision has no scalar statistic.
+    stream paths and dispatch), but each chunk is slotted into reps-long
+    arrays instead of being scored.  This makes it the hook for
+    cross-checking the batched kernels against the test-only scalar oracles
+    and for transform invariance checks.  The bootstrap decision has no
+    scalar statistic.
     """
     if _test_record(test, design).input == NULL_CHUNK:
         raise ValueError("the bootstrap decision has no scalar statistic")
@@ -419,28 +484,11 @@ def statistic_sample(
         raise ValueError(f"reps must be >= 1, got {reps}")
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    key = (design, int(n))
-    store = _run_cells({key: (test,)}, int(reps), root_seed, moment_variant, 0.05, 1000, 1)
-    stats, reason = store[key][test]
+    n, reps = int(n), int(reps)
+    slots = _run_cells({(design, n): (test,)}, reps, root_seed, moment_variant, 0.05, 1000, 1,
+                       _Slots(reps)).cells
+    stats, reason = slots[design, n, test]
     return stats, reason != 0
-
-
-def null_quantile(
-    test: str, null_design: DesignId, n: int, reps: int, alpha: float, seed: int
-) -> float:
-    """Type-7 empirical (1 - alpha) quantile of the null statistic.
-
-    Degenerate replications contribute -inf, so they can only lower the
-    quantile, never raise it.  This interpolated value is reported for
-    reference; the rejection engine uses the rank threshold instead.
-    """
-    if null_design.hypothesis != 0:
-        raise ValueError("null_quantile needs a hypothesis-0 design")
-    _check_run(reps, alpha, "quartic", 1000, seed)
-    stats, degen = statistic_sample(test, null_design, n, reps, seed)
-    if degen.all():
-        raise RuntimeError("all replications are degenerate")
-    return float(_kernels.type7_quantile(np.sort(stats)[None, :], 1.0 - alpha)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +550,11 @@ def reproduce_table(
     designs = [d for d, _ in list_designs() if d.table == table]
     records = _TABLES[table].tests
     cells = {(d, n): grid["tests"] for d in designs for n in grid["ns"]}
-    store = _run_cells(cells, reps, seed, moment_variant, alpha, bootstrap_b, threads)
+    scores = _run_cells(cells, reps, seed, moment_variant, alpha, bootstrap_b, threads,
+                        _Scores(reps, alpha)).cells
     rows = [
         TableRow(design=d, test=t, estimates=tuple(
-            (n, _score_cell(records[t].rule, store[d, n][t], store[_null_of(d), n][t], alpha))
+            (n, _score_cell(records[t].rule, scores[d, n, t], scores[_null_of(d), n, t], reps))
             for n in grid["ns"]
         ))
         for d in designs

@@ -92,7 +92,7 @@ def _outcome(scored, alpha):
 
 def t_test_known_sigma(x, sigma: float, alpha: float = 0.05) -> TestOutcome:
     """Upper-tail mean test sqrt(n) * mean / sigma against the normal quantile."""
-    arr = _kernels.as_sample(x, 2, "test")
+    arr = _kernels.as_sample(x, 2, "t_test_known_sigma")
     _kernels.check_alpha(alpha)
     _check_sigma(sigma)
     return _outcome(_kernels.mean_to(_kernels.moment_pieces(arr[None, :], sigma)), alpha)
@@ -108,7 +108,7 @@ def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "qua
     t_test_known_sigma.  The moment variant selects the centering constant of
     the squared-deviation variance estimators, see sample_moments.
     """
-    arr = _kernels.as_sample(x, 3, "test")
+    arr = _kernels.as_sample(x, 3, "modified_mean_test")
     _kernels.check_alpha(alpha)
     _check_sigma(sigma)
     return _outcome(_kernels.mean_tn(_kernels.moment_pieces(arr[None, :], sigma, variant)), alpha)
@@ -131,7 +131,7 @@ def bootstrap_t_test(
     same generator the T*_b equal the engine's on every step it evaluates.
     A zero-range sample raises DegenerateStatistic, as the engine scores it.
     """
-    arr = _kernels.as_sample(x, 2, "test")
+    arr = _kernels.as_sample(x, 2, "bootstrap_t_test")
     _kernels.check_alpha(alpha)
     _check_sigma(sigma)
     if n_boot < 100:
@@ -157,15 +157,15 @@ def bootstrap_t_test(
     )
 
 
-def _median_family(x, alpha, kernel):
-    arr = _kernels.as_sample(x, 4, "test")
+def _median_family(x, alpha, kernel, name):
+    arr = _kernels.as_sample(x, 4, name)
     _kernels.check_alpha(alpha)
     return _outcome(kernel(_kernels.median_pieces(arr[None, :])), alpha)
 
 
 def median_test_To(x, alpha: float = 0.05) -> TestOutcome:
     """Upper-tail median test 2 sqrt(n) median fhat(median)."""
-    return _median_family(x, alpha, _kernels.median_to)
+    return _median_family(x, alpha, _kernels.median_to, "median_test_To")
 
 
 def median_test_TN(x, alpha: float = 0.05) -> TestOutcome:
@@ -174,7 +174,7 @@ def median_test_TN(x, alpha: float = 0.05) -> TestOutcome:
     Scales the base median statistic by S / w_hat, subtracts the studentized
     mean, and standardizes by sqrt(S^2 / w_hat^2 - 1).
     """
-    return _median_family(x, alpha, _kernels.median_tn)
+    return _median_family(x, alpha, _kernels.median_tn, "median_test_TN")
 
 
 _SYMMETRY = {"To": _kernels.sym_to, "T1": _kernels.median_to, "TN": _kernels.sym_tn}
@@ -194,7 +194,7 @@ def symmetry_test(x, which: str = "TN", alpha: float = 0.05) -> TestOutcome:
     """
     if which not in _SYMMETRY:
         raise ValueError("which must be one of 'To', 'T1', 'TN'")
-    return _median_family(x, alpha, _SYMMETRY[which])
+    return _median_family(x, alpha, _SYMMETRY[which], "symmetry_test")
 
 
 def two_sided(outcome: TestOutcome, alpha: float = 0.05) -> TestOutcome:
@@ -225,7 +225,7 @@ def wilcoxon_signed_rank(x, side: str = ONE_SIDED_UPPER, alpha: float = 0.05) ->
     approximation variance gets the tie correction sum(t^3 - t)/48.  No
     continuity correction is applied.
     """
-    arr = _kernels.as_sample(x, 1, "test")
+    arr = _kernels.as_sample(x, 1, "wilcoxon_signed_rank")
     _kernels.check_alpha(alpha)
     if side not in (ONE_SIDED_UPPER, "two_sided"):
         raise ValueError("side must be 'one_sided_upper' or 'two_sided'")

@@ -8,10 +8,15 @@ import csv
 import hashlib
 import io
 import math
+import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from ancitest import (
@@ -25,16 +30,20 @@ from ancitest import (
     estimate_power,
     make_fixture,
     median_test_To,
-    null_quantile,
+    median_test_TN,
+    modified_mean_test,
     pow_indicators,
     render_table,
     reproduce_table,
     resample_power_study,
     sample_design_matrix,
     statistic_sample,
+    symmetry_test,
+    t_test_known_sigma,
     thomas_transform,
     toy_power_curve,
     toy_three_obs_powers,
+    wilcoxon_signed_rank,
 )
 from ancitest import _kernels as ker
 from ancitest import power as power_module
@@ -283,7 +292,7 @@ def test_bootstrap_cell_rate_agrees_with_scalar_loop():
     se = math.sqrt(2.0 * rate * (1 - rate) / reps) + 0.01
     assert est.powa == pytest.approx(rate, abs=4 * se)
     assert est.pow == est.powa  # decision-based cell, no separate threshold
-    assert math.isnan(est.null_quantile_used)
+    assert math.isnan(est.rank_threshold)
 
 
 def test_table_1_tb_pairs_do_not_depend_on_threads_or_driver():
@@ -323,11 +332,17 @@ def test_estimate_power_simulates_the_null_cell_only_where_read(test, table, dra
     assert sorted(calls) == [(label, 50) for label in drawn]  # one chunk per cell
 
 
+def _recorded_repr(estimates):
+    """repr of estimates as the digests below were recorded, when
+    PowerEstimate.rank_threshold was still named null_quantile_used."""
+    return repr(estimates).replace("rank_threshold=", "null_quantile_used=")
+
+
 def test_w_estimate_unchanged_without_its_null_cell():
     # sha256 recorded while estimate_power still simulated the matched null
     # cell of every plan; W's score never read it.
     plan = _plan("W", DesignId("3", 0, 2), DesignId("3", 1, 2), [50, 150], 5000, seed=7)
-    digest = hashlib.sha256(repr(estimate_power(plan)).encode()).hexdigest()
+    digest = hashlib.sha256(_recorded_repr(estimate_power(plan)).encode()).hexdigest()
     assert digest == "91913b729850c1f3c96af9404879e7a83975d491c48a69a1a0a33c4e0efa74f7"
 
 
@@ -382,9 +397,9 @@ def test_reproduce_table_two_shape_and_conventions():
         for _, est in row.estimates:
             if row.test == "W":
                 assert est.pow == est.powa
-                assert math.isnan(est.null_quantile_used)
+                assert math.isnan(est.rank_threshold)
             else:
-                assert math.isfinite(est.null_quantile_used)
+                assert math.isfinite(est.rank_threshold)
         if row.design.hypothesis == 0 and row.test != "W":
             for _, est in row.estimates:
                 assert est.pow == 0.05
@@ -410,7 +425,7 @@ def test_drivers_reject_a_negative_seed_by_name():
     with pytest.raises(ValueError, match="seed"):
         reproduce_table("2", reps=1000, seed=-1)
     with pytest.raises(ValueError, match="seed"):
-        null_quantile("To", DesignId("2", 0, 1), 50, 1000, 0.05, seed=-1)
+        estimate_power(_plan("To", D01_T1, D11_T1, [50], 1000, seed=-1))
 
 
 def test_reproduce_table_render_byte_identical_across_threads():
@@ -437,7 +452,8 @@ def test_table_output_snapshot(case, digest):
     # updates these digests.
     if case == "TB D_02->D_12":
         null, alt = DesignId("1", 0, 2), DesignId("1", 1, 2)
-        text = repr(estimate_power(StudyPlan("TB", null, alt, (150,), 1000, 1, bootstrap_b=100)))
+        plan = StudyPlan("TB", null, alt, (150,), 1000, 1, bootstrap_b=100)
+        text = _recorded_repr(estimate_power(plan))
     else:
         text = render_table(reproduce_table(case[-1], reps=5000, seed=1))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -453,8 +469,9 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
         (lambda: statistic_sample("To", D_01_TABLE_2, 9, 100, 1), r"n must be >= 10, got 9"),
         (lambda: make_fixture(7, 0), r"fixture size n must be >= 10, got 7"),
         (lambda: median_test_To([1.0, 2.0, np.nan, np.inf]),
-         r"test: sample contains non-finite values, first at index 2 \(nan\)"),
-        (lambda: bootstrap_t_test([np.inf, 1.0], 1.0), r"non-finite values, first at index 0 \(inf\)"),
+         r"median_test_To: sample contains non-finite values, first at index 2 \(nan\)"),
+        (lambda: bootstrap_t_test([np.inf, 1.0], 1.0),
+         r"bootstrap_t_test: sample contains non-finite values, first at index 0 \(inf\)"),
         (lambda: estimate_power(_plan("To", D01_T1, D11_T1, [50], 1000), threads=0),
          r"threads must be >= 1, got 0"),
         (lambda: _plan("To", D01_T1, D11_T1, [50, 9], 1000), r"ns must be >= 10, got 9"),
@@ -465,13 +482,24 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
          r"10 <= n_b < sample size 100, got n_b=150"),
         (lambda: resample_power_study(make_fixture(100, 0), 70, 0), r"reps must be >= 1, got 0"),
         (lambda: median_test_To(np.ones((2, 5))),
-         r"test: sample must be one-dimensional, got shape \(2, 5\)"),
+         r"median_test_To: sample must be one-dimensional, got shape \(2, 5\)"),
         (lambda: resample_power_study(make_fixture(100, 0)[:9], 5, 100),
          r"resample study requires at least 11 observations, got 9"),
+        (lambda: t_test_known_sigma(np.ones((2, 5)), 1.0),
+         r"^t_test_known_sigma: sample must be one-dimensional"),
+        (lambda: modified_mean_test([1.0, 2.0], 1.0),
+         r"^modified_mean_test requires at least 3 observations, got 2"),
+        (lambda: median_test_TN([1.0, np.inf, 2.0, 3.0]),
+         r"^median_test_TN: sample contains non-finite values, first at index 1 \(inf\)"),
+        (lambda: symmetry_test(np.ones((2, 5)), "T1"),
+         r"^symmetry_test: sample must be one-dimensional"),
+        (lambda: wilcoxon_signed_rank(np.ones((2, 5))),
+         r"^wilcoxon_signed_rank: sample must be one-dimensional, got shape \(2, 5\)"),
     ],
     ids=["statistic_sample-reps", "statistic_sample-n", "make_fixture-n", "test", "bootstrap",
          "threads", "StudyPlan-ns", "render_table-format", "resample-n_b", "resample-reps",
-         "test-shape", "resample-size"],
+         "test-shape", "resample-size", "t_test_known_sigma", "modified_mean_test",
+         "median_test_TN", "symmetry_test", "wilcoxon_signed_rank"],
 )
 def test_bad_input_errors_name_the_parameter_and_value(call, message):
     with pytest.raises(ValueError, match=message):
@@ -508,7 +536,7 @@ def test_engine_follows_a_patched_kernel(monkeypatch):
     _patch_record(monkeypatch, "2", "To", kernel=shifted)
     cell, est, (stats, degen), study = runs()
     assert repr(cell) == repr(est) and repr(cell0) == repr(est0)
-    assert est.null_quantile_used == est0.null_quantile_used + 0.5
+    assert est.rank_threshold == est0.rank_threshold + 0.5
     assert est.powa > est0.powa and est.pow == est0.pow
     assert np.array_equal(stats, stats0 + 0.5) and np.array_equal(degen, degen0)
     assert study["To2"] != study0["To2"]
@@ -525,10 +553,122 @@ def test_engine_follows_a_patched_rule(monkeypatch):
     assert repr(est) == repr(report.cell(alt.label, "W", n))
     threshold = _rejection_rank_threshold(statistic_sample("W", null, n, 1000, seed)[0], 0.05)
     stats, _ = statistic_sample("W", alt, n, 1000, seed)
-    assert est.null_quantile_used == threshold
+    assert est.rank_threshold == threshold
     assert est.pow == np.count_nonzero(stats > threshold) / 1000
     assert est.powa == np.count_nonzero(stats > ker.normal_upper(0.05)) / 1000
     assert est.pow != est.powa
+
+
+# Values of a chunked rank reduction: ties, -inf (the degenerate rows), NaN,
+# +-0.0 and +inf next to ordinary floats.
+RANK_VALUES = st.sampled_from([-np.inf, np.nan, -0.0, 0.0, np.inf, -2.0, -0.5, 0.25, 1.0, 1.5,
+                               1.75, 2.5, 3.0])
+
+
+@settings(deadline=None)
+@given(
+    st.integers(20, 120).flatmap(lambda reps: st.tuples(
+        st.lists(RANK_VALUES, min_size=reps, max_size=reps),
+        st.lists(RANK_VALUES, min_size=reps, max_size=reps))),
+    st.integers(1, 50),
+    st.floats(0.05, 0.6),
+)
+def test_chunked_rank_reduction_equals_whole_vector_threshold(vectors, size, alpha):
+    # _Scores keeps a matched null's k + 1 largest values, merged chunk by
+    # chunk, and counts the alternative's chunks against the smallest of
+    # them.  Over any chunk split that is the threshold and the counts of
+    # the whole vectors.
+    null, alt = (np.array(v) for v in vectors)
+    reps = null.size
+    scores = power_module._Scores(reps, alpha)
+    designs = {DesignId("2", 0, 1): null, DesignId("2", 1, 1): alt}
+    for d, values in designs.items():  # matched nulls first, as _run_cells runs them
+        reason = np.isneginf(values).astype(np.uint8)
+        for lo in range(0, reps, size):
+            hi = min(lo + size, reps)
+            part = scores.chunk(d, 25, "To", values[lo:hi], reason[lo:hi])
+            scores.add(d, 25, "To", lo, hi, part)
+    null_cell = scores.cells[DesignId("2", 0, 1), 25, "To"]
+    assert null_cell.top.size == power_module._rank_k(alpha, reps) + 1
+    if not np.isfinite(null).any():
+        with pytest.raises(RuntimeError, match="all matched-null replications are degenerate"):
+            _rejection_rank_threshold(null, alpha)
+        assert not null_cell.finite
+        return
+    threshold = _rejection_rank_threshold(null, alpha)
+    for d, values in designs.items():
+        cell = scores.cells[d, 25, "To"]
+        if np.isneginf(values).all():
+            with pytest.raises(RuntimeError, match="all replications are degenerate"):
+                power_module._score_cell(power_module.RANK, cell, null_cell, reps)
+            continue
+        est = power_module._score_cell(power_module.RANK, cell, null_cell, reps)
+        assert est.rank_threshold == threshold or (
+            math.isnan(threshold) and math.isnan(est.rank_threshold))
+        assert est.pow == np.count_nonzero(values > threshold) / reps
+        assert est.powa == np.count_nonzero(values > ker.normal_upper(alpha)) / reps
+        assert est.degenerate_count == np.count_nonzero(np.isneginf(values))
+
+
+def test_engine_memory_does_not_grow_with_reps():
+    # Per cell the engine keeps counts and a matched null's k + 1 largest
+    # values, not reps-long vectors, so the traced peak of a table at 4x
+    # reps stays within 2 MB of its peak at 1x.  Keeping every chunk's
+    # (values, reason) made it about 4 MB larger.
+    def peak(reps):
+        tracemalloc.start()
+        try:
+            reproduce_table("2", reps=reps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    reproduce_table("2", reps=CHUNK, seed=1)  # first-call allocations
+    one, four = peak(CHUNK), peak(4 * CHUNK)
+    assert four - one < 2 * 2**20, (one, four)
+
+
+def test_alternatives_wait_for_their_matched_null_under_threads(monkeypatch):
+    # Workers count an alternative's chunks against its matched null's
+    # threshold, so none may run before the null's last chunk is merged,
+    # however late that chunk lands.  With the null's short tail chunk held
+    # back, more workers than cores and a thread switch every microsecond,
+    # the estimate is still the one-thread estimate.
+    plan = _plan("To", DesignId("2", 0, 2), DesignId("2", 1, 2), [25], 4 * CHUNK + 5, seed=2)
+    want = repr(estimate_power(plan))
+    sample = power_module.sample_design_matrix
+
+    def late_null_tail(did, rows, n, stream):
+        if did.hypothesis == 0 and rows < CHUNK:
+            time.sleep(0.2)
+        return sample(did, rows, n, stream)
+
+    monkeypatch.setattr(power_module, "sample_design_matrix", late_null_tail)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = repr(estimate_power(plan, threads=4))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+def test_a_matched_null_without_a_finite_value_is_degenerate(monkeypatch):
+    # A rank-scored kernel that returns -inf with no reason on every row
+    # passes each cell's own degeneracy check, but leaves its matched nulls
+    # with no threshold, in both drivers.
+    kernel = power_module._TABLES["2"].tests["To"].kernel
+
+    def minus_inf(pieces):
+        stat, reason, parts = kernel(pieces)
+        return np.full_like(stat, -np.inf), np.zeros_like(reason), parts
+
+    _patch_record(monkeypatch, "2", "To", kernel=minus_inf)
+    with pytest.raises(RuntimeError, match="all matched-null replications are degenerate"):
+        reproduce_table("2", reps=1000, seed=1)
+    plan = _plan("To", DesignId("2", 0, 1), DesignId("2", 1, 1), [25], 1000, seed=1)
+    with pytest.raises(RuntimeError, match="all matched-null replications are degenerate"):
+        estimate_power(plan)
 
 
 def test_power_compares_no_test_name():
@@ -570,22 +710,23 @@ def test_render_table_formats():
         render_table(rep, fmt="html")
 
 
-def test_null_quantile_matches_normal_limit():
+def test_rank_threshold_matches_normal_limit():
     # The known-sigma mean statistic is exactly standard normal under the
-    # null, so the 95% empirical quantile estimates 1.6449.
-    q = null_quantile("To", D01_T1, 150, 50000, 0.05, seed=8)
+    # null, so the rank threshold of a To size plan (the (reps - k)-th
+    # order statistic of the null vector) estimates 1.6449.
+    def threshold(reps, alpha=0.05):
+        plan = _plan("To", D01_T1, D01_T1, [150], reps, seed=8, alpha=alpha)
+        return estimate_power(plan)[150].rank_threshold
+
+    q = threshold(50000)
     se = math.sqrt(0.05 * 0.95 / 50000) / sps.norm.pdf(1.6449)
     assert q == pytest.approx(sps.norm.isf(0.05), abs=4.5 * se)
-    assert null_quantile("To", D01_T1, 150, 2000, 0.05, seed=8) == null_quantile(
-        "To", D01_T1, 150, 2000, 0.05, seed=8
-    )
-    assert null_quantile("To", D01_T1, 150, 2000, 0.01, seed=8) > null_quantile(
-        "To", D01_T1, 150, 2000, 0.10, seed=8
-    )
+    assert threshold(2000) == threshold(2000)
+    assert threshold(2000, alpha=0.01) > threshold(2000, alpha=0.10)
     with pytest.raises(ValueError):
-        null_quantile("To", D11_T1, 150, 2000, 0.05, seed=8)
+        _plan("To", D11_T1, D11_T1, [150], 2000)
     with pytest.raises(ValueError):
-        null_quantile("To", D01_T1, 150, 500, 0.05, seed=8)
+        _plan("To", D01_T1, D01_T1, [150], 500)
 
 
 def test_pow_indicators_invariant_under_increasing_transform():
