@@ -63,8 +63,10 @@ def bandwidth_nrd0(x) -> float:
 def kde_at(x, point: float, bandwidth: float) -> float:
     """Gaussian kernel density estimate at a single point."""
     arr = _kernels.as_sample(x, 1, "kde_at")
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < bandwidth < np.inf:
+        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    if not np.isfinite(point):
+        raise ValueError(f"point must be finite, got {point}")
     point, bandwidth = np.full(1, point, dtype=float), np.full(1, bandwidth, dtype=float)
     return float(_kernels._kde_of_deviations(point[:, None] - arr[None, :], bandwidth)[0])
 
@@ -96,8 +98,8 @@ def sample_moments(x, sigma_known: float | None = None, variant: str = "quartic"
     studies are run under each and the better-matching one is recorded.
     """
     x = _kernels.as_sample(x, 2, "sample_moments")[None, :]
-    if sigma_known is not None and not sigma_known > 0:
-        raise ValueError("sigma_known must be positive")
+    if sigma_known is not None and not 0 < sigma_known < np.inf:
+        raise ValueError(f"sigma_known must be positive and finite, got {sigma_known}")
     m = _kernels.moment_pieces(x, sigma_known, variant)
     var_sq = m.var_s if sigma_known is None else m.var_known
     return SampleMoments(

@@ -33,9 +33,10 @@ reason vector, nonzero on each degenerate row.  Per (cell, test) the engine
 keeps only what the score reads, reduced chunk by chunk as tasks finish:
 the PowA, Pow and degenerate counts, and for a matched null cell of a RANK
 test its k + 1 largest values, whose smallest is the threshold.  No
-reps-long vector is kept.  The resample study in ``regression``
-shares the row-tile dispatch, and both public drivers score a cell through
-one function.
+reps-long vector is kept.  The resample study in ``regression`` shares the
+row-tile dispatch.  Both public drivers name only the cells they report;
+_run_cells adds the matched null of each RANK cell, and every cell is
+scored through one function, _Scores.estimate.
 """
 
 from __future__ import annotations
@@ -192,12 +193,16 @@ def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
     _kernels.check_alpha(alpha)
     if _rank_k(alpha, reps) < 1:
         raise ValueError(f"alpha * reps must be at least 1, got alpha={alpha}, reps={reps}")
-    if moment_variant not in ("quartic", "quadratic"):
-        raise ValueError(f"moment_variant must be 'quartic' or 'quadratic', got {moment_variant!r}")
+    _check_variant(moment_variant)
     if bootstrap_b < 100:
         raise ValueError(f"bootstrap_b must be >= 100, got {bootstrap_b}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _check_variant(moment_variant):
+    if moment_variant not in ("quartic", "quadratic"):
+        raise ValueError(f"moment_variant must be 'quartic' or 'quadratic', got {moment_variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +225,17 @@ def _statistics(table, tests, x, sigma=None, variant="quartic"):
     pieces are built once and shared by the tests.  Every kernel is
     row-independent, so the tile size does not change the output and is not
     part of the stream layout.  No tests give {}."""
-    step = max(1, _kernels._TILE_ELEMS // x.shape[1])
-    tiles = [_tile_statistics(_TABLES[table], tests, x[r : r + step], sigma, variant)
-             for r in range(0, x.shape[0], step)]
-    return {t: tuple(np.concatenate([tile[t][i] for tile in tiles]) for i in (0, 1))
-            for t in tests}
-
-
-def _tile_statistics(spec, tests, x, sigma, variant):
+    spec = _TABLES[table]
     records = {t: spec.tests[t] for t in tests}
     uses_pieces = any(r.input == PIECES for r in records.values())
-    pieces = spec.pieces(x, sigma, variant) if uses_pieces else None
-    return {t: r.kernel(pieces if r.input == PIECES else x)[:2] for t, r in records.items()}
+    step = max(1, _kernels._TILE_ELEMS // x.shape[1])
+    tiles = []
+    for tile in (x[r : r + step] for r in range(0, x.shape[0], step)):
+        pieces = spec.pieces(tile, sigma, variant) if uses_pieces else None
+        tiles.append({t: r.kernel(pieces if r.input == PIECES else tile)[:2]
+                      for t, r in records.items()})
+    return {t: tuple(np.concatenate([tile[t][i] for tile in tiles]) for i in (0, 1))
+            for t in tests}
 
 
 def _chunk_statistics(did, n, tests, rows, chunk_idx, root_seed, variant, alpha, bootstrap_b):
@@ -264,43 +268,48 @@ def _null_of(did):
     return DesignId(did.table, 0, did.index)
 
 
-def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads, reducer):
-    """Simulate every cell of {(design, n): tests} into reducer and return it.
+def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads):
+    """The _Scores of every cell of {(design, n): tests}, each cell scored
+    by _Scores.estimate.
 
     A cell is simulated on its own path (design, n), except that a
     NULL_CHUNK test's cell is simulated on its matched null's path, whose
-    chunk task fills the null's cell and every requested shift of it.  Work
-    is split into (path, chunk) tasks whose content is fixed by the stream
-    path.  Each task reduces its kernels' (values, reason) pairs with
-    reducer.chunk(design, n, test, values, reason), and the main thread
-    merges the reductions in task order with reducer.add(design, n, test,
-    lo, hi, reduction), so the thread count cannot change the result.  The
+    chunk task fills the null's cell and every requested shift of it.  A
+    RANK cell also fills its matched null's cell, whose threshold it reads.
+    Work is split into (path, chunk) tasks whose content is fixed by the
+    stream path.  Each task reduces its kernels' (values, reason) pairs with
+    _Scores.chunk, and the main thread merges them in task order with
+    _Scores.add, so the thread count cannot change the result.  The
     matched-null paths (hypothesis 0) run first and the other paths only
-    after all of them are merged, so that a chunk of an alternative can be
-    reduced against its matched null's rank threshold.
+    after all of them are merged, so that a chunk of an alternative is
+    counted against its matched null's final rank threshold.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    scores = _Scores(reps, alpha)
     paths = {}  # {(design, n): {test: designs it fills}}
     for (d, n), tests in cells.items():
         for t in tests:
-            src = _null_of(d) if _TABLES[d.table].tests[t].input == NULL_CHUNK else d
+            record = _TABLES[d.table].tests[t]
+            src = _null_of(d) if record.input == NULL_CHUNK else d
             paths.setdefault((src, n), {}).setdefault(t, []).append(d)
+            if record.rule == RANK:
+                paths.setdefault((_null_of(d), n), {}).setdefault(t, [])
 
     def work(task):
         (did, n), c, lo, hi = task
         out = _chunk_statistics(
             did, n, paths[did, n], hi - lo, c, root_seed, variant, alpha, bootstrap_b)
-        return n, lo, hi, [(d, t, reducer.chunk(d, n, t, *pair)) for (d, t), pair in out.items()]
+        return n, [(d, t, scores.chunk(d, n, t, *pair)) for (d, t), pair in out.items()]
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for nulls in (True, False):
             tasks = [(key, c, lo, hi) for key in paths if (key[0].hypothesis == 0) == nulls
                      for c, lo, hi in _chunks(reps)]
-            for n, lo, hi, parts in (pool.map if threads > 1 else map)(work, tasks):
+            for n, parts in (pool.map if threads > 1 else map)(work, tasks):
                 for d, t, part in parts:
-                    reducer.add(d, n, t, lo, hi, part)
-    return reducer
+                    scores.add(d, n, t, part)
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -353,16 +362,16 @@ class _Tally:
 
 
 class _Scores:
-    """The scoring reducer of _run_cells: cells maps (design, n, test) to
-    the cell's _Tally.  chunk counts a RANK alternative's rejections against
-    top[0] of its matched null, final by then since _run_cells merges every
+    """The scores of _run_cells: cells maps (design, n, test) to the cell's
+    _Tally.  chunk counts a RANK alternative's rejections against top[0] of
+    its matched null, final by then since _run_cells merges every
     matched-null chunk first, and hands a matched null's whole chunk on in
     top.  add keeps the k + 1 largest of the cell's top and that chunk with
     one np.partition (an introselect, Knuth, TAOCP vol. 3, 5.3.3) of at most
-    k + 1 + CHUNK values."""
+    k + 1 + CHUNK values.  estimate scores a cell."""
 
     def __init__(self, reps, alpha):
-        self.keep = _rank_k(alpha, reps) + 1
+        self.reps, self.keep = reps, _rank_k(alpha, reps) + 1
         self.z = _kernels.normal_upper(alpha)
         self.cells = {}
 
@@ -376,7 +385,7 @@ class _Scores:
             part.pow = int(np.count_nonzero(values > self.cells[_null_of(d), n, t].top[0]))
         return part
 
-    def add(self, d, n, t, lo, hi, part):
+    def add(self, d, n, t, part):
         cell = self.cells.setdefault((d, n, t), _Tally())
         cell.powa += part.powa
         cell.degenerate += part.degenerate
@@ -387,77 +396,54 @@ class _Scores:
             cut = max(0, both.size - self.keep)
             cell.top = np.partition(both, cut)[cut:].copy()  # a view would keep all of both
 
+    def estimate(self, d, n, t):
+        """PowerEstimate of the cell (d, n, t) by its test's rule; only RANK
+        reads the matched null's tally, whose smallest kept value is the
+        threshold.  A matched null counts its own Pow from its kept values,
+        since every value above the threshold is among them."""
+        cell, reps = self.cells[d, n, t], self.reps
+        if cell.degenerate == reps:
+            raise RuntimeError("all replications are degenerate")
+        threshold, pow_count = math.nan, cell.powa
+        if _TABLES[d.table].tests[t].rule == RANK:
+            null_cell = self.cells[_null_of(d), n, t]
+            if not null_cell.finite:
+                raise RuntimeError("all matched-null replications are degenerate")
+            threshold = float(null_cell.top[0])
+            pow_count = cell.pow if cell.top is None else int(np.count_nonzero(cell.top > threshold))
+        powa, pw = cell.powa / reps, pow_count / reps
+        return PowerEstimate(
+            powa=powa,
+            pow=pw,
+            reps=reps,
+            degenerate_count=cell.degenerate,
+            mc_se_powa=_mc_se(powa, reps),
+            mc_se_pow=_mc_se(pw, reps),
+            rank_threshold=threshold,
+        )
+
 
 def _mc_se(p, reps):
     return math.sqrt(p * (1.0 - p) / reps)
 
 
-def _score_cell(rule, cell, null_cell, reps):
-    """PowerEstimate of one cell's _Tally by its test's rule; only RANK reads
-    the matched null's tally, whose smallest kept value is the threshold.
-    A matched null counts its own Pow from its kept values, since every
-    value above the threshold is among them."""
-    if cell.degenerate == reps:
-        raise RuntimeError("all replications are degenerate")
-    threshold, pow_count = math.nan, cell.powa
-    if rule == RANK:
-        if not null_cell.finite:
-            raise RuntimeError("all matched-null replications are degenerate")
-        threshold = float(null_cell.top[0])
-        pow_count = cell.pow if cell.top is None else int(np.count_nonzero(cell.top > threshold))
-    powa, pw = cell.powa / reps, pow_count / reps
-    return PowerEstimate(
-        powa=powa,
-        pow=pw,
-        reps=reps,
-        degenerate_count=cell.degenerate,
-        mc_se_powa=_mc_se(powa, reps),
-        mc_se_pow=_mc_se(pw, reps),
-        rank_threshold=threshold,
-    )
-
-
 def estimate_power(plan: StudyPlan, threads: int = 1) -> dict:
     """PowerEstimate of plan.design_alt per sample size, keyed by n.
 
-    The test's record gives the scoring rule, and the alternative cell is
-    simulated and scored exactly as reproduce_table does it.  The matched
-    null cell is simulated only where the score reads it, for a RANK test:
-    Pow thresholds come from replications of plan.design_null drawn on the
-    null design's own stream paths, so they are independent of the evaluated
-    replications whenever the pair differs; when the pair coincides, both
-    are one cell, the evaluated vector is its own threshold source and Pow
-    is exact.  TB's alternative is decided on the null's chunk paths from
-    the null rows' resamples (common random numbers with the null cell),
-    and a W plan simulates its alternative cell alone.
+    Only the alternative cell is asked of _run_cells, so it is simulated
+    and scored exactly as reproduce_table does it, and the matched null is
+    simulated only where the score reads it.  A RANK test's Pow thresholds
+    come from the matched null's own stream paths, so they are independent
+    of the evaluated replications whenever the pair differs; when the pair
+    coincides, both are one cell, the evaluated vector is its own threshold
+    source and Pow is exact.  TB's alternative is decided on the null's
+    chunk paths from the null rows' resamples (common random numbers with
+    the null cell), and a W plan simulates its alternative cell alone.
     """
-    test, null, alt = plan.test, plan.design_null, plan.design_alt
-    rule = _test_record(test, null).rule
-    designs = (null, alt) if rule == RANK else (alt,)
-    cells = {(d, n): (test,) for n in plan.ns for d in designs}
-    scores = _run_cells(cells, plan.reps, plan.root_seed, plan.moment_variant, plan.alpha,
-                        plan.bootstrap_b, threads, _Scores(plan.reps, plan.alpha)).cells
-    return {n: _score_cell(rule, scores[alt, n, test], scores.get((null, n, test)), plan.reps)
-            for n in plan.ns}
-
-
-class _Slots:
-    """The reducer of _run_cells that keeps raw vectors: cells maps
-    (design, n, test) to its (values, reason) arrays of the kernel's dtypes,
-    into which each chunk is slotted by replication index."""
-
-    def __init__(self, reps):
-        self.reps = reps
-        self.cells = {}
-
-    def chunk(self, d, n, t, values, reason):
-        return values, reason
-
-    def add(self, d, n, t, lo, hi, part):
-        if (d, n, t) not in self.cells:
-            self.cells[d, n, t] = tuple(np.empty(self.reps, dtype=p.dtype) for p in part)
-        for whole, p in zip(self.cells[d, n, t], part):
-            whole[lo:hi] = p
+    alt = plan.design_alt
+    scores = _run_cells({(alt, n): (plan.test,) for n in plan.ns}, plan.reps, plan.root_seed,
+                        plan.moment_variant, plan.alpha, plan.bootstrap_b, threads)
+    return {n: scores.estimate(alt, n, plan.test) for n in plan.ns}
 
 
 def statistic_sample(
@@ -471,9 +457,9 @@ def statistic_sample(
     """Raw statistic vector and degeneracy mask (the kernel's reason != 0)
     for one cell.
 
-    Replications are drawn exactly as the table engine draws them (same
-    stream paths and dispatch), but each chunk is slotted into reps-long
-    arrays instead of being scored.  This makes it the hook for
+    Each chunk is drawn and scored by the table engine's chunk task
+    (_chunk_statistics: same stream paths and row tiles), and the chunks
+    are concatenated instead of being scored.  This makes it the hook for
     cross-checking the batched kernels against the test-only scalar oracles
     and for transform invariance checks.  The bootstrap decision has no
     scalar statistic.
@@ -484,10 +470,12 @@ def statistic_sample(
         raise ValueError(f"reps must be >= 1, got {reps}")
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
+    _check_variant(moment_variant)
     n, reps = int(n), int(reps)
-    slots = _run_cells({(design, n): (test,)}, reps, root_seed, moment_variant, 0.05, 1000, 1,
-                       _Slots(reps)).cells
-    stats, reason = slots[design, n, test]
+    chunks = [_chunk_statistics(design, n, {test: [design]}, hi - lo, c, root_seed,
+                                moment_variant, 0.05, 1000)[design, test]
+              for c, lo, hi in _chunks(reps)]
+    stats, reason = (np.concatenate(part) for part in zip(*chunks))
     return stats, reason != 0
 
 
@@ -548,15 +536,11 @@ def reproduce_table(
     table = str(table)
     _check_run(reps, alpha, moment_variant, bootstrap_b, seed)
     designs = [d for d, _ in list_designs() if d.table == table]
-    records = _TABLES[table].tests
     cells = {(d, n): grid["tests"] for d in designs for n in grid["ns"]}
-    scores = _run_cells(cells, reps, seed, moment_variant, alpha, bootstrap_b, threads,
-                        _Scores(reps, alpha)).cells
+    scores = _run_cells(cells, reps, seed, moment_variant, alpha, bootstrap_b, threads)
     rows = [
-        TableRow(design=d, test=t, estimates=tuple(
-            (n, _score_cell(records[t].rule, scores[d, n, t], scores[_null_of(d), n, t], reps))
-            for n in grid["ns"]
-        ))
+        TableRow(design=d, test=t,
+                 estimates=tuple((n, scores.estimate(d, n, t)) for n in grid["ns"]))
         for d in designs
         for t in grid["tests"]
     ]

@@ -68,8 +68,8 @@ class TestOutcome:
 
 
 def _check_sigma(sigma):
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
 def _outcome(scored, alpha):

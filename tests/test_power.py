@@ -28,6 +28,7 @@ from ancitest import (
     bootstrap_t_test,
     design_params,
     estimate_power,
+    kde_at,
     make_fixture,
     median_test_To,
     median_test_TN,
@@ -37,6 +38,7 @@ from ancitest import (
     reproduce_table,
     resample_power_study,
     sample_design_matrix,
+    sample_moments,
     statistic_sample,
     symmetry_test,
     t_test_known_sigma,
@@ -191,6 +193,19 @@ def test_statistic_sample_spans_chunks_consistently():
     x_tail = sample_design_matrix(design, 17, 11, tail_stream)
     want = np.array([orc.t_test_known_sigma(r, 1.0).statistic for r in x_tail])
     np.testing.assert_allclose(stats[CHUNK:], want, rtol=1e-11)
+
+
+def test_statistic_sample_snapshot():
+    # sha256 of the values, masks and their dtypes of four cells, one per
+    # kernel family, over two full chunks and a partial one; recorded while
+    # statistic_sample still slotted chunks through the table engine.
+    h = hashlib.sha256()
+    for test, design in [("To", DesignId("2", 1, 1)), ("W", DesignId("3", 0, 2)),
+                         ("TN", DesignId("1", 1, 3)), ("T1", DesignId("3", 1, 4))]:
+        for part in statistic_sample(test, design, 40, 2 * CHUNK + 808, 4):
+            h.update(str(part.dtype).encode())
+            h.update(part.tobytes())
+    assert h.hexdigest() == "ed471045d9b1859a6763eb952f1c3e7f468861bef08a4bbc839ddfc3b7249ae6"
 
 
 def _mixed_rows(n, rows, seed):
@@ -495,11 +510,26 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
          r"^symmetry_test: sample must be one-dimensional"),
         (lambda: wilcoxon_signed_rank(np.ones((2, 5))),
          r"^wilcoxon_signed_rank: sample must be one-dimensional, got shape \(2, 5\)"),
+        (lambda: t_test_known_sigma(np.arange(5.0), np.inf),
+         r"^sigma must be positive and finite, got inf$"),
+        (lambda: modified_mean_test(np.arange(5.0), np.inf),
+         r"^sigma must be positive and finite, got inf$"),
+        (lambda: bootstrap_t_test(np.arange(5.0), np.inf, stream=RandomStream(1, ("sb",))),
+         r"^sigma must be positive and finite, got inf$"),
+        (lambda: sample_moments(np.arange(5.0), sigma_known=np.inf),
+         r"^sigma_known must be positive and finite, got inf$"),
+        (lambda: kde_at(np.arange(5.0), 0.0, np.inf),
+         r"^bandwidth must be positive and finite, got inf$"),
+        (lambda: kde_at(np.arange(5.0), np.nan, 1.0), r"^point must be finite, got nan$"),
+        (lambda: statistic_sample("To", D_01_TABLE_2, 50, 100, 1, moment_variant="cubic"),
+         r"^moment_variant must be 'quartic' or 'quadratic', got 'cubic'$"),
     ],
     ids=["statistic_sample-reps", "statistic_sample-n", "make_fixture-n", "test", "bootstrap",
          "threads", "StudyPlan-ns", "render_table-format", "resample-n_b", "resample-reps",
          "test-shape", "resample-size", "t_test_known_sigma", "modified_mean_test",
-         "median_test_TN", "symmetry_test", "wilcoxon_signed_rank"],
+         "median_test_TN", "symmetry_test", "wilcoxon_signed_rank", "t_test_known_sigma-sigma",
+         "modified_mean_test-sigma", "bootstrap_t_test-sigma", "sample_moments-sigma_known",
+         "kde_at-bandwidth", "kde_at-point", "statistic_sample-moment_variant"],
 )
 def test_bad_input_errors_name_the_parameter_and_value(call, message):
     with pytest.raises(ValueError, match=message):
@@ -587,7 +617,7 @@ def test_chunked_rank_reduction_equals_whole_vector_threshold(vectors, size, alp
         for lo in range(0, reps, size):
             hi = min(lo + size, reps)
             part = scores.chunk(d, 25, "To", values[lo:hi], reason[lo:hi])
-            scores.add(d, 25, "To", lo, hi, part)
+            scores.add(d, 25, "To", part)
     null_cell = scores.cells[DesignId("2", 0, 1), 25, "To"]
     assert null_cell.top.size == power_module._rank_k(alpha, reps) + 1
     if not np.isfinite(null).any():
@@ -597,12 +627,11 @@ def test_chunked_rank_reduction_equals_whole_vector_threshold(vectors, size, alp
         return
     threshold = _rejection_rank_threshold(null, alpha)
     for d, values in designs.items():
-        cell = scores.cells[d, 25, "To"]
         if np.isneginf(values).all():
             with pytest.raises(RuntimeError, match="all replications are degenerate"):
-                power_module._score_cell(power_module.RANK, cell, null_cell, reps)
+                scores.estimate(d, 25, "To")
             continue
-        est = power_module._score_cell(power_module.RANK, cell, null_cell, reps)
+        est = scores.estimate(d, 25, "To")
         assert est.rank_threshold == threshold or (
             math.isnan(threshold) and math.isnan(est.rank_threshold))
         assert est.pow == np.count_nonzero(values > threshold) / reps
