@@ -75,6 +75,14 @@ def as_sample(x, min_n: int, what: str) -> np.ndarray:
     return arr
 
 
+def check_integers(**values) -> None:
+    """The one check of integer parameters: each named value must be a Python
+    or numpy integer, not a bool; the error names the parameter."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def check_alpha(alpha) -> None:
     """The one check of a scalar significance level."""
     if not 0.0 < alpha < 1.0:

@@ -3,13 +3,19 @@ finite discrete models.
 
 Continuous density identities reduce to exact point-mass identities on a
 finite outcome space, so every claim here is checked by enumeration, with a
-1e-12 tolerance absorbing floating-point error only.  Every check reads one
-level table, _level_table: the masses P_i(T = u), or P_i(T = u, A = v) on
-every level pair of two statistics, attained or not.  Exact size alpha on a
+1e-12 tolerance absorbing floating-point error only.  Every level mass is
+summed in one place, _level_masses, and the checks read them as one level
+table, _level_table: the masses P_i(T = u), or P_i(T = u, A = v) on every
+level pair of two statistics, attained or not.  Exact size alpha on a
 discrete space requires randomizing at the boundary level of the statistic;
 level_powers implements that randomized threshold test.  Its power is
 piecewise linear in alpha with one knot per level, so the whole alpha grid
-is read from one table; best_level_power is the one-alpha case.
+is read from one set of level masses; best_level_power is the one-alpha
+case.  The curves come from one kernel, _level_curves, over a stack of
+equal-size (model, statistic) rows, each row equal bit for bit to its
+one-row result; level_powers is the one-row case.  The np-dominance claim
+of verify_propositions draws its pairs in 32-pair blocks and scores the
+pairs of each block that share an outcome count in one stack.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import check_integers
 from .designs import RandomStream
 
 __all__ = [
@@ -44,6 +51,9 @@ __all__ = [
 ]
 
 TOL = 1e-12
+# np-dominance pairs drawn and scored per block: a bounded stack, whose
+# (pairs, levels, alphas) comparison stays small.
+_PAIR_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -59,13 +69,7 @@ class DiscreteModel:
         f1 = np.asarray(self.f1, dtype=float)
         if f0.shape != f1.shape or f0.ndim != 1:
             raise ValueError("f0 and f1 must be vectors of equal length")
-        m = f0.size
-        if not 2 <= m <= 12:
-            raise ValueError("outcome count must lie in [2, 12]")
-        if np.any(f0 <= 0) or np.any(f1 <= 0):
-            raise ValueError("probabilities must be strictly positive")
-        if abs(f0.sum() - 1.0) > TOL or abs(f1.sum() - 1.0) > TOL:
-            raise ValueError("probability vectors must sum to 1")
+        _check_models(np.array((f0, f1))[:, None])
         object.__setattr__(self, "f0", tuple(float(v) for v in f0))
         object.__setattr__(self, "f1", tuple(float(v) for v in f1))
 
@@ -85,14 +89,30 @@ class FiniteStatistic:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ValueError("statistic needs one value per outcome")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("statistic values must be finite")
+        _check_statistics(vals[None])
         object.__setattr__(self, "values", tuple(float(v) for v in vals))
 
     def array(self):
         return np.array(self.values)
+
+
+def _check_models(f):
+    """DiscreteModel's checks on a (2, K, m) stack of models, f0 over f1;
+    a NaN probability fails them."""
+    if not 2 <= f.shape[2] <= 12:
+        raise ValueError("outcome count must lie in [2, 12]")
+    if not np.all(f > 0):
+        raise ValueError("probabilities must be strictly positive")
+    if not np.all(np.abs(f.sum(axis=2) - 1.0) <= TOL):
+        raise ValueError("probability vectors must sum to 1")
+
+
+def _check_statistics(values):
+    """FiniteStatistic's checks on a stack of statistics, one row each."""
+    if values.ndim != 2 or values.shape[1] < 2:
+        raise ValueError("statistic needs one value per outcome")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("statistic values must be finite")
 
 
 def likelihood_ratio(model: DiscreteModel) -> FiniteStatistic:
@@ -127,31 +147,84 @@ def _values(model: DiscreteModel, name: str, stat: FiniteStatistic) -> np.ndarra
     return values
 
 
+def _level_masses(codes, size, f):
+    """Null and alternative mass of each of size levels in every row.
+
+    f is a (2, K, m) stack, the null rows over the alternative rows, and
+    codes (K, m) holds the level of each outcome of its row.  Returns a
+    (2, K, size) array, 0 on the levels no outcome attains.  Each mass is
+    summed as f[codes == k].sum() sums it: bincount adds in outcome order,
+    which is numpy's own order below 8 terms; a level of 8 or more outcomes
+    is re-summed by numpy, whose pairwise sum groups those terms.
+    """
+    k, m = codes.shape
+    inv = (codes + np.arange(0, 2 * k * size, size).reshape(2, k, 1)).ravel()
+    f = f.ravel()
+    p = np.bincount(inv, weights=f, minlength=2 * k * size)
+    if m >= 8:
+        for i in np.flatnonzero(np.bincount(inv, minlength=2 * k * size) >= 8):
+            p[i] = f[inv == i].sum()
+    return p.reshape(2, k, size)
+
+
 def _level_table(model: DiscreteModel, **stats: FiniteStatistic):
     """Null and alternative mass of every level tuple of the named statistics.
 
     Returns (levels, inv, p0, p1): levels holds each statistic's distinct
     values ascending, inv the flat index of each outcome's level tuple, and
-    p0, p1 the masses as arrays of shape (len(levels[0]), ...), 0 on the
-    tuples no outcome attains.  Each mass is summed as f[inv == k].sum() sums
-    it: bincount adds in outcome order, which is numpy's own order below 8
-    terms; a level of 8 or more outcomes is re-summed by numpy, whose
-    pairwise sum groups those terms.
+    p0, p1 the masses (_level_masses) as arrays of shape
+    (len(levels[0]), ...), 0 on the tuples no outcome attains.
     """
-    f0, f1 = model.arrays()
     levels, inv = [], 0
     for name, stat in stats.items():
         uniq, k = np.unique(_values(model, name, stat), return_inverse=True)
         levels.append(uniq)
         inv = inv * uniq.size + k
     shape = tuple(u.size for u in levels)
-    size = math.prod(shape)
-    p0 = np.bincount(inv, weights=f0, minlength=size)
-    p1 = np.bincount(inv, weights=f1, minlength=size)
-    for k in np.flatnonzero(np.bincount(inv, minlength=size) >= 8):
-        p0[k] = f0[inv == k].sum()
-        p1[k] = f1[inv == k].sum()
-    return levels, inv, p0.reshape(shape), p1.reshape(shape)
+    p = _level_masses(inv[None], math.prod(shape), *_rows(model))
+    return levels, inv, p[0, 0].reshape(shape), p[1, 0].reshape(shape)
+
+
+def _rows(model: DiscreteModel, **stats: FiniteStatistic):
+    """One-row stacks: the model's f0 over its f1, of shape (2, 1, m), then
+    each named statistic's values, of shape (1, m), checked by name against
+    the model's size."""
+    f = np.array((model.f0, model.f1))[:, None]
+    return (f, *(_values(model, name, s)[None] for name, s in stats.items()))
+
+
+def _level_curves(f, values, alphas) -> np.ndarray:
+    """level_powers of every row of a stack of models, f of shape (2, K, m),
+    and a (K, m) stack of statistics: a (K, len(alphas)) array.
+
+    Each row's outcomes get level codes in decreasing value order, its
+    masses come from _level_masses (0 past the row's level count), and its
+    cumulative sizes c0 and powers c1 are cumulative sums along the row, so
+    each row repeats the one-row float operations in the one-row order.  j
+    counts the cumulative sizes <= alpha, as a binary search on the row's
+    increasing c0 would; the padded levels repeat the row's total, so a j at
+    or past the level count reads the total power.  The ufunc methods
+    (add.accumulate, add.reduce) skip the cumsum and sum wrappers, since
+    every level_powers call is a one-row case.
+    """
+    k, m = values.shape
+    row = np.arange(k)[:, None]
+    order = (-values).argsort(axis=1)
+    ordered = values[row, order]
+    ranked = np.zeros((k, m), dtype=np.intp)
+    np.add.accumulate(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ranked[:, 1:])
+    codes = np.empty_like(ranked)
+    codes[row, order] = ranked
+    levels = ranked[:, -1:] + 1
+    p = _level_masses(codes, m, f)
+    c = np.zeros((2, k, m + 1))
+    np.add.accumulate(p, axis=2, out=c[:, :, 1:])
+    j = np.add.reduce(c[0, :, 1:, None] <= alphas, axis=1)
+    b = np.minimum(j, levels - 1)
+    c0, c1 = c[:, row, j]
+    p0, p1 = p[:, row, b]
+    partial = c1 + (alphas - c0) / p0 * p1
+    return np.where(j < levels, partial, c[1, row, levels])
 
 
 def level_powers(model: DiscreteModel, t: FiniteStatistic, alphas) -> np.ndarray:
@@ -160,26 +233,19 @@ def level_powers(model: DiscreteModel, t: FiniteStatistic, alphas) -> np.ndarray
 
     Outcomes are taken level by level in decreasing t order; the boundary
     level is accepted with the fractional probability that makes the null
-    rejection mass exactly alpha.  The level table of (model, t) is built
-    once: with cumulative sizes c0 and powers c1 (both starting at 0), j
-    levels are taken in full while c0[j] <= alpha, and the power is
+    rejection mass exactly alpha.  The level masses of (model, t) are
+    summed once: with cumulative sizes c0 and powers c1 (both starting at
+    0), j levels are taken in full while c0[j] <= alpha, and the power is
     c1[j] + (alpha - c0[j]) / p0[j] * p1[j], or c1 of all levels once alpha
-    reaches the total null mass.
+    reaches the total null mass.  This is the one-row case of the stacked
+    kernel _level_curves.
     """
-    alphas = _alpha_vector(alphas)
-    _, _, p0, p1 = _level_table(model, t=t)
-    p0, p1 = p0[::-1], p1[::-1]
-    c0 = np.concatenate(([0.0], np.cumsum(p0)))
-    c1 = np.concatenate(([0.0], np.cumsum(p1)))
-    j = np.searchsorted(c0[1:], alphas, side="right")
-    b = np.minimum(j, p0.size - 1)
-    partial = c1[j] + (alphas - c0[j]) / p0[b] * p1[b]
-    return np.where(j < p0.size, partial, c1[-1])
+    return _level_curves(*_rows(model, t=t), _alpha_vector(alphas))[0]
 
 
 def best_level_power(model: DiscreteModel, t: FiniteStatistic, alpha: float) -> float:
     """Power of the exact size-alpha randomized threshold test based on t:
-    level_powers at the single level alpha, from the same level table."""
+    level_powers at the single level alpha."""
     return float(level_powers(model, t, [alpha])[0])
 
 
@@ -192,17 +258,17 @@ def _identity_violation(model: DiscreteModel, **stats: FiniteStatistic) -> float
     return float(np.max(np.abs(p1 - u * p0)))
 
 
-def _power_gaps(
-    model: DiscreteModel, t1: FiniteStatistic, t2: FiniteStatistic, alpha_grid
-) -> np.ndarray:
-    """Power of t1 minus power of t2 at each alpha of the grid: the one place
-    two level_powers curves are compared."""
-    return level_powers(model, t1, alpha_grid) - level_powers(model, t2, alpha_grid)
+def _power_gaps(f, t1, t2, alpha_grid) -> np.ndarray:
+    """Power of t1 minus power of t2 at each alpha of the grid, row by row
+    over a (2, K, m) stack of models and (K, m) stacks of statistics: the
+    one place two level_powers curves are compared."""
+    return _level_curves(f, t1, alpha_grid) - _level_curves(f, t2, alpha_grid)
 
 
 def _mp_power_gap(model: DiscreteModel, t: FiniteStatistic, alpha_grid) -> float:
     """Largest power difference between t and the likelihood ratio on the grid."""
-    return float(np.max(np.abs(_power_gaps(model, t, likelihood_ratio(model), alpha_grid))))
+    gaps = _power_gaps(*_rows(model, t=t, lam=likelihood_ratio(model)), alpha_grid)
+    return float(np.max(np.abs(gaps)))
 
 
 def check_prop_1_1(model: DiscreteModel) -> dict:
@@ -277,7 +343,7 @@ def check_prop_2_4(
     worst = _identity_violation(model, t1=t1, t2=t2)
     if worst > TOL:
         return {"applicable": False, "hypothesis_violation": worst, "dominates": None}
-    gap = float(np.min(_power_gaps(model, t1, t2, alpha_grid)))
+    gap = float(np.min(_power_gaps(*_rows(model, t1=t1, t2=t2), alpha_grid)))
     return {
         "applicable": True,
         "hypothesis_violation": worst,
@@ -343,7 +409,7 @@ def check_prop_3_1(
     for premise, failed in premises:
         if np.any(failed):
             return {"premises_ok": False, "failed_premise": premise, "dominates": None}
-    gap = float(np.min(_power_gaps(model, tn, t, alpha_grid)))
+    gap = float(np.min(_power_gaps(*_rows(model, tn=tn, t=t), alpha_grid)))
     return {"premises_ok": True, "failed_premise": None, "dominates": gap >= -TOL,
             "min_power_gap": gap}
 
@@ -352,11 +418,17 @@ def check_prop_3_1(
 # Model and statistic generators.
 
 
+def _random_pmf(gen: np.random.Generator, m: int) -> np.ndarray:
+    """m probabilities bounded away from zero: gen.random(m) + 0.05, normalized."""
+    f = gen.random(m)
+    f += 0.05
+    f /= f.sum()
+    return f
+
+
 def random_model(gen: np.random.Generator, m: int) -> DiscreteModel:
     """Random model with probabilities bounded away from zero."""
-    f0 = gen.random(m) + 0.05
-    f1 = gen.random(m) + 0.05
-    return DiscreteModel(tuple(f0 / f0.sum()), tuple(f1 / f1.sum()))
+    return DiscreteModel(tuple(_random_pmf(gen, m)), tuple(_random_pmf(gen, m)))
 
 
 def random_statistic(gen: np.random.Generator, m: int) -> FiniteStatistic:
@@ -381,12 +453,9 @@ def product_model(gen: np.random.Generator, i_size: int, j_size: int):
     likelihood ratio of the informative coordinate, and t is an arbitrary
     function of the (tn, a) pair.
     """
-    p0 = gen.random(i_size) + 0.05
-    p0 /= p0.sum()
-    p1 = gen.random(i_size) + 0.05
-    p1 /= p1.sum()
-    q = gen.random(j_size) + 0.05
-    q /= q.sum()
+    p0 = _random_pmf(gen, i_size)
+    p1 = _random_pmf(gen, i_size)
+    q = _random_pmf(gen, j_size)
     f0 = np.outer(p0, q).ravel()
     f1 = np.outer(p1, q).ravel()
     lam_i = p1 / p0
@@ -417,10 +486,12 @@ def verify_propositions(seed: int = 20260815, n_models: int = 100, n_pairs: int 
     1.0 on a failure.  Identity checks use n_models random models (the MP,
     sufficiency and conditional-dominance claims at most 20 of them, plus
     their counter-model checks); the dominance oracle uses n_pairs random
-    (model, statistic) pairs on the default alpha grid.  The random models
-    and statistics are drawn in sequence from the root stream
-    RandomStream(seed), so the draws depend on n_models as well as on seed.
+    (model, statistic) pairs on the default alpha grid, drawn and scored in
+    blocks of _PAIR_BLOCK pairs.  The random models and statistics are drawn
+    in sequence from the root stream RandomStream(seed), so the draws depend
+    on n_models as well as on seed, and not on the block size.
     """
+    check_integers(seed=seed, n_models=n_models, n_pairs=n_pairs)
     gen = RandomStream(seed).generator()
     if n_models < 1:
         raise ValueError(f"n_models must be >= 1, got {n_models}")
@@ -509,10 +580,20 @@ def verify_propositions(seed: int = 20260815, n_models: int = 100, n_pairs: int 
     add("ancillary-refinement", checks)
 
     gaps = []
-    for _ in range(n_pairs):
-        mod = random_model(gen, int(gen.integers(2, 9)))
-        t = random_statistic(gen, mod.m)
-        gaps.append(float(np.max(_power_gaps(mod, t, likelihood_ratio(mod), grid))))
+    for lo in range(0, n_pairs, _PAIR_BLOCK):
+        groups = {}
+        for _ in range(min(_PAIR_BLOCK, n_pairs - lo)):
+            m = int(gen.integers(2, 9))
+            pair = _random_pmf(gen, m), _random_pmf(gen, m), gen.random(m)
+            groups.setdefault(m, []).append(pair)
+        for group in groups.values():
+            f0, f1, t = zip(*group)
+            f, t = np.array((f0, f1)), np.array(t)
+            lam = f[1] / f[0]
+            _check_models(f)
+            _check_statistics(t)
+            _check_statistics(lam)
+            gaps += np.max(_power_gaps(f, t, lam, grid), axis=1).tolist()
     add("np-dominance", [g <= TOL for g in gaps], max(0.0, *gaps),
         "likelihood ratio attains maximal power at every level")
 

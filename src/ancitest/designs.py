@@ -15,6 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._kernels import check_integers
+
 __all__ = [
     "DesignId",
     "DesignParams",
@@ -37,6 +39,8 @@ STREAM_LAYOUT = 3
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)
 _E = math.e
+# Elements per block of laplace's second exponential (128 KB of doubles).
+_SUBTRAHEND_ELEMS = 1 << 14
 
 
 class UnknownDesignError(ValueError):
@@ -143,26 +147,43 @@ def _std_normal(shape, gen):
 
 
 def _normal_sd2(shape, gen):
-    return 2.0 * _std_normal(shape, gen)
+    # 2 z
+    x = _std_normal(shape, gen)
+    x *= 2.0
+    return x
 
 
 def _laplace(shape, gen):
-    # exp1 - exp1: the difference of two independent unit exponentials.
+    # exp1 - exp1: the difference of two independent unit exponentials.  The
+    # second exp1 is drawn in blocks of _SUBTRAHEND_ELEMS along the first
+    # axis; gen.random takes one 64-bit output per double, in order, so the
+    # blocks hold the doubles one draw of the whole shape would.
     x = _exp1(shape, gen)
-    x -= _exp1(shape, gen)
+    step = max(1, _SUBTRAHEND_ELEMS // math.prod(shape[1:]))
+    for lo in range(0, shape[0], step):
+        block = x[lo:lo + step]
+        block -= _exp1(block.shape, gen)
     return x
 
 
 def _one_minus_exp(shape, gen):
-    return 1.0 - _exp1(shape, gen)
+    # 1 - exp1
+    x = _exp1(shape, gen)
+    return np.subtract(1.0, x, out=x)
 
 
 def _exp_minus_one(shape, gen):
-    return _exp1(shape, gen) - 1.0
+    # exp1 - 1
+    x = _exp1(shape, gen)
+    x -= 1.0
+    return x
 
 
 def _exphalf_minus_lognormal(shape, gen):
-    return math.exp(0.5) - np.exp(_std_normal(shape, gen))
+    # e^0.5 - exp(z)
+    x = _std_normal(shape, gen)
+    np.exp(x, out=x)
+    return np.subtract(math.exp(0.5), x, out=x)
 
 
 def _uniform_m1_1(shape, gen):
@@ -385,8 +406,7 @@ class DesignId:
         # and fail later as a stream path element.
         for field in ("hypothesis", "index"):
             value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"DesignId {field} must be an integer, got {value!r}")
+            check_integers(**{f"DesignId {field}": value})
             object.__setattr__(self, field, int(value))
         key = (str(self.table), self.hypothesis, self.index)
         if key not in _REGISTRY:

@@ -171,6 +171,7 @@ class StudyPlan:
             self.design_null.index,
         ):
             raise ValueError("design pair must share table and index")
+        _kernels.check_integers(**{f"ns[{i}]": n for i, n in enumerate(self.ns)})
         ns = tuple(int(n) for n in self.ns)
         if not ns or min(ns) < 10:
             raise ValueError(f"ns must be >= 10, got {min(ns, default='no sample size')}")
@@ -188,6 +189,7 @@ def _test_record(test, design):
 
 def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
     """Checks shared by every public driver; each error names its parameter."""
+    _kernels.check_integers(reps=reps, bootstrap_b=bootstrap_b, seed=seed)
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000 for reportable output, got {reps}")
     _kernels.check_alpha(alpha)
@@ -466,6 +468,7 @@ def statistic_sample(
     """
     if _test_record(test, design).input == NULL_CHUNK:
         raise ValueError("the bootstrap decision has no scalar statistic")
+    _kernels.check_integers(n=n, reps=reps, root_seed=root_seed)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     if n < 10:

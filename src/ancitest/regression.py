@@ -217,6 +217,7 @@ def make_fixture(n: int, seed: int):
     normal) and pinned by snapshot tests; changing it silently would
     invalidate every recorded frequency.
     """
+    _kernels.check_integers(n=n, seed=seed)
     if n < 10:
         raise ValueError(f"fixture size n must be >= 10, got {n}")
     gen = RandomStream(int(seed), ("fixture",)).generator()
@@ -303,6 +304,7 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
     calls, so the block size does not change the draws: a seed fixes the
     result.
     """
+    _kernels.check_integers(n_b=n_b, reps=reps, seed=seed)
     arr = _kernels.as_sample(eps, 11, "resample study")
     n = arr.size
     check_resample_sizes((n_b,), n)

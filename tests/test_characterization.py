@@ -178,7 +178,32 @@ def test_model_and_statistic_validation():
         FiniteStatistic((1.0,))
     with pytest.raises(ValueError):
         FiniteStatistic((1.0, float("nan")))
+    with pytest.raises(ValueError, match="strictly positive"):
+        DiscreteModel((float("nan"), 0.5), (0.5, 0.5))
     assert TWO.m == 2
+
+
+def test_np_dominance_pairs_get_the_model_checks(monkeypatch):
+    # The pairs are drawn as arrays, not as DiscreteModel objects; a pair
+    # whose last probability vector has a zero entry still fails the model
+    # check.  np-dominance makes the last _random_pmf calls.
+    original = characterization._random_pmf
+    calls = []
+
+    def spoiled(gen, m):
+        calls.append(m)
+        f = original(gen, m)
+        if len(calls) == target:
+            f[0] = 0.0
+        return f
+
+    monkeypatch.setattr(characterization, "_random_pmf", spoiled)
+    target = 0
+    verify_propositions(n_models=5, n_pairs=40)
+    target = len(calls)
+    calls.clear()
+    with pytest.raises(ValueError, match="probabilities must be strictly positive"):
+        verify_propositions(n_models=5, n_pairs=40)
 
 
 def test_likelihood_ratio_values():
@@ -240,6 +265,33 @@ def _tied_model(gen, m):
     the larger one of 8 or more outcomes once m >= 11."""
     f1 = np.where(gen.permutation(m) < m // 3, 3.0, 1.0)
     return DiscreteModel(tuple(np.full(m, 1.0 / m)), tuple(f1 / f1.sum()))
+
+
+def test_level_curves_rows_bit_equal_to_loop():
+    # The stacked kernel on blocks of every size m from 2 to 12.  A block
+    # mixes continuous, rounded and three-valued statistics (rows with
+    # fewer levels than outcomes) with likelihood ratios, some with levels
+    # of 8 or more outcomes; each row equals the per-level loop on the
+    # default grid plus every row's cumulative level sizes, and _power_gaps
+    # is the row-wise difference of two such curves.
+    gen = np.random.default_rng(31)
+    grid = default_alpha_grid()
+    kinds = ("continuous", "rounded", "three-valued")
+    for m in range(2, 13):
+        models = [random_model(gen, m) if i % 2 else _tied_model(gen, m) for i in range(9)]
+        stats = [_oracle_statistic(gen, m, kinds[i % 3]) for i in range(9)]
+        lams = [likelihood_ratio(model) for model in models]
+        knots = np.concatenate([_loop_sizes(mod, t) for mod in models for t in stats + lams])
+        alphas = np.concatenate((grid, knots[(knots > 0.0) & (knots < 1.0)]))
+        f = np.array([[model.f0 for model in models], [model.f1 for model in models]])
+        t, lam = (np.array([s.values for s in col]) for col in (stats, lams))
+        curves = characterization._level_curves(f, t, alphas)
+        gaps = characterization._power_gaps(f, t, lam, alphas)
+        for i, model in enumerate(models):
+            assert np.array_equal(curves[i], _loop_power(model, stats[i], alphas))
+            assert np.array_equal(
+                gaps[i], _loop_power(model, stats[i], alphas) - _loop_power(model, lams[i], alphas)
+            )
 
 
 def _prop_3_1_cases(gen):
@@ -603,6 +655,9 @@ def test_verify_propositions_small_run():
         ({"seed": -1}, r"seed must be non-negative, got -1"),
         ({"n_models": 0}, r"n_models must be >= 1, got 0"),
         ({"n_pairs": -3}, r"n_pairs must be >= 1, got -3"),
+        ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
+        ({"n_models": 2.5}, r"n_models must be an integer, got 2\.5"),
+        ({"n_pairs": True}, r"n_pairs must be an integer, got True"),
     ],
 )
 def test_verify_propositions_rejects_bad_input_by_name(kwargs, message):
@@ -637,8 +692,10 @@ _SPOILERS = {
     "sufficiency-calibration": ("check_prop_2_5", lambda rep: {**rep, "calibrated": False}, 1.0),
     "conditional-dominance": ("check_prop_2_4", lambda rep: {**rep, "dominates": False}, 1.0),
     "ancillary-refinement": ("check_prop_3_1", lambda rep: {**rep, "dominates": False}, 1.0),
-    # np-dominance calls no check_prop_*; its last pair's gaps are spoiled.
-    "np-dominance": ("_power_gaps", lambda gaps: np.full_like(gaps, 0.25), 0.25),
+    # np-dominance calls no check_prop_*; one pair's row of its last batched
+    # gaps is spoiled.
+    "np-dominance": ("_power_gaps", lambda gaps: np.vstack((gaps[:-1], np.full_like(gaps[-1:], 0.25))),
+                     0.25),
 }
 
 

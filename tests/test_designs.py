@@ -309,7 +309,8 @@ _OLD_BY_FAMILY = {
 
 
 @pytest.mark.parametrize("design", scalar_designs(), ids=lambda d: f"{d.table}-{d.label}")
-@pytest.mark.parametrize("rows, n", [(1, 11), (7, 50)])
+# (2000, 50) crosses several row blocks of laplace's second exponential.
+@pytest.mark.parametrize("rows, n", [(1, 11), (7, 50), (2000, 50)])
 def test_in_place_samplers_equal_plain_expressions(design, rows, n):
     entry = designs_module._entry(design)
     stream = RandomStream(3, ("oracle", design.table, design.index))

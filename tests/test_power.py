@@ -385,6 +385,18 @@ def test_study_plan_validation():
         StudyPlan(**{**good, "bootstrap_b": 50})
     with pytest.raises(ValueError, match="seed"):
         StudyPlan(**{**good, "root_seed": -1})
+    # Non-integer sizes, counts and seeds are errors, not truncated; numpy
+    # integers are stored as int.
+    with pytest.raises(ValueError, match=r"^ns\[1\] must be an integer, got 40\.5$"):
+        StudyPlan(**{**good, "ns": (50, 40.5)})
+    with pytest.raises(ValueError, match=r"^reps must be an integer, got 1000\.5$"):
+        StudyPlan(**{**good, "reps": 1000.5})
+    with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
+        StudyPlan(**{**good, "root_seed": 0.5})
+    with pytest.raises(ValueError, match=r"^bootstrap_b must be an integer, got False$"):
+        StudyPlan(**{**good, "bootstrap_b": False})
+    plan = StudyPlan(**{**good, "ns": (np.int64(50),), "reps": np.int32(1000)})
+    assert plan.ns == (50,) and type(plan.ns[0]) is int
 
 
 def test_table_grid_contract():
@@ -523,13 +535,32 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
         (lambda: kde_at(np.arange(5.0), np.nan, 1.0), r"^point must be finite, got nan$"),
         (lambda: statistic_sample("To", D_01_TABLE_2, 50, 100, 1, moment_variant="cubic"),
          r"^moment_variant must be 'quartic' or 'quadratic', got 'cubic'$"),
+        (lambda: statistic_sample("To", D_01_TABLE_2, 40.5, 1000, 1),
+         r"^n must be an integer, got 40\.5$"),
+        (lambda: statistic_sample("To", D_01_TABLE_2, 50, 1000.7, 1),
+         r"^reps must be an integer, got 1000\.7$"),
+        (lambda: statistic_sample("To", D_01_TABLE_2, 50, 1000, True),
+         r"^root_seed must be an integer, got True$"),
+        (lambda: reproduce_table("2", reps=1000.5, seed=0), r"^reps must be an integer, got 1000\.5$"),
+        (lambda: reproduce_table("2", reps=1000, seed=1.5), r"^seed must be an integer, got 1\.5$"),
+        (lambda: reproduce_table("2", reps=1000, seed=0, bootstrap_b=100.5),
+         r"^bootstrap_b must be an integer, got 100\.5$"),
+        (lambda: resample_power_study(make_fixture(100, 0), 70.5, 1000),
+         r"^n_b must be an integer, got 70\.5$"),
+        (lambda: resample_power_study(make_fixture(100, 0), 70, 1000, seed=1.5),
+         r"^seed must be an integer, got 1\.5$"),
+        (lambda: make_fixture(100, 1.5), r"^seed must be an integer, got 1\.5$"),
     ],
     ids=["statistic_sample-reps", "statistic_sample-n", "make_fixture-n", "test", "bootstrap",
          "threads", "StudyPlan-ns", "render_table-format", "resample-n_b", "resample-reps",
          "test-shape", "resample-size", "t_test_known_sigma", "modified_mean_test",
          "median_test_TN", "symmetry_test", "wilcoxon_signed_rank", "t_test_known_sigma-sigma",
          "modified_mean_test-sigma", "bootstrap_t_test-sigma", "sample_moments-sigma_known",
-         "kde_at-bandwidth", "kde_at-point", "statistic_sample-moment_variant"],
+         "kde_at-bandwidth", "kde_at-point", "statistic_sample-moment_variant",
+         "statistic_sample-n-integer", "statistic_sample-reps-integer",
+         "statistic_sample-root_seed-bool", "reproduce_table-reps-integer",
+         "reproduce_table-seed-integer", "reproduce_table-bootstrap_b-integer",
+         "resample-n_b-integer", "resample-seed-integer", "make_fixture-seed-integer"],
 )
 def test_bad_input_errors_name_the_parameter_and_value(call, message):
     with pytest.raises(ValueError, match=message):
