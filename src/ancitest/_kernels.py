@@ -3,11 +3,10 @@
 This module is the only place where a statistic or a piece of one is
 computed.  The Monte Carlo engine (``power``) and the resampling study
 (``regression``) call the kernels on whole chunks of an (R, n) matrix, one
-replication per row; the public tests in ``stattests`` and the helpers in
-``empirical`` call them on a (1, n) matrix holding their one sample.  A TN
-kernel is its base kernel plus an ancillary correction read from a kernel;
-both bootstrap tests take To, T*_b and their threshold from known_sigma_z
-and type7_quantile.
+replication per row; the public tests in ``stattests`` call them on a
+(1, n) matrix holding their one sample.  A TN kernel is its base kernel
+plus an ancillary correction read from a kernel; both bootstrap tests take
+To, T*_b and their threshold from known_sigma_z and type7_quantile.
 
 Every statistic kernel returns (stat, reason, parts): the length-R statistic
 vector, a uint8 reason vector indexing REASONS (0 for a usable row, else

@@ -32,11 +32,13 @@ decisions) report Pow := PowA.  Every kernel returns its values with a
 reason vector, nonzero on each degenerate row.  Per (cell, test) the engine
 keeps only what the score reads, reduced chunk by chunk as tasks finish:
 the PowA, Pow and degenerate counts, and for a matched null cell of a RANK
-test its k + 1 largest values, whose smallest is the threshold.  No
-reps-long vector is kept.  The resample study in ``regression`` shares the
-row-tile dispatch.  Both public drivers name only the cells they report;
-_run_cells adds the matched null of each RANK cell, and every cell is
-scored through one function, _Scores.estimate.
+test its k + 1 largest values, whose smallest is the threshold.  One
+function, _rank_rule, keeps those values, reads the threshold and rejects
+strictly above it; pow_indicators applies it with the whole null vector as
+one chunk.  No reps-long vector is kept.  The resample study in
+``regression`` shares the row-tile dispatch.  Both public drivers name only
+the cells they report; _run_cells adds the matched null of each RANK cell,
+and every cell is scored through one function, _Scores.estimate.
 """
 
 from __future__ import annotations
@@ -192,9 +194,7 @@ def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
     _kernels.check_integers(reps=reps, bootstrap_b=bootstrap_b, seed=seed)
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000 for reportable output, got {reps}")
-    _kernels.check_alpha(alpha)
-    if _rank_k(alpha, reps) < 1:
-        raise ValueError(f"alpha * reps must be at least 1, got alpha={alpha}, reps={reps}")
+    _rank_k(alpha, reps)
     _check_variant(moment_variant)
     if bootstrap_b < 100:
         raise ValueError(f"bootstrap_b must be >= 100, got {bootstrap_b}")
@@ -321,56 +321,66 @@ def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads):
 def _rank_k(alpha, reps):
     """k = floor(alpha reps), the number of null replications that strictly
     exceed the rank threshold; the guard keeps products like 0.95 * 5000,
-    a hair below the integer in binary, from losing a rank."""
-    return int(math.floor(alpha * reps + 1e-9))
-
-
-def _rejection_rank_threshold(null_stats, alpha):
-    """The (reps - k)-th order statistic of the null vector, k = floor(alpha reps).
-
-    Strictly exceeding it selects exactly the k highest null replications
-    (ties aside), which pins the null rejection rate at k/reps.
-    """
-    reps = null_stats.size
-    k = _rank_k(alpha, reps)
+    a hair below the integer in binary, from losing a rank.  alpha must pass
+    check_alpha and k be at least 1; each error names the values."""
+    _kernels.check_alpha(alpha)
+    k = int(math.floor(alpha * reps + 1e-9))
     if k < 1:
-        raise ValueError("alpha * reps is below one rejection rank")
-    if not np.any(np.isfinite(null_stats)):
-        raise RuntimeError("all matched-null replications are degenerate")
-    return float(np.partition(null_stats, reps - k - 1)[reps - k - 1])
+        raise ValueError(f"alpha * reps must be at least 1, got alpha={alpha}, reps={reps}")
+    return k
+
+
+def _rank_rule(keep, top, values=(), stats=()):
+    """The one rank rule: (top, threshold, stats > threshold).
+
+    top, the keep = k + 1 largest null values so far, takes in values by
+    one np.partition (an introselect, Knuth, TAOCP vol. 3, 5.3.3), NaN
+    highest and the smallest at top[0].  That smallest is the threshold:
+    over any chunk split of the null vector, its (reps - k)-th order
+    statistic, np.partition(null, reps - k - 1)[reps - k - 1].  Rejection
+    is strictly above it: exactly k null values, ties aside."""
+    if len(values):
+        both = np.concatenate([top, values]) if top.size else values
+        cut = max(0, both.size - keep)
+        top = np.partition(both, cut)[cut:].copy()  # a view would keep all of both
+    threshold = float(top[0])
+    return top, threshold, np.asarray(stats) > threshold
 
 
 def pow_indicators(stats, null_stats, alpha):
-    """Empirical-threshold rejection indicator vector.
+    """Empirical-threshold rejection indicator vector of stats: the engine's
+    rank rule (_rank_rule) with the whole 1-D null_stats as one chunk.
 
     Applying the same strictly increasing transform to both vectors leaves
     the indicators unchanged, because only ranks enter the threshold.
     """
-    stats = np.asarray(stats, dtype=float)
-    thr = _rejection_rank_threshold(np.asarray(null_stats, dtype=float), alpha)
-    return stats > thr
+    null = np.asarray(null_stats, dtype=float)
+    if null.ndim != 1:
+        raise ValueError(f"null_stats must be one-dimensional, got shape {null.shape}")
+    k = _rank_k(alpha, null.size)
+    if not np.isfinite(null).any():
+        raise RuntimeError("all matched-null replications are degenerate")
+    return _rank_rule(k + 1, np.empty(0), null, np.asarray(stats, dtype=float))[2]
 
 
 class _Tally:
     """What the score of one (cell, test) reads, summed over its chunks:
     the PowA rejections, the degenerate rows and a RANK alternative's Pow
-    rejections.  A RANK matched null keeps its k + 1 largest values in top
-    instead, ranked as np.partition ranks them (NaN highest) with the
-    smallest at top[0], and whether any of its values is finite."""
+    rejections.  A RANK matched null keeps instead its k + 1 largest values
+    in top, as _rank_rule keeps them, and whether any of its values is
+    finite."""
 
     def __init__(self, powa=0, degenerate=0):
         self.powa, self.degenerate, self.pow = powa, degenerate, 0
-        self.top, self.finite = None, False
+        self.top, self.finite = np.empty(0), False
 
 
 class _Scores:
     """The scores of _run_cells: cells maps (design, n, test) to the cell's
-    _Tally.  chunk counts a RANK alternative's rejections against top[0] of
-    its matched null, final by then since _run_cells merges every
-    matched-null chunk first, and hands a matched null's whole chunk on in
-    top.  add keeps the k + 1 largest of the cell's top and that chunk with
-    one np.partition (an introselect, Knuth, TAOCP vol. 3, 5.3.3) of at most
-    k + 1 + CHUNK values.  estimate scores a cell."""
+    _Tally.  chunk counts a RANK alternative's rejections by _rank_rule
+    against its matched null's top, final by then since _run_cells merges
+    every matched-null chunk first, and hands a matched null's whole chunk
+    on in top, which add merges by _rank_rule.  estimate scores a cell."""
 
     def __init__(self, reps, alpha):
         self.reps, self.keep = reps, _rank_k(alpha, reps) + 1
@@ -384,7 +394,8 @@ class _Scores:
         if rule == RANK and d == _null_of(d):
             part.top, part.finite = values, bool(np.isfinite(values).any())
         elif rule == RANK:
-            part.pow = int(np.count_nonzero(values > self.cells[_null_of(d), n, t].top[0]))
+            top = self.cells[_null_of(d), n, t].top
+            part.pow = int(np.count_nonzero(_rank_rule(self.keep, top, stats=values)[2]))
         return part
 
     def add(self, d, n, t, part):
@@ -393,16 +404,14 @@ class _Scores:
         cell.degenerate += part.degenerate
         cell.pow += part.pow
         cell.finite = cell.finite or part.finite
-        if part.top is not None:
-            both = part.top if cell.top is None else np.concatenate([cell.top, part.top])
-            cut = max(0, both.size - self.keep)
-            cell.top = np.partition(both, cut)[cut:].copy()  # a view would keep all of both
+        if part.top.size:
+            cell.top = _rank_rule(self.keep, cell.top, part.top)[0]
 
     def estimate(self, d, n, t):
         """PowerEstimate of the cell (d, n, t) by its test's rule; only RANK
-        reads the matched null's tally, whose smallest kept value is the
-        threshold.  A matched null counts its own Pow from its kept values,
-        since every value above the threshold is among them."""
+        reads the matched null's tally, through _rank_rule.  A matched null
+        counts its own Pow from its top, since every value above the
+        threshold is among them."""
         cell, reps = self.cells[d, n, t], self.reps
         if cell.degenerate == reps:
             raise RuntimeError("all replications are degenerate")
@@ -411,8 +420,8 @@ class _Scores:
             null_cell = self.cells[_null_of(d), n, t]
             if not null_cell.finite:
                 raise RuntimeError("all matched-null replications are degenerate")
-            threshold = float(null_cell.top[0])
-            pow_count = cell.pow if cell.top is None else int(np.count_nonzero(cell.top > threshold))
+            _, threshold, above = _rank_rule(self.keep, null_cell.top, stats=cell.top)
+            pow_count = cell.pow + int(np.count_nonzero(above))
         powa, pw = cell.powa / reps, pow_count / reps
         return PowerEstimate(
             powa=powa,

@@ -106,7 +106,7 @@ def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "qua
     standardized by the estimated variance of the corrected statistic.  On
     exactly symmetric samples (zero third moment) this reduces to
     t_test_known_sigma.  The moment variant selects the centering constant of
-    the squared-deviation variance estimators, see sample_moments.
+    the squared-deviation variance estimators, see _kernels.MomentPieces.
     """
     arr = _kernels.as_sample(x, 3, "modified_mean_test")
     _kernels.check_alpha(alpha)

@@ -1,14 +1,14 @@
 """Test-only scalar oracles for the statistic kernels.
 
-These are the per-sample formulas that the public tests and the
-``empirical`` helpers used before they became one-row calls of
-``ancitest._kernels``: each oracle computes its statistic from plain numpy
-on one sample (``np.median``, ``np.quantile``, ``np.std``, scalar moments
-and a scalar KDE), with the same degeneracy checks in the same order and
-the same reason strings.  The rankdata signed-rank reference lives here too.
-The tests hold the kernels, and the public wrappers that call them, to
-these independent routes.  Inputs are assumed clean (1-D, finite, large
-enough); the public wrappers own the input checks.
+These are the per-sample formulas that the public tests used before they
+became one-row calls of ``ancitest._kernels``: each oracle computes its
+statistic from plain numpy on one sample (``np.median``, ``np.quantile``,
+``np.std``, scalar moments and a scalar KDE), with the same degeneracy
+checks in the same order and the same reason strings.  The rankdata
+signed-rank reference lives here too.  The tests hold the kernels, and the
+public tests that call them, to these independent routes.  Inputs are
+assumed clean (1-D, finite, large enough); the public tests own the input
+checks.
 """
 
 import math

@@ -28,7 +28,6 @@ from ancitest import (
     bootstrap_t_test,
     design_params,
     estimate_power,
-    kde_at,
     make_fixture,
     median_test_To,
     median_test_TN,
@@ -38,7 +37,6 @@ from ancitest import (
     reproduce_table,
     resample_power_study,
     sample_design_matrix,
-    sample_moments,
     statistic_sample,
     symmetry_test,
     t_test_known_sigma,
@@ -51,7 +49,6 @@ from ancitest import _kernels as ker
 from ancitest import power as power_module
 from ancitest.power import (
     CHUNK,
-    _rejection_rank_threshold,
     default_a_grid,
     default_mu_grid,
     table_grid,
@@ -71,23 +68,25 @@ def _plan(test, null, alt, ns, reps, seed=0, **kw):
 
 def test_rank_threshold_hand_oracle():
     null = np.array([0.1, 0.9, 0.3, 0.7, 0.5, 0.2, 0.8, 0.4, 0.6, 1.0])
-    # alpha = 0.2, reps = 10: k = 2, threshold = 8th smallest = 0.8.
-    thr = _rejection_rank_threshold(null, 0.2)
-    assert thr == 0.8
+    # alpha = 0.2, reps = 10: k = 2, threshold = 8th smallest = 0.8, the
+    # smallest of the k + 1 = 3 values the rule keeps, in one chunk or two.
+    rule = power_module._rank_rule
+    top, thr, _ = rule(3, np.empty(0), null)
+    assert thr == 0.8 and sorted(top) == [0.8, 0.9, 1.0]
+    assert rule(3, rule(3, np.empty(0), null[:4])[0], null[4:])[1] == 0.8
     ind = pow_indicators(np.array([0.75, 0.8, 0.85, 2.0]), null, 0.2)
     assert ind.tolist() == [False, False, True, True]
     # Exactly k null replications strictly exceed the threshold.
     assert pow_indicators(null, null, 0.2).sum() == 2
     with pytest.raises(ValueError):
-        _rejection_rank_threshold(null, 0.05)
+        pow_indicators(null, null, 0.05)
 
 
 def test_rank_threshold_floor_is_float_safe():
     # alpha * reps values like 0.95 * 5000 land a hair above the integer in
     # binary; the floor must not lose a rank to that.
     null = np.arange(5000, dtype=float)
-    thr = _rejection_rank_threshold(null, 0.95)
-    assert (null > thr).sum() == 4750
+    assert pow_indicators(null, null, 0.95).sum() == 4750
 
 
 def test_null_row_rate_is_exact_k_over_reps():
@@ -528,11 +527,14 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
          r"^sigma must be positive and finite, got inf$"),
         (lambda: bootstrap_t_test(np.arange(5.0), np.inf, stream=RandomStream(1, ("sb",))),
          r"^sigma must be positive and finite, got inf$"),
-        (lambda: sample_moments(np.arange(5.0), sigma_known=np.inf),
-         r"^sigma_known must be positive and finite, got inf$"),
-        (lambda: kde_at(np.arange(5.0), 0.0, np.inf),
-         r"^bandwidth must be positive and finite, got inf$"),
-        (lambda: kde_at(np.arange(5.0), np.nan, 1.0), r"^point must be finite, got nan$"),
+        (lambda: pow_indicators([5.5, 9.5], np.arange(10.0), 1.0),
+         r"^alpha must lie strictly between 0 and 1, got 1\.0$"),
+        (lambda: pow_indicators([5.5, 9.5], np.arange(10.0), np.nan),
+         r"^alpha must lie strictly between 0 and 1, got nan$"),
+        (lambda: pow_indicators([5.5, 9.5], np.arange(10.0).reshape(2, 5), 0.2),
+         r"^null_stats must be one-dimensional, got shape \(2, 5\)$"),
+        (lambda: pow_indicators([5.5, 9.5], np.arange(10.0), 0.05),
+         r"^alpha \* reps must be at least 1, got alpha=0\.05, reps=10$"),
         (lambda: statistic_sample("To", D_01_TABLE_2, 50, 100, 1, moment_variant="cubic"),
          r"^moment_variant must be 'quartic' or 'quadratic', got 'cubic'$"),
         (lambda: statistic_sample("To", D_01_TABLE_2, 40.5, 1000, 1),
@@ -555,8 +557,9 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
          "threads", "StudyPlan-ns", "render_table-format", "resample-n_b", "resample-reps",
          "test-shape", "resample-size", "t_test_known_sigma", "modified_mean_test",
          "median_test_TN", "symmetry_test", "wilcoxon_signed_rank", "t_test_known_sigma-sigma",
-         "modified_mean_test-sigma", "bootstrap_t_test-sigma", "sample_moments-sigma_known",
-         "kde_at-bandwidth", "kde_at-point", "statistic_sample-moment_variant",
+         "modified_mean_test-sigma", "bootstrap_t_test-sigma", "pow_indicators-alpha",
+         "pow_indicators-alpha-nan", "pow_indicators-null_stats-shape",
+         "pow_indicators-alpha-reps", "statistic_sample-moment_variant",
          "statistic_sample-n-integer", "statistic_sample-reps-integer",
          "statistic_sample-root_seed-bool", "reproduce_table-reps-integer",
          "reproduce_table-seed-integer", "reproduce_table-bootstrap_b-integer",
@@ -612,7 +615,8 @@ def test_engine_follows_a_patched_rule(monkeypatch):
     report = reproduce_table("3", reps=1000, seed=seed)
     est = estimate_power(_plan("W", null, alt, [n], 1000, seed=seed))[n]
     assert repr(est) == repr(report.cell(alt.label, "W", n))
-    threshold = _rejection_rank_threshold(statistic_sample("W", null, n, 1000, seed)[0], 0.05)
+    k = power_module._rank_k(0.05, 1000)
+    threshold = np.sort(statistic_sample("W", null, n, 1000, seed)[0])[1000 - k - 1]
     stats, _ = statistic_sample("W", alt, n, 1000, seed)
     assert est.rank_threshold == threshold
     assert est.pow == np.count_nonzero(stats > threshold) / 1000
@@ -637,8 +641,9 @@ RANK_VALUES = st.sampled_from([-np.inf, np.nan, -0.0, 0.0, np.inf, -2.0, -0.5, 0
 def test_chunked_rank_reduction_equals_whole_vector_threshold(vectors, size, alpha):
     # _Scores keeps a matched null's k + 1 largest values, merged chunk by
     # chunk, and counts the alternative's chunks against the smallest of
-    # them.  Over any chunk split that is the threshold and the counts of
-    # the whole vectors.
+    # them.  Over any chunk split that is the whole null vector's
+    # (reps - k)-th order statistic, read here from a sort (NaN last), and
+    # the counts of the whole vectors, which pow_indicators gives too.
     null, alt = (np.array(v) for v in vectors)
     reps = null.size
     scores = power_module._Scores(reps, alpha)
@@ -650,13 +655,14 @@ def test_chunked_rank_reduction_equals_whole_vector_threshold(vectors, size, alp
             part = scores.chunk(d, 25, "To", values[lo:hi], reason[lo:hi])
             scores.add(d, 25, "To", part)
     null_cell = scores.cells[DesignId("2", 0, 1), 25, "To"]
-    assert null_cell.top.size == power_module._rank_k(alpha, reps) + 1
+    k = power_module._rank_k(alpha, reps)
+    assert null_cell.top.size == k + 1
     if not np.isfinite(null).any():
         with pytest.raises(RuntimeError, match="all matched-null replications are degenerate"):
-            _rejection_rank_threshold(null, alpha)
+            pow_indicators(alt, null, alpha)
         assert not null_cell.finite
         return
-    threshold = _rejection_rank_threshold(null, alpha)
+    threshold = np.sort(null)[reps - k - 1]
     for d, values in designs.items():
         if np.isneginf(values).all():
             with pytest.raises(RuntimeError, match="all replications are degenerate"):
@@ -666,6 +672,7 @@ def test_chunked_rank_reduction_equals_whole_vector_threshold(vectors, size, alp
         assert est.rank_threshold == threshold or (
             math.isnan(threshold) and math.isnan(est.rank_threshold))
         assert est.pow == np.count_nonzero(values > threshold) / reps
+        assert pow_indicators(values, null, alpha).sum() / reps == est.pow
         assert est.powa == np.count_nonzero(values > ker.normal_upper(alpha)) / reps
         assert est.degenerate_count == np.count_nonzero(np.isneginf(values))
 
