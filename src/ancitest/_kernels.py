@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -145,7 +146,9 @@ def moment_pieces(x: np.ndarray, sigma=None, variant: str = "quartic") -> Moment
     mu3 = (dd * d).mean(axis=1)
     var_known = None
     if sigma is not None:
-        c_known = sigma**4 if variant == "quartic" else sigma**2
+        # numpy's power, which overflows to inf where a Python float's
+        # raises: mean_to reads only the mean and must not fail.
+        c_known = np.float64(sigma) ** (4 if variant == "quartic" else 2)
         var_known = ((dd - c_known) ** 2).mean(axis=1)
     c_s = s2**2 if variant == "quartic" else s2
     var_s = ((dd - c_s[:, None]) ** 2).mean(axis=1)
@@ -389,12 +392,19 @@ def bootstrap_draw(gen: np.random.Generator, rows: int, step: int, n: int):
     return gen.integers(0, n, size=(rows, step, n), dtype=dtype)
 
 
+def bootstrap_block_steps(gen: np.random.Generator, n_boot: int, n: int):
+    """The resample indices of one row block, one (b1 - b0, n) step at a
+    time along bootstrap_steps: the index sequence that every row of the
+    block shares (stream layout 4)."""
+    for b0, b1 in bootstrap_steps(n_boot):
+        yield bootstrap_draw(gen, 1, b1 - b0, n)[0]
+
+
 def bootstrap_row_draws(gen: np.random.Generator, n_boot: int, n: int):
-    """All n_boot resample indices of one row, (n_boot, n), drawn step by
-    step: the indices bootstrap_mean_reject draws for a one-row block on
-    every step it evaluates."""
-    steps = bootstrap_steps(n_boot)
-    return np.concatenate([bootstrap_draw(gen, 1, b1 - b0, n)[0] for b0, b1 in steps])
+    """All n_boot resample indices of one row, (n_boot, n): the sequence
+    bootstrap_mean_reject draws for each row block, so its first block's
+    rows resample with these indices on the same generator."""
+    return np.concatenate(list(bootstrap_block_steps(gen, n_boot, n)))
 
 
 def resample_means(row: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -403,7 +413,7 @@ def resample_means(row: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.take(row, idx), axis=-1) / row.size
 
 
-def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0, alt_draw=None):
+def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0):
     """Early-stopped bootstrap-t decisions on the resamples that draw supplies.
 
     Row r rejects when its statistic To = sqrt(n) mean / sigma exceeds
@@ -411,22 +421,19 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0, alt_draw=None):
     T*_b = sqrt(n) (mean*_b - mean) / sigma, both from known_sigma_z.  Rows
     are taken in blocks of _BOOT_ELEMS // (_BOOT_STEP * n) (83 rows at
     n = 250), and each block steps along B, _BOOT_STEP resamples at a time
-    (bootstrap_steps).  Each live row's resample means are gathered from
-    that row alone, with its own slice of the step's draw (resample_means):
-    the intp indices and float values np.take makes cover one row's step at
-    a time, never the whole block's.
+    (bootstrap_steps), from b0 = 0 on.  At each step, draw(rows, b0, b1)
+    must return the (len(rows), b1 - b0, n) indices of resamples
+    b0..b1-1 of the given live rows; it is not called for no rows.  Each
+    live row's resample means are gathered from that row alone, with its
+    own slice of the step's indices (resample_means), so the float values
+    np.take makes cover one row's step at a time, never the whole block's.
 
     Each shift s of shifts gets its own decision on every row, for the row
     x + s: its To is known_sigma_z of the mean of x + s (taken per block),
     and its T*_b are those of x, since a centred T*_b does not change when
     the row is shifted.  So one set of resamples decides every shift, and a
-    row stays live until all its decisions are fixed.  At each step,
-    draw(rows, b0, b1) must return the (len(rows), b1 - b0, n) indices of
-    resamples b0..b1-1 of the given live rows whose first decision is
-    still open, and alt_draw(rows, b0, b1) those of the rows kept live only
-    for a later shift; neither is called for no rows.  A scalar shift (the
-    default 0.0) decides x itself, calls draw for the live rows only and
-    returns one decision per row.
+    row stays live until all its decisions are fixed.  A scalar shift (the
+    default 0.0) decides x itself and returns one decision per row.
 
     The quantile sits at v = (n_boot - 1)(1 - alpha), between the sorted
     T*_(lo) and T*_(lo+1) with lo = floor(v), so with c = #{T*_b < To}:
@@ -461,25 +468,20 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0, alt_draw=None):
                            n, sigma)
         tstar = np.empty((m, n_boot))
         live = np.arange(m)
-        first = np.ones(m, dtype=bool)  # the live rows whose first decision is open
         below = np.zeros((s.size, m), dtype=np.int64)
         for b0, b1 in bootstrap_steps(n_boot):
+            idx = draw(r0 + live, b0, b1)
             means = np.empty((live.size, b1 - b0))
-            for sel, f in ((first, draw), (~first, alt_draw)):
-                at = np.flatnonzero(sel)
-                if at.size:
-                    idx = f(r0 + live[at], b0, b1)
-                    for i, j in enumerate(at):
-                        means[j] = resample_means(x[r0 + live[j]], idx[i])
+            for i, j in enumerate(live):
+                means[i] = resample_means(x[r0 + j], idx[i])
             t = known_sigma_z(means - xbar[r0 + live, None], n, sigma)
             tstar[live, b0:b1] = t
             below += np.count_nonzero(t < to[:, live, None], axis=2)
             up = below >= reject_at
-            done = up | (b1 - below >= keep_at)
-            out = done.all(axis=0)
+            out = (up | (b1 - below >= keep_at)).all(axis=0)
             reject[:, r0 + live[out]] = up[:, out]
             used[r0 + live[out]] = b1
-            live, below, first = live[~out], below[:, ~out], ~done[0, ~out]
+            live, below = live[~out], below[:, ~out]
             if not live.size:
                 break
         if live.size:
@@ -495,35 +497,48 @@ def bootstrap_mean_reject(
     n_boot: int,
     gen: np.random.Generator,
     shifts=0.0,
-    alt_gen: np.random.Generator | None = None,
 ):
     """Centered bootstrap-t with known sigma, one decision per row and shift.
 
-    The decision rule is bootstrap_decide's.  Each step draws
-    bootstrap_draw(gen, live, step, n) for the rows of its block whose first
-    decision is still open, then bootstrap_draw(alt_gen, ...) for the rows
-    kept live only for a later shift, block after block, so a row draws
-    exactly the resamples it evaluates.  The first decision's draws, and so
-    its decisions, are those of a one-shift call on gen alone: the rows
-    live for it are the same.  The decisions depend only on (x, shifts,
-    generator states): the block size _BOOT_ELEMS is part of the stream
-    layout.  How many indices are drawn depends on when rows stop, so the
-    generators' end states depend on x.
+    The decision rule is bootstrap_decide's (stream layout 4).  Each row
+    block draws one index sequence, bootstrap_block_steps(gen, n_boot, n),
+    block after block, and every row live at a step resamples with that
+    step's indices, converted to intp once for all of them.  A block draws
+    all n_boot steps however early its rows stop, so the k-th block's
+    sequence depends only on the generator's starting state and k, never on
+    x, and so does the generator's end state.  A block's decisions depend
+    only on its rows, the shifts and its sequence; in particular a shift
+    pair's first decisions equal those of a one-shift call on the same
+    generator.  The block size _BOOT_ELEMS is part of the stream layout.
+    One step of indices is held at a time.
 
     Follows the kernel contract with a decision in place of a statistic:
     returns (reject, reason, parts) with the boolean decisions and uint8
     reasons, both of shape np.shape(shifts) + (rows,), and parts =
     {"resamples": the number of resamples each row evaluated}.  Rows whose
     shifted sample x + s has zero range get reason CONSTANT for that shift
-    and never reject it; they are still resampled, so the draws of the
-    other rows do not depend on them.
+    and never reject it; they are still resampled, like every other row.
     """
     n = x.shape[1]
+    pending = iter(())  # the current block's steps not yet drawn
 
-    def drawing(g):
-        return lambda live, b0, b1: bootstrap_draw(g, live.size, b1 - b0, n)
+    def draw(rows, b0, b1):
+        # bootstrap_decide asks for each block's steps in order from b0 = 0,
+        # so b0 = 0 opens the next block, once the previous one has drawn
+        # the steps its rows did not reach.
+        nonlocal pending
+        if b0 == 0:
+            for _ in pending:
+                pass
+            pending = bootstrap_block_steps(gen, n_boot, n)
+        # Every row gets the same intp step, as a zero-stride view that is
+        # writeable, since np.take copies a read-only index array.
+        idx = next(pending).astype(np.intp, copy=False)
+        return as_strided(idx, (rows.size,) + idx.shape, (0,) + idx.strides)
 
-    reject, used = bootstrap_decide(x, sigma, alpha, n_boot, drawing(gen), shifts, drawing(alt_gen))
+    reject, used = bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts)
+    for _ in pending:
+        pass
     # Rounding is monotone, so max(x + s) and min(x + s) are the shifted
     # max and min, and x + s is flat exactly where they agree.
     s = np.reshape(shifts, (-1, 1))

@@ -6,7 +6,9 @@ a JSON manifest (<out>.manifest.json) carrying the subcommand, the full
 flag set, the seed, the library, numpy and Python versions, the platform,
 the stream-layout version, the wall time and the output paths, so any
 artifact can be reproduced from its manifest alone.  A subcommand without
---out writes its text to stdout.
+--out writes its text to stdout.  tables runs on every CPU the process may
+use unless --threads says otherwise; its output does not depend on the
+thread count, and the manifest records the count it ran with.
 
 Exit codes: 0 success, 2 usage error (argparse), 1 runtime failure; all
 diagnostics go to stderr, all data to files or stdout.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -65,6 +68,15 @@ def _alpha_value(text):
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError("alpha must lie strictly between 0 and 1")
     return value
+
+
+def _available_cpus():
+    """The CPUs this process may run on: the default --threads of tables,
+    whose output does not depend on the thread count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _nb_list(text):
@@ -224,7 +236,7 @@ def _build_parser():
     p.add_argument("--moment-variant", choices=["quartic", "quadratic"], default="quartic")
     p.add_argument("--bootstrap-b", type=_positive_int, default=1000)
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=_available_cpus())
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tables)
 

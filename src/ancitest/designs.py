@@ -33,8 +33,9 @@ __all__ = [
 # Version of the stream layout: which draws every stream path feeds.  It is
 # bumped by any change to the draws; the README lists what each version
 # changed.  Version 3 decides a table-1 alternative's bootstrap test on its
-# null's chunk path, from the null's resamples.
-STREAM_LAYOUT = 3
+# null's chunk path, from the null's resamples; version 4 lets the rows of
+# each bootstrap row block share one index sequence.
+STREAM_LAYOUT = 4
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)

@@ -16,14 +16,14 @@ Reproducibility contract: replications are produced in fixed-size chunks,
 and chunk c of a cell draws from the stream path (table, index, hypothesis,
 n, c).  The bootstrap test TB decides a null cell and its alternative, a
 location shift of it, on the null's chunk path (table, index, 0, n, c): one
-pass over the null rows' resamples decides both.  Rows whose null decision
-is still open resample from the child path (table, index, 0, n, c, 1), one
-step of resamples at a time, exactly as a null cell alone does; rows kept
-live only for the alternative resample from the child path
-(table, index, 0, n, c, 2) (stream layout 3, see designs.STREAM_LAYOUT).
-Chunk content therefore depends only on the root seed and the cell
-coordinates, never on the worker schedule, and rates are reduced from
-integer rejection counts, so any thread count yields identical output.
+pass over the null rows' resamples decides both.  The rows of each row
+block share one sequence of resample indices, drawn one step at a time
+from the child path (table, index, 0, n, c, 1); every block draws all its
+steps, so a null cell alone draws exactly as its pair does (stream layout
+4, see designs.STREAM_LAYOUT).  Chunk content therefore depends only on
+the root seed and the cell coordinates, never on the worker schedule, and
+rates are reduced from integer rejection counts, so any thread count
+yields identical output.
 
 Every cell is simulated and scored from one test table (_TABLES), which
 holds each test's kernel, the kernel's input and the cell's scoring rule.
@@ -82,9 +82,9 @@ CHUNK = 4096
 # pieces(x, sigma, variant) of a row tile, and a record per test in column
 # order.  A ROWS kernel reads the tile's rows and a PIECES kernel its
 # pieces; a NULL_CHUNK kernel(x, sigma, alpha, bootstrap_b, generator,
-# shifts, alt_generator) reads the matched null's whole chunk and its child
-# streams 1 and 2, and decides the null and each requested shift of it
-# (designs.null_shift); its resample blocks are part of the stream layout.
+# shifts) reads the matched null's whole chunk and its child stream 1, and
+# decides the null and each requested shift of it (designs.null_shift); its
+# resample blocks are part of the stream layout.
 # RANK takes Pow from the matched null's rank threshold; ASYMPTOTIC and
 # DECISION report Pow := PowA.  The design families are the registry's
 # (list_designs).
@@ -259,7 +259,7 @@ def _chunk_statistics(did, n, tests, rows, chunk_idx, root_seed, variant, alpha,
         designs = [did] + [d for d in tests[t] if d != did]
         reject, reason, _ = records[t].kernel(
             x, sigma, alpha, bootstrap_b, stream.child(1).generator(),
-            [null_shift(d) for d in designs], stream.child(2).generator())
+            [null_shift(d) for d in designs])
         out.update({(d, t): (reject[j], reason[j])
                     for j, d in enumerate(designs) if d in tests[t]})
     return out

@@ -67,9 +67,14 @@ class TestOutcome:
     components: dict = field(default_factory=dict)
 
 
-def _check_sigma(sigma):
+def _check_sigma(sigma, power: int = 1):
+    """sigma must be positive and finite, and so must sigma**power, the
+    highest power of sigma that the statistic takes."""
     if not 0 < sigma < np.inf:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.float64(sigma) ** power):
+            raise ValueError(f"sigma**{power} overflows float64, got sigma={sigma}")
 
 
 def _outcome(scored, alpha):
@@ -95,7 +100,11 @@ def t_test_known_sigma(x, sigma: float, alpha: float = 0.05) -> TestOutcome:
     arr = _kernels.as_sample(x, 2, "t_test_known_sigma")
     _kernels.check_alpha(alpha)
     _check_sigma(sigma)
-    return _outcome(_kernels.mean_to(_kernels.moment_pieces(arr[None, :], sigma)), alpha)
+    # mean_to reads only the mean: the squared pieces may overflow at a
+    # large scale without touching the statistic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pieces = _kernels.moment_pieces(arr[None, :], sigma)
+    return _outcome(_kernels.mean_to(pieces), alpha)
 
 
 def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "quartic") -> TestOutcome:
@@ -110,7 +119,7 @@ def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "qua
     """
     arr = _kernels.as_sample(x, 3, "modified_mean_test")
     _kernels.check_alpha(alpha)
-    _check_sigma(sigma)
+    _check_sigma(sigma, 4 if variant == "quartic" else 2)
     return _outcome(_kernels.mean_tn(_kernels.moment_pieces(arr[None, :], sigma, variant)), alpha)
 
 
@@ -127,9 +136,11 @@ def bootstrap_t_test(
     T*_b = sqrt(n) (mean*_b - mean) / sigma, and rejects when the observed
     statistic exceeds their type-7 (1 - alpha) quantile.  The p-value is
     the fraction of T*_b at or above the observed statistic.  The indices
-    are drawn step by step as the engine draws them for one row, so on the
-    same generator the T*_b equal the engine's on every step it evaluates.
-    A zero-range sample raises DegenerateStatistic, as the engine scores it.
+    are drawn step by step as the engine draws the one index sequence that
+    the rows of a row block share (stream layout 4), so on a TB chunk's
+    child stream 1 this test decides each row of the chunk's first block as
+    the engine does.  A zero-range sample raises DegenerateStatistic, as
+    the engine scores it.
     """
     arr = _kernels.as_sample(x, 2, "bootstrap_t_test")
     _kernels.check_alpha(alpha)

@@ -62,7 +62,7 @@ def test_tables_output_and_manifest(tmp_path):
     assert manifest["output_paths"] == [str(out_path)]
     assert manifest["wall_time_s"] >= 0.0
     assert "version" in manifest
-    assert manifest["stream_layout"] == STREAM_LAYOUT == 3
+    assert manifest["stream_layout"] == STREAM_LAYOUT == 4
 
 
 def test_tables_byte_identical_across_threads(tmp_path):
@@ -232,15 +232,20 @@ def test_study_size_error_names_the_sizes(tmp_path, monkeypatch, capsys):
 
 
 def test_thread_env_var_only_sets_default(tmp_path):
-    # The thread count never changes the output.
+    # Without --threads, tables runs on the CPUs the process may use and
+    # writes the bytes of a one-thread run; the manifest records the count
+    # it resolved, so a replay runs with it.
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    common = ["tables", "--table", "2", "--reps", "1000", "--seed", "2",
-              "--bootstrap-b", "100"]
-    r1 = run_cli(*common, "--out", str(a), "--threads", "3")
+    common = ["tables", "--table", "2", "--reps", "1000", "--seed", "2"]
+    r1 = run_cli(*common, "--out", str(a))
     r2 = run_cli(*common, "--out", str(b), "--threads", "1")
-    assert r1.returncode == 0 and r2.returncode == 0
+    assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
     assert a.read_bytes() == b.read_bytes()
+    threads = json.loads((tmp_path / "a.csv.manifest.json").read_text())["flags"]["threads"]
+    assert isinstance(threads, int) and threads >= 1
+    assert threads == cli._available_cpus()
+    assert json.loads((tmp_path / "b.csv.manifest.json").read_text())["flags"]["threads"] == 1
 
 
 def test_cli_import_loads_no_scipy():

@@ -14,8 +14,10 @@ The stdlib normal tails are checked against scipy.stats to rel 1e-12.
 bootstrap_decide stops each row early; the full-B loop below, which
 evaluates every resample, is its oracle on the same indices, fed to it a
 step at a time from one pre-drawn (rows, B, n) array.  bootstrap_mean_reject
-draws each step for the live rows only, draws exactly what it evaluates and
-gathers each live row's resamples from that row alone; it returns (reject,
+(stream layout 4) draws one index sequence per row block, every step of it
+however early the rows stop, hands each live row that step's indices and
+gathers each live row's resamples from that row alone; a block's decisions
+do not depend on when the blocks before it stop.  It returns (reject,
 reason, parts) like every other kernel, with zero-range rows degenerate and
 never rejecting, and parts["resamples"] the resamples each row evaluated.
 Deciding a shift pair keeps the one-shift null decisions and draws, and
@@ -362,52 +364,87 @@ class _CountingGenerator:
         return self.gen.integers(low, high, size=size, dtype=dtype)
 
 
+def _block_sequences(seed, rows, block, n_boot, n):
+    """The index sequence of each row block of rows on default_rng(seed),
+    drawn whole (bootstrap_row_draws), and a decision-stage draw that hands
+    each row the step of its block's sequence."""
+    gen = np.random.default_rng(seed)
+    blocks = [ker.bootstrap_row_draws(gen, n_boot, n) for _ in range(0, rows, block)]
+
+    def draw(live, b0, b1):
+        return np.stack([blocks[r // block][b0:b1] for r in live])
+
+    return gen, draw
+
+
 @pytest.mark.parametrize("n", [15, 250])
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
 def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, taken, monkeypatch):
+    # Stream layout 4: each 8-row block draws one index sequence, all
+    # n_boot resamples of it as one (1, step, n) draw per step, and every
+    # row live at a step resamples with that step's indices.  The rows
+    # evaluate exactly those resamples, each up to its own stop, and nothing
+    # else is drawn: the generator ends where the whole sequences end.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
     monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
     proxy = _CountingGenerator(3)
     got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, proxy)
     gathered = list(taken)
-    # The same draws through the decision stage give each row's stop.
-    gen = np.random.default_rng(3)
-    want, used = ker.bootstrap_decide(
-        x, 1.0, alpha, n_boot,
-        lambda rows, b0, b1: ker.bootstrap_draw(gen, rows.size, b1 - b0, n),
-    )
+    # The same sequences, drawn whole, through the decision stage give the
+    # decisions and each row's stop.
+    gen, draw = _block_sequences(3, len(x), 8, n_boot, n)
+    want, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw)
     # The constant row is resampled like the others but never rejects.
     assert np.array_equal(got[0], want & (np.ptp(x, axis=1) > 0.0))
+    assert np.array_equal(got[2]["resamples"], used)
     assert proxy.gen.bit_generator.state == gen.bit_generator.state
-    # Per 8-row block and step, the draw covers the rows still live, and
-    # every drawn index is gathered once: one gather per live row, of that
-    # row's (b1 - b0, n) resamples.
-    expected = []
-    for r0 in range(0, len(x), 8):
-        for b0, b1 in ker.bootstrap_steps(n_boot):
-            live = np.count_nonzero(used[r0 : r0 + 8] > b0)
-            if not live:
-                break
-            expected.append((live, b1 - b0, n))
-    assert proxy.sizes == expected
-    assert gathered == [step * n for live, step, n in expected for _ in range(live)]
+    steps = ker.bootstrap_steps(n_boot)
+    assert proxy.sizes == [(1, b1 - b0, n) for _ in range(0, len(x), 8) for b0, b1 in steps]
+    # One gather per row live at a step, of that step's (b1 - b0, n)
+    # resamples.
+    expected = [(b1 - b0) * n for r0 in range(0, len(x), 8) for b0, b1 in steps
+                for _ in range(np.count_nonzero(used[r0 : r0 + 8] > b0))]
+    assert gathered == expected
     assert sum(gathered) == n * used.sum() < len(x) * n_boot * n
+
+
+def test_bootstrap_block_decisions_do_not_depend_on_earlier_blocks(monkeypatch):
+    # Two inputs that share their second 8-row block.  In the first, the
+    # first block's rows sit far below their threshold and all stop after
+    # one step; in the second they sit near it and some run to n_boot.
+    # Every block draws its whole sequence, so the second block resamples
+    # with the same indices either way.
+    n, n_boot = 50, 400
+    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
+    rows = _bootstrap_rows(n, 0.05, seed=7)
+    later = rows[51:59]  # the plain shifted rows
+    runs = []
+    for first in (rows[:8] - 1.0, rows[:8]):
+        gen = np.random.default_rng(4)
+        x = np.vstack([first, later])
+        reject, _, parts = ker.bootstrap_mean_reject(x, 1.0, 0.05, n_boot, gen)
+        runs.append((reject, parts["resamples"], gen.bit_generator.state))
+    (rej_low, used_low, end_low), (rej_near, used_near, end_near) = runs
+    assert np.all(used_low[:8] == ker._BOOT_STEP) and used_near[:8].max() == n_boot
+    assert np.array_equal(rej_low[8:], rej_near[8:])
+    assert np.array_equal(used_low[8:], used_near[8:])
+    assert end_low == end_near
 
 
 def test_bootstrap_mean_reject_follows_the_kernel_contract():
     # Constant rows of 0.7 (which the bare decision rule rejects: every
     # T*_b is 0 < To) and of 0.0 (which it keeps) among normal rows.  They
     # are resampled like the others, so the normal rows get the decisions
-    # of bootstrap_decide on the same generator.
+    # of bootstrap_decide on the one row block's index sequence.
     n = 40
     x = np.random.default_rng(8).standard_normal((12, n)) + 0.3
     x[[2, 7]] = 0.7
     x[5] = 0.0
     flat = np.isin(np.arange(12), [2, 5, 7])
     reject, reason, parts = ker.bootstrap_mean_reject(x, 1.0, 0.05, 200, np.random.default_rng(9))
-    gen = np.random.default_rng(9)
+    idx = ker.bootstrap_row_draws(np.random.default_rng(9), 200, n)
     want, used = ker.bootstrap_decide(
-        x, 1.0, 0.05, 200, lambda rows, b0, b1: ker.bootstrap_draw(gen, rows.size, b1 - b0, n)
+        x, 1.0, 0.05, 200, lambda rows, b0, b1: np.broadcast_to(idx[b0:b1], (rows.size, b1 - b0, n))
     )
     assert reject.dtype == bool and reason.dtype == np.uint8
     assert parts.keys() == {"resamples"} and np.array_equal(parts["resamples"], used)
@@ -432,12 +469,14 @@ def test_bootstrap_draw_dtype_and_range():
 
 def test_bootstrap_default_row_block():
     # The default block size is part of the stream layout: 2**20 indices
-    # per step, 83 rows at n = 250.
-    x = np.random.default_rng(6).standard_normal((100, 250))
-    proxy = _CountingGenerator(7)
-    ker.bootstrap_mean_reject(x, 1.0, 0.05, 100, proxy)
-    assert proxy.sizes[0] == (83, ker._BOOT_STEP, 250)
-    assert (17, ker._BOOT_STEP, 250) in proxy.sizes
+    # per step of a full block, 83 rows at n = 250.  Each block draws its
+    # own sequence of every step, so 166 rows draw two sequences and 167
+    # rows three.
+    for rows, blocks in ((166, 2), (167, 3)):
+        x = np.random.default_rng(6).standard_normal((rows, 250))
+        proxy = _CountingGenerator(7)
+        ker.bootstrap_mean_reject(x, 1.0, 0.05, 100, proxy)
+        assert proxy.sizes == [(1, ker._BOOT_STEP, 250)] * (2 * blocks)
 
 
 @pytest.mark.parametrize(
@@ -467,27 +506,27 @@ def test_bootstrap_layout_2_snapshot(seed, rows, n, n_boot, packed_sha256, resam
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
 def test_bootstrap_pair_keeps_the_one_shift_null_decisions(n, n_boot, alpha, monkeypatch):
     # A shift pair's null decisions, reasons and draws are those of the
-    # one-shift kernel on the same generator, bit for bit: the rows live for
-    # the null draw from it exactly as before, and the rows kept live only
-    # for the alternative draw from the other generator.
+    # one-shift kernel on the same generator, bit for bit: each block draws
+    # its whole index sequence either way, and the rows kept live only for
+    # the alternative resample with the same steps of it.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
     monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
     one = _CountingGenerator(3)
     reject, reason, parts = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, one)
-    null, alt = _CountingGenerator(3), _CountingGenerator(4)
-    pair = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, null, (0.0, 1.0 / math.sqrt(n)), alt)
+    null = _CountingGenerator(3)
+    pair = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, null, (0.0, 1.0 / math.sqrt(n)))
     assert pair[0].shape == pair[1].shape == (2, len(x))
     assert np.array_equal(pair[0][0], reject) and np.array_equal(pair[1][0], reason)
     assert null.sizes == one.sizes
     assert null.gen.bit_generator.state == one.gen.bit_generator.state
-    assert alt.sizes and np.all(pair[2]["resamples"] >= parts["resamples"])
+    assert np.all(pair[2]["resamples"] >= parts["resamples"])
+    assert np.any(pair[2]["resamples"] > parts["resamples"])
 
 
 @pytest.mark.parametrize("n", [15, 250])
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
 def test_bootstrap_pair_resamples_are_the_larger_single_count(n, n_boot, alpha, monkeypatch):
-    # Fed the same per-row indices whichever stream asks for them, each
-    # decision of a pair is the one-shift decision of its shift, and a row
+    # Fed the same per-row indices, each decision of a pair is the one-shift decision of its shift, and a row
     # evaluates as many resamples as the longer of the two.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
     idx = np.random.default_rng(n).integers(0, n, size=(len(x), n_boot, n))
@@ -497,7 +536,7 @@ def test_bootstrap_pair_resamples_are_the_larger_single_count(n, n_boot, alpha, 
         return idx[rows, b0:b1]
 
     shifts = (0.0, 1.0 / math.sqrt(n))
-    got, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw, shifts, draw)
+    got, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw, shifts)
     singles = [ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw, s) for s in shifts]
     for decisions, (want, _) in zip(got, singles):
         assert np.array_equal(decisions, want)
@@ -523,7 +562,7 @@ def test_bootstrap_pair_alternative_matches_the_shifted_rows(record_property):
             def draw(r, b0, b1):
                 return idx[r, b0:b1]
 
-            got, _ = ker.bootstrap_decide(x, sigma, 0.05, n_boot, draw, (0.0, shift), draw)
+            got, _ = ker.bootstrap_decide(x, sigma, 0.05, n_boot, draw, (0.0, shift))
             want, _ = ker.bootstrap_decide(x + shift, sigma, 0.05, n_boot, draw)
             flips += np.count_nonzero(got[1] != want)
             total += rows
@@ -539,16 +578,16 @@ def test_bootstrap_pair_reasons_follow_each_shifted_row():
     x[1] = np.linspace(1e-20, 4e-20, n)  # x + 1.0 is 1.0 throughout
     x[4] = 0.7
     reject, reason, _ = ker.bootstrap_mean_reject(
-        x, 1.0, 0.05, 200, np.random.default_rng(9), (0.0, 1.0), np.random.default_rng(10))
+        x, 1.0, 0.05, 200, np.random.default_rng(9), (0.0, 1.0))
     assert np.array_equal(reason[0], np.where(np.arange(6) == 4, ker.CONSTANT, 0))
     assert np.array_equal(reason[1], np.where(np.isin(np.arange(6), [1, 4]), ker.CONSTANT, 0))
     assert not reject[1, [1, 4]].any() and reject[1].any()
 
 
 def test_bootstrap_step_holds_no_block_sized_gather():
-    # One 1000-row cell at n = 250, B = 1000.  The step's uint16 draw is the
-    # only (live, step, n) array (2 MB); a block-wide intp index copy and
-    # float gather would add 8 MB each.
+    # One 1000-row cell at n = 250, B = 1000.  The shared step's uint16 draw
+    # and its intp copy are (step, n) arrays (25 KB and 100 KB); a
+    # block-wide intp index copy and float gather would add 8 MB each.
     x = np.random.default_rng(5).standard_normal((1000, 250))
     tracemalloc.start()
     try:

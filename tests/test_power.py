@@ -312,18 +312,44 @@ def test_bootstrap_cell_rate_agrees_with_scalar_loop():
 def test_table_1_tb_pairs_do_not_depend_on_threads_or_driver():
     # One pass over the null rows' resamples fills both TB rows of a family.
     # The table is the same on any thread count, estimate_power scores the
-    # alternative cell as the table does, and the null rows are those of the
-    # one-shift kernel on the null's chunk path and child stream 1.
+    # alternative cell, and the null cell of a null-alone plan, as the table
+    # does, and the null rows are those of the one-shift kernel on the
+    # null's chunk path and child stream 1.
     reps, seed, b, n = 1000, 4, 100, 150
     one = reproduce_table("1", reps=reps, seed=seed, bootstrap_b=b, threads=1)
     assert repr(one) == repr(reproduce_table("1", reps=reps, seed=seed, bootstrap_b=b, threads=3))
     null, alt = DesignId("1", 0, 2), DesignId("1", 1, 2)
     est = estimate_power(_plan("TB", null, alt, [n], reps, seed=seed, bootstrap_b=b))[n]
     assert repr(est) == repr(one.cell(alt.label, "TB", n))
+    alone = estimate_power(_plan("TB", null, null, [n], reps, seed=seed, bootstrap_b=b))[n]
+    assert repr(alone) == repr(one.cell(null.label, "TB", n))
     stream = RandomStream(seed, ("1", 2, 0, n, 0))
     x = sample_design_matrix(null, reps, n, stream)
     reject, _, _ = ker.bootstrap_mean_reject(x, 1.0, 0.05, b, stream.child(1).generator())
     assert one.cell(null.label, "TB", n).powa == np.count_nonzero(reject) / reps
+
+
+def test_tb_chunk_first_block_rows_decide_as_bootstrap_t_test():
+    # Stream layout 4: the rows of a TB chunk's first row block (139 rows at
+    # n = 150) resample with one index sequence, drawn step by step from the
+    # chunk's child stream 1 as bootstrap_t_test draws its resamples.  So
+    # each of those rows decides, in the engine's pair pass, as the scalar
+    # test decides it on that stream.
+    seed, n, b, rows = 6, 150, 200, 200
+    null, alt = DesignId("1", 0, 3), DesignId("1", 1, 3)
+    out = power_module._chunk_statistics(
+        null, n, {"TB": [null, alt]}, rows, 0, seed, "quartic", 0.05, b)
+    reject, reason = out[null, "TB"]
+    stream = RandomStream(seed, ("1", 3, 0, n, 0))
+    x = sample_design_matrix(null, rows, n, stream)
+    block = ker._BOOT_ELEMS // (ker._BOOT_STEP * n)
+    assert block == 139 and not reason[:block].any()
+    want = [bootstrap_t_test(row, 1.0, 0.05, b, stream.child(1)).reject for row in x[:block]]
+    assert np.array_equal(reject[:block], want)
+    assert 0 < np.count_nonzero(want) < block
+    # The next block draws its own sequence.
+    later = [bootstrap_t_test(row, 1.0, 0.05, b, stream.child(1)).reject for row in x[block:]]
+    assert not np.array_equal(reject[block:], later)
 
 
 @pytest.mark.parametrize("test, table, drawn", [
@@ -468,14 +494,14 @@ def test_reproduce_table_render_byte_identical_across_threads():
     [
         ("table 2", "1df25e27a66a5dbd0fd72334e5a6ef9e29f241b00ae7ff22bb888f3886b5ba02"),
         ("table 3", "94d5ca04b21977247f54c500ac3ce53fa3e856c9d11d2c264ce868dc070f7839"),
-        ("TB D_02->D_12", "cc212f54e375104181d63a88794e32e3ad3446156aa98de68b65c0dd964f6bf1"),
+        ("TB D_02->D_12", "d9f74f0c1ac802ce25a5d1d6dff77751922c130d94becfb55dce22b85531b68d"),
     ],
 )
 def test_table_output_snapshot(case, digest):
     # sha256 of fixed-seed outputs, recorded before the TN kernels were built
-    # from their base kernels (the TB plan at stream layout 3).  Tables stay
-    # byte-identical unless the stream layout changes, and a layout bump
-    # updates these digests.
+    # from their base kernels (the TB plan re-recorded at stream layout 4).
+    # Tables stay byte-identical unless the stream layout changes, and a
+    # layout bump updates these digests.
     if case == "TB D_02->D_12":
         null, alt = DesignId("1", 0, 2), DesignId("1", 1, 2)
         plan = StudyPlan("TB", null, alt, (150,), 1000, 1, bootstrap_b=100)

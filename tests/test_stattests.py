@@ -10,6 +10,8 @@ is scipy's ``wilcoxon``, used here as a test oracle only.
 """
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +54,27 @@ def test_t_test_known_sigma_oracle():
         t_test_known_sigma(np.array([1.0]), sigma=1.0)
     with pytest.raises(ValueError):
         t_test_known_sigma(x, sigma=0.0)
+
+
+@pytest.mark.parametrize("c", [1e100, 1e160])
+def test_known_sigma_tests_where_a_power_of_sigma_overflows(c):
+    # (c x, c sigma) leaves the known-sigma statistics unchanged, but at
+    # these scales sigma**4 overflows float64.  t_test_known_sigma reads
+    # only the mean and returns its statistic, without a warning;
+    # modified_mean_test, whose quartic variant centres at sigma**4, names
+    # sigma (and so does its quadratic variant once sigma**2 overflows).
+    x = np.random.default_rng(5).exponential(size=60) - 1.0
+    want = t_test_known_sigma(x, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = t_test_known_sigma(c * x, c)
+    assert got.statistic == pytest.approx(want.statistic, rel=1e-14)
+    assert got.reject == want.reject and got.p_value == pytest.approx(want.p_value, rel=1e-12)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'sigma**4 overflows float64, got sigma={c}')}$"):
+        modified_mean_test(c * x, c)
+    if c == 1e160:
+        with pytest.raises(ValueError, match=r"^sigma\*\*2 overflows float64"):
+            modified_mean_test(c * x, c, variant="quadratic")
 
 
 def test_modified_mean_test_hand_oracle_both_variants():
