@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])
@@ -385,11 +384,11 @@ def bootstrap_steps(n_boot: int):
     return [(b0, min(b0 + _BOOT_STEP, n_boot)) for b0 in range(0, n_boot, _BOOT_STEP)]
 
 
-def bootstrap_draw(gen: np.random.Generator, rows: int, step: int, n: int):
-    """Indices of one step of resamples: gen.integers(0, n, size=(rows,
-    step, n)), drawn as uint16 when n <= 65536 and as int64 above."""
+def bootstrap_draw(gen: np.random.Generator, step: int, n: int):
+    """Indices of one step of resamples: gen.integers(0, n, size=(step, n)),
+    drawn as uint16 when n <= 65536 and as int64 above."""
     dtype = np.uint16 if n <= 1 << 16 else np.int64
-    return gen.integers(0, n, size=(rows, step, n), dtype=dtype)
+    return gen.integers(0, n, size=(step, n), dtype=dtype)
 
 
 def bootstrap_block_steps(gen: np.random.Generator, n_boot: int, n: int):
@@ -397,7 +396,7 @@ def bootstrap_block_steps(gen: np.random.Generator, n_boot: int, n: int):
     time along bootstrap_steps: the index sequence that every row of the
     block shares (stream layout 4)."""
     for b0, b1 in bootstrap_steps(n_boot):
-        yield bootstrap_draw(gen, 1, b1 - b0, n)[0]
+        yield bootstrap_draw(gen, b1 - b0, n)
 
 
 def bootstrap_row_draws(gen: np.random.Generator, n_boot: int, n: int):
@@ -407,10 +406,22 @@ def bootstrap_row_draws(gen: np.random.Generator, n_boot: int, n: int):
     return np.concatenate(list(bootstrap_block_steps(gen, n_boot, n)))
 
 
-def resample_means(row: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Means of the resamples row[idx] along the last axis of idx: numpy's
-    own mean reduction, so it equals row[idx].mean(axis=-1) bit for bit."""
-    return np.add.reduce(np.take(row, idx), axis=-1) / row.size
+def resample_means(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Means of the k resamples that the shared (k, n) indices idx make of
+    every row of the (rows, n) matrix x: out[r, b] is the mean of
+    x[r, idx[b]].
+
+    A resample is fixed by how often it drew each observation, so one
+    bincount gives the (k, n) count matrix C of the k resamples, and the
+    means of all rows are one product x @ C.T / n.  The product sums in
+    another order than a gather x[r, idx[b]].mean() does, and BLAS may pick
+    that order by its build, its thread count and the number of rows, so a
+    mean can differ from the gathered one by a few eps * max|x[r]|.  Rows
+    whose sums are exact in any order, such as integer-valued rows, get
+    the gathered means bit for bit."""
+    k, n = idx.shape
+    counts = np.bincount((idx + n * np.arange(k)[:, None]).ravel(), minlength=k * n)
+    return x @ counts.reshape(k, n).T.astype(float) / n
 
 
 def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0):
@@ -421,12 +432,12 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0):
     T*_b = sqrt(n) (mean*_b - mean) / sigma, both from known_sigma_z.  Rows
     are taken in blocks of _BOOT_ELEMS // (_BOOT_STEP * n) (83 rows at
     n = 250), and each block steps along B, _BOOT_STEP resamples at a time
-    (bootstrap_steps), from b0 = 0 on.  At each step, draw(rows, b0, b1)
-    must return the (len(rows), b1 - b0, n) indices of resamples
-    b0..b1-1 of the given live rows; it is not called for no rows.  Each
-    live row's resample means are gathered from that row alone, with its
-    own slice of the step's indices (resample_means), so the float values
-    np.take makes cover one row's step at a time, never the whole block's.
+    (bootstrap_steps), from b0 = 0 on.  At each step, draw(r0, b0, b1)
+    must return the (b1 - b0, n) indices of resamples b0..b1-1 of the row
+    block that starts at row r0, which every live row of the block
+    resamples with; it is not called once the block has no live rows.  The
+    step's resample means of all live rows are one count-matrix product
+    (resample_means).
 
     Each shift s of shifts gets its own decision on every row, for the row
     x + s: its To is known_sigma_z of the mean of x + s (taken per block),
@@ -445,11 +456,12 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0):
       type7_quantile then takes once from all its sorted T*_b.
 
     Both counts only grow, so a fixed decision stays fixed, and it equals
-    To > type7_quantile(T*, 1 - alpha) over all n_boot resamples.  Each
-    resample mean is the same whichever rows and steps are evaluated
-    together, so the decisions equal that rule on the same indices, bit for
-    bit.  Returns the decisions, of shape np.shape(shifts) + (rows,), and
-    the number of resamples each row evaluated.
+    To > type7_quantile(T*, 1 - alpha) over all n_boot resamples.  The
+    T*_b come from resample_means, so a decision can differ from that rule
+    on gathered resample means only where a T*_b lies within a few
+    rounding errors of To.  Returns the decisions, of shape
+    np.shape(shifts) + (rows,), and the number of resamples each row
+    evaluated.
     """
     rows, n = x.shape
     xbar = x.mean(axis=1)
@@ -470,10 +482,7 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0):
         live = np.arange(m)
         below = np.zeros((s.size, m), dtype=np.int64)
         for b0, b1 in bootstrap_steps(n_boot):
-            idx = draw(r0 + live, b0, b1)
-            means = np.empty((live.size, b1 - b0))
-            for i, j in enumerate(live):
-                means[i] = resample_means(x[r0 + j], idx[i])
+            means = resample_means(x[r0 + live], draw(r0, b0, b1))
             t = known_sigma_z(means - xbar[r0 + live, None], n, sigma)
             tstar[live, b0:b1] = t
             below += np.count_nonzero(t < to[:, live, None], axis=2)
@@ -503,14 +512,15 @@ def bootstrap_mean_reject(
     The decision rule is bootstrap_decide's (stream layout 4).  Each row
     block draws one index sequence, bootstrap_block_steps(gen, n_boot, n),
     block after block, and every row live at a step resamples with that
-    step's indices, converted to intp once for all of them.  A block draws
-    all n_boot steps however early its rows stop, so the k-th block's
-    sequence depends only on the generator's starting state and k, never on
-    x, and so does the generator's end state.  A block's decisions depend
-    only on its rows, the shifts and its sequence; in particular a shift
-    pair's first decisions equal those of a one-shift call on the same
-    generator.  The block size _BOOT_ELEMS is part of the stream layout.
-    One step of indices is held at a time.
+    step's indices.  A block draws all n_boot steps however early its rows
+    stop, so the k-th block's sequence depends only on the generator's
+    starting state and k, never on x, and so does the generator's end
+    state.  A block's decisions depend only on its rows, the shifts and its
+    sequence; in particular a shift pair's first decisions equal those of a
+    one-shift call on the same generator, up to the rounding of a T*_b that
+    lies within a few rounding errors of To (resample_means).  The block
+    size _BOOT_ELEMS is part of the stream layout.  One step of indices,
+    and its count matrix, is held at a time.
 
     Follows the kernel contract with a decision in place of a statistic:
     returns (reject, reason, parts) with the boolean decisions and uint8
@@ -522,7 +532,7 @@ def bootstrap_mean_reject(
     n = x.shape[1]
     pending = iter(())  # the current block's steps not yet drawn
 
-    def draw(rows, b0, b1):
+    def draw(r0, b0, b1):
         # bootstrap_decide asks for each block's steps in order from b0 = 0,
         # so b0 = 0 opens the next block, once the previous one has drawn
         # the steps its rows did not reach.
@@ -531,10 +541,7 @@ def bootstrap_mean_reject(
             for _ in pending:
                 pass
             pending = bootstrap_block_steps(gen, n_boot, n)
-        # Every row gets the same intp step, as a zero-stride view that is
-        # writeable, since np.take copies a read-only index array.
-        idx = next(pending).astype(np.intp, copy=False)
-        return as_strided(idx, (rows.size,) + idx.shape, (0,) + idx.strides)
+        return next(pending)
 
     reject, used = bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts)
     for _ in pending:

@@ -139,8 +139,10 @@ def bootstrap_t_test(
     are drawn step by step as the engine draws the one index sequence that
     the rows of a row block share (stream layout 4), so on a TB chunk's
     child stream 1 this test decides each row of the chunk's first block as
-    the engine does.  A zero-range sample raises DegenerateStatistic, as
-    the engine scores it.
+    the engine does.  The resample means come from the engine's
+    count-matrix product (_kernels.resample_means), so they equal the
+    gathered means x[idx].mean() up to a few rounding errors.  A zero-range
+    sample raises DegenerateStatistic, as the engine scores it.
     """
     arr = _kernels.as_sample(x, 2, "bootstrap_t_test")
     _kernels.check_alpha(alpha)
@@ -156,7 +158,7 @@ def bootstrap_t_test(
     xbar = float(np.mean(arr))
     to = _kernels.known_sigma_z(xbar, n, sigma)
     idx = _kernels.bootstrap_row_draws(gen, n_boot, n)
-    tstar = _kernels.known_sigma_z(_kernels.resample_means(arr, idx) - xbar, n, sigma)
+    tstar = _kernels.known_sigma_z(_kernels.resample_means(arr[None], idx)[0] - xbar, n, sigma)
     q = float(_kernels.type7_quantile(np.sort(tstar)[None, :], 1.0 - alpha)[0])
     return TestOutcome(
         statistic=to,

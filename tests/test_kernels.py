@@ -12,14 +12,18 @@ give the same bits when a row is scaled by any power of two that keeps it
 exact.
 The stdlib normal tails are checked against scipy.stats to rel 1e-12.
 bootstrap_decide stops each row early; the full-B loop below, which
-evaluates every resample, is its oracle on the same indices, fed to it a
-step at a time from one pre-drawn (rows, B, n) array.  bootstrap_mean_reject
-(stream layout 4) draws one index sequence per row block, every step of it
-however early the rows stop, hands each live row that step's indices and
-gathers each live row's resamples from that row alone; a block's decisions
-do not depend on when the blocks before it stop.  It returns (reject,
-reason, parts) like every other kernel, with zero-range rows degenerate and
-never rejecting, and parts["resamples"] the resamples each row evaluated.
+gathers every resample of every row (row[idx].mean()), is its oracle on the
+same indices, fed to it a step at a time from one pre-drawn (B, n) sequence
+per row block.  bootstrap_mean_reject (stream layout 4) draws one index
+sequence per row block, every step of it however early the rows stop, and
+takes the step's resample means of all the block's live rows as one
+count-matrix product (resample_means).  Those means match the gathered
+ones within 3 n eps max|x| and bit for bit on rows whose sums are exact in
+any order, which the test rows with ties T*_b = To are; a block's
+decisions do not depend on when the blocks before it stop.  It returns
+(reject, reason, parts) like every other kernel, with zero-range rows
+degenerate and never rejecting, and parts["resamples"] the resamples each
+row evaluated.
 Deciding a shift pair keeps the one-shift null decisions and draws, and
 each of its decisions is the one-shift decision of its shift on the same
 indices.
@@ -257,28 +261,59 @@ def _stop_steps(to, tstar, alpha):
 
 
 @pytest.fixture
-def taken(monkeypatch):
-    """Sizes of the index arrays that np.take gathers by."""
-    sizes = []
-    take = np.take
+def products(monkeypatch):
+    """(rows, resamples) of each count-matrix product of resample_means."""
+    shapes = []
+    means = ker.resample_means
 
-    def counting_take(a, indices):
-        sizes.append(indices.size)
-        return take(a, indices)
+    def counting_means(x, idx):
+        shapes.append((x.shape[0], idx.shape[0]))
+        return means(x, idx)
 
-    monkeypatch.setattr(np, "take", counting_take)
-    return sizes
+    monkeypatch.setattr(ker, "resample_means", counting_means)
+    return shapes
+
+
+def _evaluated(products):
+    """Resamples evaluated over all rows: the sum of rows x resamples."""
+    return sum(rows * step for rows, step in products)
+
+
+@pytest.mark.parametrize("n", [15, 250, 350])
+def test_resample_means_count_product_matches_gather(n):
+    # The count-matrix product sums each resample in another order than the
+    # gather row[idx].mean(axis=-1) does: within 3 n eps max|x| on
+    # continuous rows at any scale, for a block, one row (the scalar test's
+    # call) and a partial step.  Integer-valued rows sum exactly in any
+    # order, so there they agree bit for bit and the ties T*_b = To of
+    # _bootstrap_rows stay ties.
+    gen = np.random.default_rng(n)
+    idx = ker.bootstrap_draw(gen, ker._BOOT_STEP, n)
+    eps = np.finfo(float).eps
+    for scale in (1e-3, 1.0, 1e3):
+        x = scale * (gen.standard_normal((83, n)) + 0.3)
+        for rows, step in ((x, idx), (x[:1], idx), (x[:7], idx[:13])):
+            got = ker.resample_means(rows, step)
+            want = rows[:, step].mean(axis=-1)
+            assert got.shape == want.shape == (len(rows), len(step))
+            bound = 3 * n * eps * np.abs(rows).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - want) <= bound)
+    ints = gen.integers(-3, 4, size=(83, n)).astype(float)
+    _assert_bit_equal(ker.resample_means(ints, idx), ints[:, idx].mean(axis=-1))
+    _assert_bit_equal(ker.resample_means(ints[:1], idx), ints[:1, idx].mean(axis=-1))
 
 
 def _bootstrap_rows(n, alpha, seed):
-    """Rows whose To sits near the bootstrap (1 - alpha) quantile, rounded
-    rows, zero-mean integer rows (To = 0, and T*_b = To whenever a resample
-    sums to 0), one constant row and plain shifted rows."""
+    """Rows whose To sits near the bootstrap (1 - alpha) quantile, rows
+    rounded to multiples of 1/8, zero-mean integer rows (To = 0, and
+    T*_b = To whenever a resample sums to 0), one constant row and plain
+    shifted rows.  The rounded and integer rows sum exactly in any order,
+    so their ties T*_b = To do not depend on how a resample mean is summed."""
     gen = np.random.default_rng(seed)
     z = gen.standard_normal((40, n))
     z -= z.mean(axis=1, keepdims=True)
     tuned = z + ker.normal_upper(alpha) * z.std(axis=1, keepdims=True) / math.sqrt(n)
-    rounded = np.round(gen.standard_normal((6, n)) + 0.2, 1)
+    rounded = np.round(8.0 * (gen.standard_normal((6, n)) + 0.2)) / 8.0
     ints = gen.integers(-2, 3, size=(4, n)).astype(float)
     ints[:, 0] -= ints.sum(axis=1)
     plain = gen.standard_normal((8, n)) + 0.1
@@ -287,22 +322,23 @@ def _bootstrap_rows(n, alpha, seed):
 
 @pytest.mark.parametrize("n", [15, 50, 250])
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
-def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, taken, monkeypatch):
+def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, products, monkeypatch):
     # Seeds chosen so that every case has rows ending at c = lo + 1.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
-    idx = np.random.default_rng(n).integers(0, n, size=(len(x), n_boot, n))
-    # 8-row blocks: 59 rows span eight of them
+    # 8-row blocks: 59 rows span eight of them, each with its own sequence
+    seqs = np.random.default_rng(n + 1).integers(0, n, size=(8, n_boot, n))
     monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)
-    # The decision stage gets step slices of the pre-drawn indices.
+    # The decision stage gets step slices of the pre-drawn sequences; the
+    # oracle resamples each row with its block's sequence.
     got, used = ker.bootstrap_decide(
-        x, 1.0, alpha, n_boot, lambda rows, b0, b1: idx[rows, b0:b1]
+        x, 1.0, alpha, n_boot, lambda r0, b0, b1: seqs[r0 // 8, b0:b1]
     )
-    want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, idx)
+    want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, seqs[np.arange(len(x)) // 8])
     assert np.array_equal(got, want)
     # Each row stops at the first step that fixes its decision.
     stops = _stop_steps(to, tstar, alpha)
     assert np.array_equal(used, stops)
-    assert sum(taken) == n * stops.sum()
+    assert _evaluated(products) == stops.sum()
     # The data reach ties T*_b = To, rows that end exactly at the boundary
     # count c = lo + 1, and both decisions.
     lo, _, _ = _stop_rule(n_boot, alpha)
@@ -313,7 +349,7 @@ def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, taken, monkey
 
 @pytest.mark.parametrize("n", [15, 250])
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES + [(1000, 0.1)])
-def test_bootstrap_boundary_count_decided_by_the_quantile(n, n_boot, alpha, taken):
+def test_bootstrap_boundary_count_decided_by_the_quantile(n, n_boot, alpha, products):
     # One centered row, shifted so that To lands at chosen points among the
     # sorted T*_b of its own resamples.  A shift moves To but leaves the
     # T*_b (up to rounding), and every call draws the same indices: a
@@ -343,13 +379,13 @@ def test_bootstrap_boundary_count_decided_by_the_quantile(n, n_boot, alpha, take
         targets.append((target, np.count_nonzero(s < target), True))
     for target, c, decision in targets:
         x = (z + target / math.sqrt(n))[None]
-        taken.clear()
+        products.clear()
         got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, np.random.default_rng(1))
         want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, idx)
         assert np.count_nonzero(tstar < to[0]) == c
         assert want[0] == decision
         assert np.array_equal(got[0], want)
-        assert sum(taken) == n * _stop_steps(to, tstar, alpha).sum()
+        assert _evaluated(products) == _stop_steps(to, tstar, alpha).sum()
 
 
 class _CountingGenerator:
@@ -367,29 +403,29 @@ class _CountingGenerator:
 def _block_sequences(seed, rows, block, n_boot, n):
     """The index sequence of each row block of rows on default_rng(seed),
     drawn whole (bootstrap_row_draws), and a decision-stage draw that hands
-    each row the step of its block's sequence."""
+    the block starting at row r0 its step of that sequence."""
     gen = np.random.default_rng(seed)
     blocks = [ker.bootstrap_row_draws(gen, n_boot, n) for _ in range(0, rows, block)]
 
-    def draw(live, b0, b1):
-        return np.stack([blocks[r // block][b0:b1] for r in live])
+    def draw(r0, b0, b1):
+        return blocks[r0 // block][b0:b1]
 
     return gen, draw
 
 
 @pytest.mark.parametrize("n", [15, 250])
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
-def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, taken, monkeypatch):
+def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, products, monkeypatch):
     # Stream layout 4: each 8-row block draws one index sequence, all
-    # n_boot resamples of it as one (1, step, n) draw per step, and every
-    # row live at a step resamples with that step's indices.  The rows
-    # evaluate exactly those resamples, each up to its own stop, and nothing
-    # else is drawn: the generator ends where the whole sequences end.
+    # n_boot resamples of it as one (step, n) draw per step, and every row
+    # live at a step resamples with that step's indices.  The rows evaluate
+    # exactly those resamples, each up to its own stop, and nothing else is
+    # drawn: the generator ends where the whole sequences end.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
     monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
     proxy = _CountingGenerator(3)
     got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, proxy)
-    gathered = list(taken)
+    formed = list(products)
     # The same sequences, drawn whole, through the decision stage give the
     # decisions and each row's stop.
     gen, draw = _block_sequences(3, len(x), 8, n_boot, n)
@@ -399,13 +435,13 @@ def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, ta
     assert np.array_equal(got[2]["resamples"], used)
     assert proxy.gen.bit_generator.state == gen.bit_generator.state
     steps = ker.bootstrap_steps(n_boot)
-    assert proxy.sizes == [(1, b1 - b0, n) for _ in range(0, len(x), 8) for b0, b1 in steps]
-    # One gather per row live at a step, of that step's (b1 - b0, n)
-    # resamples.
-    expected = [(b1 - b0) * n for r0 in range(0, len(x), 8) for b0, b1 in steps
-                for _ in range(np.count_nonzero(used[r0 : r0 + 8] > b0))]
-    assert gathered == expected
-    assert sum(gathered) == n * used.sum() < len(x) * n_boot * n
+    assert proxy.sizes == [(b1 - b0, n) for _ in range(0, len(x), 8) for b0, b1 in steps]
+    # One product per block and step that has live rows, of those rows and
+    # the step's b1 - b0 resamples.
+    live = [(np.count_nonzero(used[r0 : r0 + 8] > b0), b1 - b0)
+            for r0 in range(0, len(x), 8) for b0, b1 in steps]
+    assert formed == [(rows, step) for rows, step in live if rows]
+    assert _evaluated(formed) == used.sum() < len(x) * n_boot
 
 
 def test_bootstrap_block_decisions_do_not_depend_on_earlier_blocks(monkeypatch):
@@ -443,9 +479,7 @@ def test_bootstrap_mean_reject_follows_the_kernel_contract():
     flat = np.isin(np.arange(12), [2, 5, 7])
     reject, reason, parts = ker.bootstrap_mean_reject(x, 1.0, 0.05, 200, np.random.default_rng(9))
     idx = ker.bootstrap_row_draws(np.random.default_rng(9), 200, n)
-    want, used = ker.bootstrap_decide(
-        x, 1.0, 0.05, 200, lambda rows, b0, b1: np.broadcast_to(idx[b0:b1], (rows.size, b1 - b0, n))
-    )
+    want, used = ker.bootstrap_decide(x, 1.0, 0.05, 200, lambda r0, b0, b1: idx[b0:b1])
     assert reject.dtype == bool and reason.dtype == np.uint8
     assert parts.keys() == {"resamples"} and np.array_equal(parts["resamples"], used)
     assert np.array_equal(reason, np.where(flat, ker.CONSTANT, 0))
@@ -457,13 +491,13 @@ def test_bootstrap_mean_reject_follows_the_kernel_contract():
 
 def test_bootstrap_draw_dtype_and_range():
     gen = np.random.default_rng(4)
-    assert ker.bootstrap_draw(gen, 2, 3, 250).dtype == np.uint16
-    top = ker.bootstrap_draw(gen, 2, 3, 1 << 16)
+    assert ker.bootstrap_draw(gen, 3, 250).dtype == np.uint16
+    top = ker.bootstrap_draw(gen, 6, 1 << 16)
     assert top.dtype == np.uint16 and top.max() > 60000
     # Above 65536 the indices no longer fit uint16: int64, still in [0, n).
     n = 70001
-    idx = ker.bootstrap_draw(gen, 2, 3, n)
-    assert idx.dtype == np.int64 and idx.shape == (2, 3, n)
+    idx = ker.bootstrap_draw(gen, 6, n)
+    assert idx.dtype == np.int64 and idx.shape == (6, n)
     assert idx.min() == 0 and 65536 <= idx.max() < n
 
 
@@ -476,30 +510,30 @@ def test_bootstrap_default_row_block():
         x = np.random.default_rng(6).standard_normal((rows, 250))
         proxy = _CountingGenerator(7)
         ker.bootstrap_mean_reject(x, 1.0, 0.05, 100, proxy)
-        assert proxy.sizes == [(1, ker._BOOT_STEP, 250)] * (2 * blocks)
+        assert proxy.sizes == [(ker._BOOT_STEP, 250)] * (2 * blocks)
 
 
 @pytest.mark.parametrize(
     "seed, rows, n, n_boot, packed_sha256, resamples",
     [
-        (11, 200, 60, 200, "901b02b3fcd4f200afe76ab2924a0b1eece9cb4955c8721204d88084cfad26f1", 25800),
-        (12, 90, 250, 1000, "e6dc88526bb75028551bc6f6098ea4f3045fb8a46f6270fded2e8eb98c2ad8d0", 82400),
+        (11, 200, 60, 200, "10051123e4acbbe9ad91434289ecce002dfbf343ecbd4cdfde1a5e89e895090f", 25450),
+        (12, 90, 250, 1000, "20661bd9b723b108c26a6698b48d05ab86e0d68891fd55d1856747218e6a1aa6", 82350),
     ],
 )
-def test_bootstrap_layout_2_snapshot(seed, rows, n, n_boot, packed_sha256, resamples):
-    # Pins TB's draws under stream layout 2, not only its rule: the
-    # decisions and the resamples evaluated on fixed seeds, recorded before
-    # the per-row gather.  A change to the draw order or to the row block or
-    # step size moves them.  A last-bit change in the resample means rarely
-    # flips a decision; test_bootstrap_scalar_matches_batched_kernel holds
-    # the scalar test's threshold to x[idx].mean(axis=1) bit for bit.
+def test_bootstrap_layout_4_snapshot(seed, rows, n, n_boot, packed_sha256, resamples):
+    # Pins TB's draws under stream layout 4, not only its rule: the
+    # decisions and the resamples evaluated on fixed seeds, recorded with a
+    # per-row gather of the resample means, so they also hold the
+    # count-matrix product to the gather's decisions.  A change to the draw
+    # order or to the row block or step size moves them.  A last-bit change
+    # in the resample means rarely flips a decision;
+    # test_resample_means_count_product_matches_gather bounds that change.
     x = np.random.default_rng(seed).standard_normal((rows, n)) + 0.15
-    gen = np.random.default_rng(seed + 100)
-    reject, used = ker.bootstrap_decide(
-        x, 1.0, 0.05, n_boot, lambda r, b0, b1: ker.bootstrap_draw(gen, r.size, b1 - b0, n)
+    reject, _, parts = ker.bootstrap_mean_reject(
+        x, 1.0, 0.05, n_boot, np.random.default_rng(seed + 100)
     )
     assert hashlib.sha256(np.packbits(reject).tobytes()).hexdigest() == packed_sha256
-    assert used.sum() == resamples
+    assert parts["resamples"].sum() == resamples
 
 
 @pytest.mark.parametrize("n", [15, 250])
@@ -526,14 +560,15 @@ def test_bootstrap_pair_keeps_the_one_shift_null_decisions(n, n_boot, alpha, mon
 @pytest.mark.parametrize("n", [15, 250])
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
 def test_bootstrap_pair_resamples_are_the_larger_single_count(n, n_boot, alpha, monkeypatch):
-    # Fed the same per-row indices, each decision of a pair is the one-shift decision of its shift, and a row
-    # evaluates as many resamples as the longer of the two.
+    # Fed the same block sequences, each decision of a pair is the
+    # one-shift decision of its shift, and a row evaluates as many resamples
+    # as the longer of the two.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
-    idx = np.random.default_rng(n).integers(0, n, size=(len(x), n_boot, n))
+    seqs = np.random.default_rng(n).integers(0, n, size=(8, n_boot, n))
     monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
 
-    def draw(rows, b0, b1):
-        return idx[rows, b0:b1]
+    def draw(r0, b0, b1):
+        return seqs[r0 // 8, b0:b1]
 
     shifts = (0.0, 1.0 / math.sqrt(n))
     got, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw, shifts)
@@ -549,7 +584,8 @@ def test_bootstrap_pair_alternative_matches_the_shifted_rows(record_property):
     # To of x + shift.  A direct decision on x + shift with the same indices
     # has T*_b that differ only in their last bits, so the two may differ
     # only where a T*_b lies within rounding of To.  Count the flips over the
-    # four families at fixed seeds.
+    # four families at fixed seeds; every row block resamples with one
+    # sequence.
     n, n_boot, rows = 60, 200, 500
     flips = total = 0
     for m in (1, 2, 3, 4):
@@ -557,10 +593,10 @@ def test_bootstrap_pair_alternative_matches_the_shifted_rows(record_property):
         sigma, shift = design_params(null).sigma, null_shift(alt)
         for seed in (1, 2):
             x = sample_design_matrix(null, rows, n, RandomStream(seed, ("pair", m)))
-            idx = np.random.default_rng(seed).integers(0, n, size=(rows, n_boot, n), dtype=np.uint16)
+            idx = np.random.default_rng(seed).integers(0, n, size=(n_boot, n), dtype=np.uint16)
 
-            def draw(r, b0, b1):
-                return idx[r, b0:b1]
+            def draw(r0, b0, b1):
+                return idx[b0:b1]
 
             got, _ = ker.bootstrap_decide(x, sigma, 0.05, n_boot, draw, (0.0, shift))
             want, _ = ker.bootstrap_decide(x + shift, sigma, 0.05, n_boot, draw)
@@ -585,9 +621,10 @@ def test_bootstrap_pair_reasons_follow_each_shifted_row():
 
 
 def test_bootstrap_step_holds_no_block_sized_gather():
-    # One 1000-row cell at n = 250, B = 1000.  The shared step's uint16 draw
-    # and its intp copy are (step, n) arrays (25 KB and 100 KB); a
-    # block-wide intp index copy and float gather would add 8 MB each.
+    # One 1000-row cell at n = 250, B = 1000.  The shared step's uint16
+    # draw, its offset indices and its count matrix are (step, n) arrays
+    # (25 KB, then 100 KB each); a block-wide index copy and float gather
+    # would add 8 MB each.
     x = np.random.default_rng(5).standard_normal((1000, 250))
     tracemalloc.start()
     try:

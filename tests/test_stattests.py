@@ -182,8 +182,13 @@ def test_bootstrap_scalar_matches_batched_kernel():
                 assert reason[0] == 0 and bool(rej[0]) == out.reject
                 decisions.append(out.reject)
 
+                # The test's T*_b are the count-matrix means of the stream's
+                # resamples, the gathered means up to rounding.
                 idx = ker.bootstrap_row_draws(stream.generator(), n_boot, n)
-                tstar = np.sort(math.sqrt(n) * (x[idx].mean(axis=1) - x.mean()) / 0.9)
+                means = ker.resample_means(x[None], idx)[0]
+                bound = 3 * n * np.finfo(float).eps * np.abs(x).max()
+                assert np.all(np.abs(means - x[idx].mean(axis=1)) <= bound)
+                tstar = np.sort(math.sqrt(n) * (means - x.mean()) / 0.9)
                 assert out.threshold == np.quantile(tstar, 1.0 - alpha)
                 at_or_above = n_boot - np.searchsorted(tstar, out.statistic, side="left")
                 assert out.p_value == at_or_above / n_boot
