@@ -25,6 +25,7 @@ gives tied |x| mid-ranks from ordinal ranks and run lengths.  Rows must be finit
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -34,7 +35,10 @@ import numpy as np
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 _BOOT_STEP = 50  # bootstrap resamples evaluated per step along B
-_BOOT_ELEMS = 1 << 20  # indices in one step of a full bootstrap row block
+# Rows x _BOOT_STEP x n of one step of a full bootstrap row block, which fixes
+# the block's rows (83 at n = 250) and is part of the stream layout.  A block
+# holds its whole (n_boot, n) index sequence: 500 KB at n = 250, n_boot = 1000.
+_BOOT_ELEMS = 1 << 20
 # Entries per row tile of the statistic dispatch (power._statistics).  A
 # float64 tile is 512 KB, so the tile, its sorted copy and the kernels' other
 # temporaries stay in a 2 MB L2 cache (2**16 and 2**17 measured fastest on
@@ -80,6 +84,20 @@ def check_integers(**values) -> None:
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_positive_finite(**values) -> None:
+    """The one check of scalar scales such as sigma: each named value must be
+    positive and finite; the error names the parameter."""
+    for name, value in values.items():
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def check_variant(variant, name: str = "variant") -> None:
+    """The one check of a moment variant, named name in the error."""
+    if variant not in ("quartic", "quadratic"):
+        raise ValueError(f"{name} must be 'quartic' or 'quadratic', got {variant!r}")
 
 
 def check_alpha(alpha) -> None:
@@ -137,8 +155,7 @@ def centered_squares(d: np.ndarray, out=None):
 
 
 def moment_pieces(x: np.ndarray, sigma=None, variant: str = "quartic") -> MomentPieces:
-    if variant not in ("quartic", "quadratic"):
-        raise ValueError("variant must be 'quartic' or 'quadratic'")
+    check_variant(variant)
     mean = x.mean(axis=1)
     d = x - mean[:, None]
     dd, s2 = centered_squares(d)
@@ -384,26 +401,13 @@ def bootstrap_steps(n_boot: int):
     return [(b0, min(b0 + _BOOT_STEP, n_boot)) for b0 in range(0, n_boot, _BOOT_STEP)]
 
 
-def bootstrap_draw(gen: np.random.Generator, step: int, n: int):
-    """Indices of one step of resamples: gen.integers(0, n, size=(step, n)),
-    drawn as uint16 when n <= 65536 and as int64 above."""
+def bootstrap_sequence(gen: np.random.Generator, n_boot: int, n: int):
+    """The (n_boot, n) resample indices of one row block (stream layout 4),
+    drawn as one gen.integers(0, n, size=(b1 - b0, n)) call per step of
+    bootstrap_steps, as uint16 when n <= 65536 and as int64 above."""
     dtype = np.uint16 if n <= 1 << 16 else np.int64
-    return gen.integers(0, n, size=(step, n), dtype=dtype)
-
-
-def bootstrap_block_steps(gen: np.random.Generator, n_boot: int, n: int):
-    """The resample indices of one row block, one (b1 - b0, n) step at a
-    time along bootstrap_steps: the index sequence that every row of the
-    block shares (stream layout 4)."""
-    for b0, b1 in bootstrap_steps(n_boot):
-        yield bootstrap_draw(gen, b1 - b0, n)
-
-
-def bootstrap_row_draws(gen: np.random.Generator, n_boot: int, n: int):
-    """All n_boot resample indices of one row, (n_boot, n): the sequence
-    bootstrap_mean_reject draws for each row block, so its first block's
-    rows resample with these indices on the same generator."""
-    return np.concatenate(list(bootstrap_block_steps(gen, n_boot, n)))
+    return np.concatenate([gen.integers(0, n, size=(b1 - b0, n), dtype=dtype)
+                           for b0, b1 in bootstrap_steps(n_boot)])
 
 
 def resample_means(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -424,20 +428,19 @@ def resample_means(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return x @ counts.reshape(k, n).T.astype(float) / n
 
 
-def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0):
-    """Early-stopped bootstrap-t decisions on the resamples that draw supplies.
+def bootstrap_decide(x, sigma, alpha, n_boot, blocks, shifts=0.0):
+    """Early-stopped bootstrap-t decisions on the index sequences of blocks.
 
     Row r rejects when its statistic To = sqrt(n) mean / sigma exceeds
     type7_quantile(T*, 1 - alpha) of its n_boot resample statistics
     T*_b = sqrt(n) (mean*_b - mean) / sigma, both from known_sigma_z.  Rows
     are taken in blocks of _BOOT_ELEMS // (_BOOT_STEP * n) (83 rows at
-    n = 250), and each block steps along B, _BOOT_STEP resamples at a time
-    (bootstrap_steps), from b0 = 0 on.  At each step, draw(r0, b0, b1)
-    must return the (b1 - b0, n) indices of resamples b0..b1-1 of the row
-    block that starts at row r0, which every live row of the block
-    resamples with; it is not called once the block has no live rows.  The
-    step's resample means of all live rows are one count-matrix product
-    (resample_means).
+    n = 250).  The iterator blocks yields each row block's (n_boot, n)
+    index sequence in turn; no sequence is taken past the last block.  A
+    block steps along B, _BOOT_STEP resamples at a time (bootstrap_steps),
+    from b0 = 0 on, and every live row of the block resamples with the
+    step's indices idx[b0:b1].  The step's resample means of all live rows
+    are one count-matrix product (resample_means).
 
     Each shift s of shifts gets its own decision on every row, for the row
     x + s: its To is known_sigma_z of the mean of x + s (taken per block),
@@ -473,7 +476,7 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0):
     reject = np.empty((s.size, rows), dtype=bool)
     used = np.full(rows, n_boot)
     block = max(1, _BOOT_ELEMS // (_BOOT_STEP * n))
-    for r0 in range(0, rows, block):
+    for r0, idx in zip(range(0, rows, block), blocks):
         m = min(block, rows - r0)
         blk = slice(r0, r0 + m)
         to = known_sigma_z(np.array([(x[blk] + d).mean(axis=1) if d else xbar[blk] for d in s]),
@@ -482,7 +485,7 @@ def bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts=0.0):
         live = np.arange(m)
         below = np.zeros((s.size, m), dtype=np.int64)
         for b0, b1 in bootstrap_steps(n_boot):
-            means = resample_means(x[r0 + live], draw(r0, b0, b1))
+            means = resample_means(x[r0 + live], idx[b0:b1])
             t = known_sigma_z(means - xbar[r0 + live, None], n, sigma)
             tstar[live, b0:b1] = t
             below += np.count_nonzero(t < to[:, live, None], axis=2)
@@ -510,17 +513,18 @@ def bootstrap_mean_reject(
     """Centered bootstrap-t with known sigma, one decision per row and shift.
 
     The decision rule is bootstrap_decide's (stream layout 4).  Each row
-    block draws one index sequence, bootstrap_block_steps(gen, n_boot, n),
-    block after block, and every row live at a step resamples with that
-    step's indices.  A block draws all n_boot steps however early its rows
-    stop, so the k-th block's sequence depends only on the generator's
+    block draws its whole index sequence, bootstrap_sequence(gen, n_boot,
+    n), block after block, and every row live at a step resamples with that
+    step's indices.  A block draws all n_boot resamples however early its
+    rows stop, so the k-th block's sequence depends only on the generator's
     starting state and k, never on x, and so does the generator's end
     state.  A block's decisions depend only on its rows, the shifts and its
     sequence; in particular a shift pair's first decisions equal those of a
     one-shift call on the same generator, up to the rounding of a T*_b that
     lies within a few rounding errors of To (resample_means).  The block
-    size _BOOT_ELEMS is part of the stream layout.  One step of indices,
-    and its count matrix, is held at a time.
+    size _BOOT_ELEMS is part of the stream layout.  One block's index
+    sequence (500 KB at n = 250, n_boot = 1000) and one step's count matrix
+    are held at a time.
 
     Follows the kernel contract with a decision in place of a statistic:
     returns (reject, reason, parts) with the boolean decisions and uint8
@@ -530,22 +534,8 @@ def bootstrap_mean_reject(
     and never reject it; they are still resampled, like every other row.
     """
     n = x.shape[1]
-    pending = iter(())  # the current block's steps not yet drawn
-
-    def draw(r0, b0, b1):
-        # bootstrap_decide asks for each block's steps in order from b0 = 0,
-        # so b0 = 0 opens the next block, once the previous one has drawn
-        # the steps its rows did not reach.
-        nonlocal pending
-        if b0 == 0:
-            for _ in pending:
-                pass
-            pending = bootstrap_block_steps(gen, n_boot, n)
-        return next(pending)
-
-    reject, used = bootstrap_decide(x, sigma, alpha, n_boot, draw, shifts)
-    for _ in pending:
-        pass
+    blocks = (bootstrap_sequence(gen, n_boot, n) for _ in itertools.count())
+    reject, used = bootstrap_decide(x, sigma, alpha, n_boot, blocks, shifts)
     # Rounding is monotone, so max(x + s) and min(x + s) are the shifted
     # max and min, and x + s is flat exactly where they agree.
     s = np.reshape(shifts, (-1, 1))

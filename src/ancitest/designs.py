@@ -85,6 +85,7 @@ class RandomStream:
     path: tuple = ()
 
     def __post_init__(self):
+        check_integers(root_seed=self.root_seed)
         if self.root_seed < 0:
             raise ValueError(f"root_seed must be non-negative, got {self.root_seed}")
 
@@ -317,10 +318,10 @@ class _Entry:
 def _toy_obs(mu, sds):
     scale = np.array(sds)
 
-    def draw(shape, gen):
+    def sample(shape, gen):
         return mu + gen.standard_normal(shape) * scale
 
-    return draw
+    return sample
 
 
 _REGISTRY: dict = {}
@@ -478,6 +479,7 @@ def sample_design_matrix(design: DesignId, rows: int, n: int, stream: RandomStre
     The whole matrix is produced by vectorized primitive draws in a fixed
     order, so the result depends only on (design, rows, n, stream).
     """
+    check_integers(rows=rows, n=n)
     if rows < 1:
         raise ValueError("rows must be >= 1")
     entry = _entry(design)
@@ -498,6 +500,7 @@ def sample_design(design: DesignId, n: int, stream: RandomStream):
     For scalar designs the result is a length-n vector.  For the toy designs
     each draw is an observation vector, and the result has shape (n, dim).
     """
+    check_integers(n=n)
     entry = _entry(design)
     if not entry.vector_dim:
         return sample_design_matrix(design, 1, n, stream)[0]

@@ -195,16 +195,11 @@ def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
     if reps < 1000:
         raise ValueError(f"reps must be >= 1000 for reportable output, got {reps}")
     _rank_k(alpha, reps)
-    _check_variant(moment_variant)
+    _kernels.check_variant(moment_variant, "moment_variant")
     if bootstrap_b < 100:
         raise ValueError(f"bootstrap_b must be >= 100, got {bootstrap_b}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-
-
-def _check_variant(moment_variant):
-    if moment_variant not in ("quartic", "quadratic"):
-        raise ValueError(f"moment_variant must be 'quartic' or 'quadratic', got {moment_variant!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +281,7 @@ def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads):
     after all of them are merged, so that a chunk of an alternative is
     counted against its matched null's final rank threshold.
     """
+    _kernels.check_integers(threads=threads)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     scores = _Scores(reps, alpha)
@@ -482,7 +478,7 @@ def statistic_sample(
         raise ValueError(f"reps must be >= 1, got {reps}")
     if n < 10:
         raise ValueError(f"n must be >= 10, got {n}")
-    _check_variant(moment_variant)
+    _kernels.check_variant(moment_variant, "moment_variant")
     n, reps = int(n), int(reps)
     chunks = [_chunk_statistics(design, n, {test: [design]}, hi - lo, c, root_seed,
                                 moment_variant, 0.05, 1000)[design, test]
@@ -624,8 +620,7 @@ def toy_power_curve(a_grid, mu1=5.0, sigma1=1.0, sigma2=4.0, alpha=0.05):
     and the covariance of T with the added ancillary difference, whose root
     marks the maximal-power weight.
     """
-    if sigma1 <= 0 or sigma2 <= 0:
-        raise ValueError("standard deviations must be positive")
+    _kernels.check_positive_finite(sigma1=sigma1, sigma2=sigma2)
     _kernels.check_alpha(alpha)
     a = np.asarray(a_grid, dtype=float)
     v1, v2 = sigma1**2, sigma2**2
@@ -647,9 +642,7 @@ def toy_three_obs_powers(mu_grid, sigma1=1.0, sigma2=4.0, sigma3=3.0, alpha=0.05
     probability and the variance ordering gives the pointwise power ordering
     weighted >= decorrelated >= plain.
     """
-    for s in (sigma1, sigma2, sigma3):
-        if s <= 0:
-            raise ValueError("standard deviations must be positive")
+    _kernels.check_positive_finite(sigma1=sigma1, sigma2=sigma2, sigma3=sigma3)
     _kernels.check_alpha(alpha)
     mu = np.asarray(mu_grid, dtype=float)
     v1, v2, v3 = sigma1**2, sigma2**2, sigma3**2

@@ -70,8 +70,7 @@ class TestOutcome:
 def _check_sigma(sigma, power: int = 1):
     """sigma must be positive and finite, and so must sigma**power, the
     highest power of sigma that the statistic takes."""
-    if not 0 < sigma < np.inf:
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    _kernels.check_positive_finite(sigma=sigma)
     with np.errstate(over="ignore"):
         if not np.isfinite(np.float64(sigma) ** power):
             raise ValueError(f"sigma**{power} overflows float64, got sigma={sigma}")
@@ -119,6 +118,7 @@ def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "qua
     """
     arr = _kernels.as_sample(x, 3, "modified_mean_test")
     _kernels.check_alpha(alpha)
+    _kernels.check_variant(variant)
     _check_sigma(sigma, 4 if variant == "quartic" else 2)
     return _outcome(_kernels.mean_tn(_kernels.moment_pieces(arr[None, :], sigma, variant)), alpha)
 
@@ -136,17 +136,18 @@ def bootstrap_t_test(
     T*_b = sqrt(n) (mean*_b - mean) / sigma, and rejects when the observed
     statistic exceeds their type-7 (1 - alpha) quantile.  The p-value is
     the fraction of T*_b at or above the observed statistic.  The indices
-    are drawn step by step as the engine draws the one index sequence that
-    the rows of a row block share (stream layout 4), so on a TB chunk's
-    child stream 1 this test decides each row of the chunk's first block as
-    the engine does.  The resample means come from the engine's
-    count-matrix product (_kernels.resample_means), so they equal the
-    gathered means x[idx].mean() up to a few rounding errors.  A zero-range
-    sample raises DegenerateStatistic, as the engine scores it.
+    are the engine's row-block index sequence (_kernels.bootstrap_sequence,
+    stream layout 4), so on a TB chunk's child stream 1 this test decides
+    each row of the chunk's first block as the engine does.  The resample
+    means come from the engine's count-matrix product
+    (_kernels.resample_means), so they equal the gathered means
+    x[idx].mean() up to a few rounding errors.  A zero-range sample raises
+    DegenerateStatistic, as the engine scores it.
     """
     arr = _kernels.as_sample(x, 2, "bootstrap_t_test")
     _kernels.check_alpha(alpha)
     _check_sigma(sigma)
+    _kernels.check_integers(n_boot=n_boot)
     if n_boot < 100:
         raise ValueError("n_boot must be at least 100")
     if stream is None:
@@ -157,7 +158,7 @@ def bootstrap_t_test(
     gen = stream.generator()
     xbar = float(np.mean(arr))
     to = _kernels.known_sigma_z(xbar, n, sigma)
-    idx = _kernels.bootstrap_row_draws(gen, n_boot, n)
+    idx = _kernels.bootstrap_sequence(gen, n_boot, n)
     tstar = _kernels.known_sigma_z(_kernels.resample_means(arr[None], idx)[0] - xbar, n, sigma)
     q = float(_kernels.type7_quantile(np.sort(tstar)[None, :], 1.0 - alpha)[0])
     return TestOutcome(

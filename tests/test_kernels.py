@@ -13,7 +13,7 @@ exact.
 The stdlib normal tails are checked against scipy.stats to rel 1e-12.
 bootstrap_decide stops each row early; the full-B loop below, which
 gathers every resample of every row (row[idx].mean()), is its oracle on the
-same indices, fed to it a step at a time from one pre-drawn (B, n) sequence
+same indices, fed to it as an iterator of pre-drawn (B, n) sequences, one
 per row block.  bootstrap_mean_reject (stream layout 4) draws one index
 sequence per row block, every step of it however early the rows stop, and
 takes the step's resample means of all the block's live rows as one
@@ -34,6 +34,7 @@ type7_quantile.
 
 import ast
 import hashlib
+import itertools
 import math
 import tracemalloc
 from pathlib import Path
@@ -288,7 +289,7 @@ def test_resample_means_count_product_matches_gather(n):
     # order, so there they agree bit for bit and the ties T*_b = To of
     # _bootstrap_rows stay ties.
     gen = np.random.default_rng(n)
-    idx = ker.bootstrap_draw(gen, ker._BOOT_STEP, n)
+    idx = ker.bootstrap_sequence(gen, ker._BOOT_STEP, n)
     eps = np.finfo(float).eps
     for scale in (1e-3, 1.0, 1e3):
         x = scale * (gen.standard_normal((83, n)) + 0.3)
@@ -328,11 +329,9 @@ def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, products, mon
     # 8-row blocks: 59 rows span eight of them, each with its own sequence
     seqs = np.random.default_rng(n + 1).integers(0, n, size=(8, n_boot, n))
     monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)
-    # The decision stage gets step slices of the pre-drawn sequences; the
+    # The decision stage gets the pre-drawn sequences block by block; the
     # oracle resamples each row with its block's sequence.
-    got, used = ker.bootstrap_decide(
-        x, 1.0, alpha, n_boot, lambda r0, b0, b1: seqs[r0 // 8, b0:b1]
-    )
+    got, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, iter(seqs))
     want, to, tstar = _full_b_bootstrap(x, 1.0, alpha, seqs[np.arange(len(x)) // 8])
     assert np.array_equal(got, want)
     # Each row stops at the first step that fixes its decision.
@@ -353,12 +352,12 @@ def test_bootstrap_boundary_count_decided_by_the_quantile(n, n_boot, alpha, prod
     # One centered row, shifted so that To lands at chosen points among the
     # sorted T*_b of its own resamples.  A shift moves To but leaves the
     # T*_b (up to rounding), and every call draws the same indices: a
-    # one-row block draws each step of bootstrap_row_draws while it is
-    # live.  With a fractional v, To just above T*_(lo) but below the
-    # interpolated quantile keeps at c = lo + 1, To above it rejects.
+    # one-row block draws the whole bootstrap_sequence.  With a fractional
+    # v, To just above T*_(lo) but below the interpolated quantile keeps at
+    # c = lo + 1, To above it rejects.
     z = np.random.default_rng(n_boot).standard_normal(n)
     z -= z.mean()
-    idx = ker.bootstrap_row_draws(np.random.default_rng(1), n_boot, n)[None]
+    idx = ker.bootstrap_sequence(np.random.default_rng(1), n_boot, n)[None]
     _, _, tstar = _full_b_bootstrap(z[None], 1.0, alpha, idx)
     s = np.sort(tstar[0])
     lo, reject_at, _ = _stop_rule(n_boot, alpha)
@@ -401,16 +400,10 @@ class _CountingGenerator:
 
 
 def _block_sequences(seed, rows, block, n_boot, n):
-    """The index sequence of each row block of rows on default_rng(seed),
-    drawn whole (bootstrap_row_draws), and a decision-stage draw that hands
-    the block starting at row r0 its step of that sequence."""
+    """The generator default_rng(seed) and the index sequence of each row
+    block of rows drawn on it, whole (bootstrap_sequence)."""
     gen = np.random.default_rng(seed)
-    blocks = [ker.bootstrap_row_draws(gen, n_boot, n) for _ in range(0, rows, block)]
-
-    def draw(r0, b0, b1):
-        return blocks[r0 // block][b0:b1]
-
-    return gen, draw
+    return gen, [ker.bootstrap_sequence(gen, n_boot, n) for _ in range(0, rows, block)]
 
 
 @pytest.mark.parametrize("n", [15, 250])
@@ -428,8 +421,8 @@ def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, pr
     formed = list(products)
     # The same sequences, drawn whole, through the decision stage give the
     # decisions and each row's stop.
-    gen, draw = _block_sequences(3, len(x), 8, n_boot, n)
-    want, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw)
+    gen, seqs = _block_sequences(3, len(x), 8, n_boot, n)
+    want, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, iter(seqs))
     # The constant row is resampled like the others but never rejects.
     assert np.array_equal(got[0], want & (np.ptp(x, axis=1) > 0.0))
     assert np.array_equal(got[2]["resamples"], used)
@@ -478,8 +471,8 @@ def test_bootstrap_mean_reject_follows_the_kernel_contract():
     x[5] = 0.0
     flat = np.isin(np.arange(12), [2, 5, 7])
     reject, reason, parts = ker.bootstrap_mean_reject(x, 1.0, 0.05, 200, np.random.default_rng(9))
-    idx = ker.bootstrap_row_draws(np.random.default_rng(9), 200, n)
-    want, used = ker.bootstrap_decide(x, 1.0, 0.05, 200, lambda r0, b0, b1: idx[b0:b1])
+    idx = ker.bootstrap_sequence(np.random.default_rng(9), 200, n)
+    want, used = ker.bootstrap_decide(x, 1.0, 0.05, 200, iter([idx]))
     assert reject.dtype == bool and reason.dtype == np.uint8
     assert parts.keys() == {"resamples"} and np.array_equal(parts["resamples"], used)
     assert np.array_equal(reason, np.where(flat, ker.CONSTANT, 0))
@@ -491,12 +484,12 @@ def test_bootstrap_mean_reject_follows_the_kernel_contract():
 
 def test_bootstrap_draw_dtype_and_range():
     gen = np.random.default_rng(4)
-    assert ker.bootstrap_draw(gen, 3, 250).dtype == np.uint16
-    top = ker.bootstrap_draw(gen, 6, 1 << 16)
+    assert ker.bootstrap_sequence(gen, 3, 250).dtype == np.uint16
+    top = ker.bootstrap_sequence(gen, 6, 1 << 16)
     assert top.dtype == np.uint16 and top.max() > 60000
     # Above 65536 the indices no longer fit uint16: int64, still in [0, n).
     n = 70001
-    idx = ker.bootstrap_draw(gen, 6, n)
+    idx = ker.bootstrap_sequence(gen, 6, n)
     assert idx.dtype == np.int64 and idx.shape == (6, n)
     assert idx.min() == 0 and 65536 <= idx.max() < n
 
@@ -566,13 +559,9 @@ def test_bootstrap_pair_resamples_are_the_larger_single_count(n, n_boot, alpha, 
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
     seqs = np.random.default_rng(n).integers(0, n, size=(8, n_boot, n))
     monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
-
-    def draw(r0, b0, b1):
-        return seqs[r0 // 8, b0:b1]
-
     shifts = (0.0, 1.0 / math.sqrt(n))
-    got, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw, shifts)
-    singles = [ker.bootstrap_decide(x, 1.0, alpha, n_boot, draw, s) for s in shifts]
+    got, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, iter(seqs), shifts)
+    singles = [ker.bootstrap_decide(x, 1.0, alpha, n_boot, iter(seqs), s) for s in shifts]
     for decisions, (want, _) in zip(got, singles):
         assert np.array_equal(decisions, want)
     assert np.array_equal(used, np.maximum(singles[0][1], singles[1][1]))
@@ -594,12 +583,9 @@ def test_bootstrap_pair_alternative_matches_the_shifted_rows(record_property):
         for seed in (1, 2):
             x = sample_design_matrix(null, rows, n, RandomStream(seed, ("pair", m)))
             idx = np.random.default_rng(seed).integers(0, n, size=(n_boot, n), dtype=np.uint16)
-
-            def draw(r0, b0, b1):
-                return idx[b0:b1]
-
-            got, _ = ker.bootstrap_decide(x, sigma, 0.05, n_boot, draw, (0.0, shift))
-            want, _ = ker.bootstrap_decide(x + shift, sigma, 0.05, n_boot, draw)
+            same = itertools.repeat(idx)
+            got, _ = ker.bootstrap_decide(x, sigma, 0.05, n_boot, same, (0.0, shift))
+            want, _ = ker.bootstrap_decide(x + shift, sigma, 0.05, n_boot, same)
             flips += np.count_nonzero(got[1] != want)
             total += rows
     record_property("flipped_decisions", f"{flips} of {total}")
@@ -621,10 +607,10 @@ def test_bootstrap_pair_reasons_follow_each_shifted_row():
 
 
 def test_bootstrap_step_holds_no_block_sized_gather():
-    # One 1000-row cell at n = 250, B = 1000.  The shared step's uint16
-    # draw, its offset indices and its count matrix are (step, n) arrays
-    # (25 KB, then 100 KB each); a block-wide index copy and float gather
-    # would add 8 MB each.
+    # One 1000-row cell at n = 250, B = 1000.  A row block's uint16 index
+    # sequence is one (B, n) array (500 KB), and a step's offset indices and
+    # count matrix are (step, n) arrays (100 KB each); a per-row index copy
+    # and float gather of a block would add 8 MB each.
     x = np.random.default_rng(5).standard_normal((1000, 250))
     tracemalloc.start()
     try:

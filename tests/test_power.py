@@ -36,6 +36,7 @@ from ancitest import (
     render_table,
     reproduce_table,
     resample_power_study,
+    sample_design,
     sample_design_matrix,
     statistic_sample,
     symmetry_test,
@@ -578,6 +579,14 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
         (lambda: resample_power_study(make_fixture(100, 0), 70, 1000, seed=1.5),
          r"^seed must be an integer, got 1\.5$"),
         (lambda: make_fixture(100, 1.5), r"^seed must be an integer, got 1\.5$"),
+        (lambda: modified_mean_test(np.arange(5.0) * 1e160, 1e160, variant="Quartic"),
+         r"^variant must be 'quartic' or 'quadratic', got 'Quartic'$"),
+        (lambda: ker.moment_pieces(np.arange(5.0)[None], 1.0, "bogus"),
+         r"^variant must be 'quartic' or 'quadratic', got 'bogus'$"),
+        (lambda: toy_power_curve([0.1], sigma1=np.nan), r"^sigma1 must be positive and finite, got nan$"),
+        (lambda: toy_power_curve([0.1], sigma2=np.inf), r"^sigma2 must be positive and finite, got inf$"),
+        (lambda: toy_three_obs_powers([1.0], sigma3=np.nan),
+         r"^sigma3 must be positive and finite, got nan$"),
     ],
     ids=["statistic_sample-reps", "statistic_sample-n", "make_fixture-n", "test", "bootstrap",
          "threads", "StudyPlan-ns", "render_table-format", "resample-n_b", "resample-reps",
@@ -589,9 +598,39 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
          "statistic_sample-n-integer", "statistic_sample-reps-integer",
          "statistic_sample-root_seed-bool", "reproduce_table-reps-integer",
          "reproduce_table-seed-integer", "reproduce_table-bootstrap_b-integer",
-         "resample-n_b-integer", "resample-seed-integer", "make_fixture-seed-integer"],
+         "resample-n_b-integer", "resample-seed-integer", "make_fixture-seed-integer",
+         "modified_mean_test-variant-before-sigma", "moment_pieces-variant",
+         "toy_power_curve-sigma1-nan", "toy_power_curve-sigma2-inf",
+         "toy_three_obs_powers-sigma3-nan"],
 )
 def test_bad_input_errors_name_the_parameter_and_value(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bootstrap_t_test(np.arange(5.0), 1.0, n_boot=150.5, stream=RandomStream(1)),
+         r"^n_boot must be an integer, got 150\.5$"),
+        (lambda: sample_design_matrix(D01_T1, 10.5, 25, RandomStream(1)),
+         r"^rows must be an integer, got 10\.5$"),
+        (lambda: sample_design_matrix(D01_T1, 10, 25.0, RandomStream(1)),
+         r"^n must be an integer, got 25\.0$"),
+        (lambda: sample_design(D01_T1, 25.5, RandomStream(1)), r"^n must be an integer, got 25\.5$"),
+        (lambda: estimate_power(_plan("To", D01_T1, D11_T1, [50], 1000), threads=1.5),
+         r"^threads must be an integer, got 1\.5$"),
+        (lambda: estimate_power(_plan("To", D01_T1, D11_T1, [50], 1000), threads=True),
+         r"^threads must be an integer, got True$"),
+        (lambda: reproduce_table("2", 1000, 1, threads=2.0), r"^threads must be an integer, got 2\.0$"),
+        (lambda: RandomStream(1.5).generator(), r"^root_seed must be an integer, got 1\.5$"),
+        (lambda: RandomStream(True), r"^root_seed must be an integer, got True$"),
+    ],
+    ids=["bootstrap_t_test-n_boot", "sample_design_matrix-rows", "sample_design_matrix-n",
+         "sample_design-n", "estimate_power-threads", "estimate_power-threads-bool",
+         "reproduce_table-threads", "RandomStream-root_seed", "RandomStream-root_seed-bool"],
+)
+def test_integer_parameters_are_checked_by_name(call, message):
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -161,11 +161,10 @@ def test_bootstrap_t_test_contract():
 
 def test_bootstrap_scalar_matches_batched_kernel():
     # 195 single rows over n and (n_boot, alpha), To spread across the
-    # threshold.  Both draw a row's indices a step at a time from the same
-    # stream: the kernel only while the row is undecided, the scalar test
-    # every step, so they share the T*_b of every step the kernel
-    # evaluates.  The kernel returns decisions only; the scalar test keeps
-    # its p-value, which must be the share of its own T*_b at or above To.
+    # threshold.  Both draw the row's whole index sequence from the same
+    # stream, so they share the T*_b of every step the kernel evaluates.
+    # The kernel returns decisions only; the scalar test keeps its p-value,
+    # which must be the share of its own T*_b at or above To.
     gen = np.random.default_rng(17)
     cases = ((100, 0.05), (101, 0.05), (1000, 0.05), (1000, 0.037), (400, 0.1))
     decisions = []
@@ -184,7 +183,7 @@ def test_bootstrap_scalar_matches_batched_kernel():
 
                 # The test's T*_b are the count-matrix means of the stream's
                 # resamples, the gathered means up to rounding.
-                idx = ker.bootstrap_row_draws(stream.generator(), n_boot, n)
+                idx = ker.bootstrap_sequence(stream.generator(), n_boot, n)
                 means = ker.resample_means(x[None], idx)[0]
                 bound = 3 * n * np.finfo(float).eps * np.abs(x).max()
                 assert np.all(np.abs(means - x[idx].mean(axis=1)) <= bound)
