@@ -35,10 +35,12 @@ import numpy as np
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 _BOOT_STEP = 50  # bootstrap resamples evaluated per step along B
-# Rows x _BOOT_STEP x n of one step of a full bootstrap row block, which fixes
-# the block's rows (83 at n = 250) and is part of the stream layout.  A block
-# holds its whole (n_boot, n) index sequence: 500 KB at n = 250, n_boot = 1000.
-_BOOT_ELEMS = 1 << 20
+# Rows of a bootstrap row block, whatever n is; part of the stream layout.
+# Each block draws and counts its whole index sequence, so fewer, larger
+# blocks cost less, but the call's T*_b buffer grows with the block.  On a
+# 1000-row pair at n = 250, n_boot = 1000: 256 rows took 25-26 ms (3.2 MB
+# traced), 512 rows 23-24 ms (5.6 MB) and 1024 rows 21-22 ms (10.4 MB).
+_BOOT_ROWS = 512
 # Entries per row tile of the statistic dispatch (power._statistics).  A
 # float64 tile is 512 KB, so the tile, its sorted copy and the kernels' other
 # temporaries stay in a 2 MB L2 cache (2**16 and 2**17 measured fastest on
@@ -402,12 +404,15 @@ def bootstrap_steps(n_boot: int):
 
 
 def bootstrap_sequence(gen: np.random.Generator, n_boot: int, n: int):
-    """The (n_boot, n) resample indices of one row block (stream layout 4),
+    """The (n_boot, n) resample indices of one row block (stream layout 5),
     drawn as one gen.integers(0, n, size=(b1 - b0, n)) call per step of
-    bootstrap_steps, as uint16 when n <= 65536 and as int64 above."""
+    bootstrap_steps into one array, as uint16 when n <= 65536 and as int64
+    above."""
     dtype = np.uint16 if n <= 1 << 16 else np.int64
-    return np.concatenate([gen.integers(0, n, size=(b1 - b0, n), dtype=dtype)
-                           for b0, b1 in bootstrap_steps(n_boot)])
+    idx = np.empty((n_boot, n), dtype=dtype)
+    for b0, b1 in bootstrap_steps(n_boot):
+        idx[b0:b1] = gen.integers(0, n, size=(b1 - b0, n), dtype=dtype)
+    return idx
 
 
 def resample_means(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -434,13 +439,15 @@ def bootstrap_decide(x, sigma, alpha, n_boot, blocks, shifts=0.0):
     Row r rejects when its statistic To = sqrt(n) mean / sigma exceeds
     type7_quantile(T*, 1 - alpha) of its n_boot resample statistics
     T*_b = sqrt(n) (mean*_b - mean) / sigma, both from known_sigma_z.  Rows
-    are taken in blocks of _BOOT_ELEMS // (_BOOT_STEP * n) (83 rows at
-    n = 250).  The iterator blocks yields each row block's (n_boot, n)
-    index sequence in turn; no sequence is taken past the last block.  A
-    block steps along B, _BOOT_STEP resamples at a time (bootstrap_steps),
-    from b0 = 0 on, and every live row of the block resamples with the
-    step's indices idx[b0:b1].  The step's resample means of all live rows
-    are one count-matrix product (resample_means).
+    are taken in blocks of _BOOT_ROWS (512) rows.  The iterator blocks
+    yields each row block's (n_boot, n) index sequence in turn; no sequence
+    is taken past the last block.  A block steps along B, _BOOT_STEP
+    resamples at a time (bootstrap_steps), from b0 = 0 on, and every live
+    row of the block resamples with the step's indices idx[b0:b1].  The
+    step's resample means of all live rows are one count-matrix product
+    (resample_means), of the block's rows as a view until a row stops and
+    of the live rows gathered after that.  The T*_b of a block's rows fill
+    one (min(_BOOT_ROWS, rows), n_boot) buffer, allocated once per call.
 
     Each shift s of shifts gets its own decision on every row, for the row
     x + s: its To is known_sigma_z of the mean of x + s (taken per block),
@@ -475,17 +482,16 @@ def bootstrap_decide(x, sigma, alpha, n_boot, blocks, shifts=0.0):
     s = np.ravel(shifts)
     reject = np.empty((s.size, rows), dtype=bool)
     used = np.full(rows, n_boot)
-    block = max(1, _BOOT_ELEMS // (_BOOT_STEP * n))
-    for r0, idx in zip(range(0, rows, block), blocks):
-        m = min(block, rows - r0)
+    tstar = np.empty((min(_BOOT_ROWS, rows), n_boot))
+    for r0, idx in zip(range(0, rows, _BOOT_ROWS), blocks):
+        m = min(_BOOT_ROWS, rows - r0)
         blk = slice(r0, r0 + m)
         to = known_sigma_z(np.array([(x[blk] + d).mean(axis=1) if d else xbar[blk] for d in s]),
                            n, sigma)
-        tstar = np.empty((m, n_boot))
         live = np.arange(m)
         below = np.zeros((s.size, m), dtype=np.int64)
         for b0, b1 in bootstrap_steps(n_boot):
-            means = resample_means(x[r0 + live], idx[b0:b1])
+            means = resample_means(x[blk] if live.size == m else x[r0 + live], idx[b0:b1])
             t = known_sigma_z(means - xbar[r0 + live, None], n, sigma)
             tstar[live, b0:b1] = t
             below += np.count_nonzero(t < to[:, live, None], axis=2)
@@ -512,19 +518,21 @@ def bootstrap_mean_reject(
 ):
     """Centered bootstrap-t with known sigma, one decision per row and shift.
 
-    The decision rule is bootstrap_decide's (stream layout 4).  Each row
-    block draws its whole index sequence, bootstrap_sequence(gen, n_boot,
-    n), block after block, and every row live at a step resamples with that
-    step's indices.  A block draws all n_boot resamples however early its
-    rows stop, so the k-th block's sequence depends only on the generator's
-    starting state and k, never on x, and so does the generator's end
-    state.  A block's decisions depend only on its rows, the shifts and its
-    sequence; in particular a shift pair's first decisions equal those of a
-    one-shift call on the same generator, up to the rounding of a T*_b that
-    lies within a few rounding errors of To (resample_means).  The block
-    size _BOOT_ELEMS is part of the stream layout.  One block's index
-    sequence (500 KB at n = 250, n_boot = 1000) and one step's count matrix
-    are held at a time.
+    The decision rule is bootstrap_decide's (stream layout 5).  Each row
+    block of _BOOT_ROWS (512) rows draws its whole index sequence,
+    bootstrap_sequence(gen, n_boot, n), block after block, and every row
+    live at a step resamples with that step's indices.  A block draws all
+    n_boot resamples however early its rows stop, so the k-th block's
+    sequence depends only on the generator's starting state and k, never on
+    x, and so does the generator's end state.  A block's decisions depend
+    only on its rows, the shifts and its sequence; in particular a shift
+    pair's first decisions equal those of a one-shift call on the same
+    generator, up to the rounding of a T*_b that lies within a few rounding
+    errors of To (resample_means).  The block size _BOOT_ROWS is part of
+    the stream layout.  One block's index
+    sequence (500 KB at n = 250, n_boot = 1000), one step's count matrix and
+    the call's one T*_b buffer (4 MB at 512 rows and n_boot = 1000) are held
+    at a time.
 
     Follows the kernel contract with a decision in place of a statistic:
     returns (reject, reason, parts) with the boolean decisions and uint8

@@ -34,8 +34,9 @@ __all__ = [
 # bumped by any change to the draws; the README lists what each version
 # changed.  Version 3 decides a table-1 alternative's bootstrap test on its
 # null's chunk path, from the null's resamples; version 4 lets the rows of
-# each bootstrap row block share one index sequence.
-STREAM_LAYOUT = 4
+# each bootstrap row block share one index sequence; version 5 makes a row
+# block 512 rows at every n.
+STREAM_LAYOUT = 5
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _LN2 = math.log(2.0)

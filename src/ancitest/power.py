@@ -16,14 +16,14 @@ Reproducibility contract: replications are produced in fixed-size chunks,
 and chunk c of a cell draws from the stream path (table, index, hypothesis,
 n, c).  The bootstrap test TB decides a null cell and its alternative, a
 location shift of it, on the null's chunk path (table, index, 0, n, c): one
-pass over the null rows' resamples decides both.  The rows of each row
-block share one sequence of resample indices, drawn one step at a time
-from the child path (table, index, 0, n, c, 1); every block draws all its
-steps, so a null cell alone draws exactly as its pair does (stream layout
-4, see designs.STREAM_LAYOUT).  Chunk content therefore depends only on
-the root seed and the cell coordinates, never on the worker schedule, and
-rates are reduced from integer rejection counts, so any thread count
-yields identical output.
+pass over the null rows' resamples decides both.  The rows of each
+512-row block share one sequence of resample indices, drawn one step at
+a time from the child path (table, index, 0, n, c, 1); every block draws
+all its steps, so a null cell alone draws exactly as its pair does (stream
+layout 5, see designs.STREAM_LAYOUT).  Chunk content therefore depends
+only on the root seed and the cell coordinates, never on the worker
+schedule, and rates are reduced from integer rejection counts, so any
+thread count yields identical output.
 
 Every cell is simulated and scored from one test table (_TABLES), which
 holds each test's kernel, the kernel's input and the cell's scoring rule.

@@ -137,9 +137,9 @@ def bootstrap_t_test(
     statistic exceeds their type-7 (1 - alpha) quantile.  The p-value is
     the fraction of T*_b at or above the observed statistic.  The indices
     are the engine's row-block index sequence (_kernels.bootstrap_sequence,
-    stream layout 4), so on a TB chunk's child stream 1 this test decides
-    each row of the chunk's first block as the engine does.  The resample
-    means come from the engine's count-matrix product
+    stream layout 5), so on a TB chunk's child stream 1 this test decides
+    each row of the chunk's first 512-row block as the engine does.  The
+    resample means come from the engine's count-matrix product
     (_kernels.resample_means), so they equal the gathered means
     x[idx].mean() up to a few rounding errors.  A zero-range sample raises
     DegenerateStatistic, as the engine scores it.

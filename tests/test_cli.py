@@ -62,7 +62,7 @@ def test_tables_output_and_manifest(tmp_path):
     assert manifest["output_paths"] == [str(out_path)]
     assert manifest["wall_time_s"] >= 0.0
     assert "version" in manifest
-    assert manifest["stream_layout"] == STREAM_LAYOUT == 4
+    assert manifest["stream_layout"] == STREAM_LAYOUT == 5
 
 
 def test_tables_byte_identical_across_threads(tmp_path):

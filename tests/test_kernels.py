@@ -14,9 +14,9 @@ The stdlib normal tails are checked against scipy.stats to rel 1e-12.
 bootstrap_decide stops each row early; the full-B loop below, which
 gathers every resample of every row (row[idx].mean()), is its oracle on the
 same indices, fed to it as an iterator of pre-drawn (B, n) sequences, one
-per row block.  bootstrap_mean_reject (stream layout 4) draws one index
-sequence per row block, every step of it however early the rows stop, and
-takes the step's resample means of all the block's live rows as one
+per row block.  bootstrap_mean_reject (stream layout 5) draws one index
+sequence per 512-row block, every step of it however early the rows stop,
+and takes the step's resample means of all the block's live rows as one
 count-matrix product (resample_means).  Those means match the gathered
 ones within 3 n eps max|x| and bit for bit on rows whose sums are exact in
 any order, which the test rows with ties T*_b = To are; a block's
@@ -328,7 +328,7 @@ def test_bootstrap_early_stop_equals_full_b_loop(n, n_boot, alpha, products, mon
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
     # 8-row blocks: 59 rows span eight of them, each with its own sequence
     seqs = np.random.default_rng(n + 1).integers(0, n, size=(8, n_boot, n))
-    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)
+    monkeypatch.setattr(ker, "_BOOT_ROWS", 8)
     # The decision stage gets the pre-drawn sequences block by block; the
     # oracle resamples each row with its block's sequence.
     got, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, iter(seqs))
@@ -409,13 +409,14 @@ def _block_sequences(seed, rows, block, n_boot, n):
 @pytest.mark.parametrize("n", [15, 250])
 @pytest.mark.parametrize("n_boot, alpha", BOOT_CASES)
 def test_bootstrap_draws_exactly_the_resamples_it_evaluates(n, n_boot, alpha, products, monkeypatch):
-    # Stream layout 4: each 8-row block draws one index sequence, all
-    # n_boot resamples of it as one (step, n) draw per step, and every row
-    # live at a step resamples with that step's indices.  The rows evaluate
-    # exactly those resamples, each up to its own stop, and nothing else is
-    # drawn: the generator ends where the whole sequences end.
+    # Stream layout 5's rule on 8-row blocks: each block draws one index
+    # sequence, all n_boot resamples of it as one (step, n) draw per step,
+    # and every row live at a step resamples with that step's indices.  The
+    # rows evaluate exactly those resamples, each up to its own stop, and
+    # nothing else is drawn: the generator ends where the whole sequences
+    # end.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
-    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
+    monkeypatch.setattr(ker, "_BOOT_ROWS", 8)  # 8-row blocks
     proxy = _CountingGenerator(3)
     got = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, proxy)
     formed = list(products)
@@ -444,7 +445,7 @@ def test_bootstrap_block_decisions_do_not_depend_on_earlier_blocks(monkeypatch):
     # Every block draws its whole sequence, so the second block resamples
     # with the same indices either way.
     n, n_boot = 50, 400
-    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
+    monkeypatch.setattr(ker, "_BOOT_ROWS", 8)  # 8-row blocks
     rows = _bootstrap_rows(n, 0.05, seed=7)
     later = rows[51:59]  # the plain shifted rows
     runs = []
@@ -495,15 +496,14 @@ def test_bootstrap_draw_dtype_and_range():
 
 
 def test_bootstrap_default_row_block():
-    # The default block size is part of the stream layout: 2**20 indices
-    # per step of a full block, 83 rows at n = 250.  Each block draws its
-    # own sequence of every step, so 166 rows draw two sequences and 167
-    # rows three.
-    for rows, blocks in ((166, 2), (167, 3)):
-        x = np.random.default_rng(6).standard_normal((rows, 250))
+    # The default block size is part of the stream layout: 512 rows at
+    # every n.  Each block draws its own sequence of every step, so 512
+    # rows draw one sequence and 513 rows two.
+    for n, (rows, blocks) in itertools.product((150, 350), ((512, 1), (513, 2))):
+        x = np.random.default_rng(6).standard_normal((rows, n))
         proxy = _CountingGenerator(7)
         ker.bootstrap_mean_reject(x, 1.0, 0.05, 100, proxy)
-        assert proxy.sizes == [(ker._BOOT_STEP, 250)] * (2 * blocks)
+        assert proxy.sizes == [(ker._BOOT_STEP, n)] * (2 * blocks)
 
 
 @pytest.mark.parametrize(
@@ -514,12 +514,16 @@ def test_bootstrap_default_row_block():
     ],
 )
 def test_bootstrap_layout_4_snapshot(seed, rows, n, n_boot, packed_sha256, resamples):
-    # Pins TB's draws under stream layout 4, not only its rule: the
-    # decisions and the resamples evaluated on fixed seeds, recorded with a
+    # Pins TB's draws, not only its rule: the decisions and the resamples
+    # evaluated on fixed seeds, recorded under stream layout 4 with a
     # per-row gather of the resample means, so they also hold the
     # count-matrix product to the gather's decisions.  A change to the draw
-    # order or to the row block or step size moves them.  A last-bit change
-    # in the resample means rarely flips a decision;
+    # order or to the step size moves them.  Both cases are one 512-row
+    # block under layout 5; the 90-row case spanned two 83-row blocks under
+    # layout 4, and its last 7 rows reject after all n_boot resamples on
+    # either block's sequence, so the digests held.  The TB plan
+    # of test_table_output_snapshot spans two 512-row blocks.  A last-bit
+    # change in the resample means rarely flips a decision;
     # test_resample_means_count_product_matches_gather bounds that change.
     x = np.random.default_rng(seed).standard_normal((rows, n)) + 0.15
     reject, _, parts = ker.bootstrap_mean_reject(
@@ -537,7 +541,7 @@ def test_bootstrap_pair_keeps_the_one_shift_null_decisions(n, n_boot, alpha, mon
     # its whole index sequence either way, and the rows kept live only for
     # the alternative resample with the same steps of it.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
-    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
+    monkeypatch.setattr(ker, "_BOOT_ROWS", 8)  # 8-row blocks
     one = _CountingGenerator(3)
     reject, reason, parts = ker.bootstrap_mean_reject(x, 1.0, alpha, n_boot, one)
     null = _CountingGenerator(3)
@@ -558,7 +562,7 @@ def test_bootstrap_pair_resamples_are_the_larger_single_count(n, n_boot, alpha, 
     # as the longer of the two.
     x = _bootstrap_rows(n, alpha, seed=n_boot + n + 5)
     seqs = np.random.default_rng(n).integers(0, n, size=(8, n_boot, n))
-    monkeypatch.setattr(ker, "_BOOT_ELEMS", 8 * ker._BOOT_STEP * n)  # 8-row blocks
+    monkeypatch.setattr(ker, "_BOOT_ROWS", 8)  # 8-row blocks
     shifts = (0.0, 1.0 / math.sqrt(n))
     got, used = ker.bootstrap_decide(x, 1.0, alpha, n_boot, iter(seqs), shifts)
     singles = [ker.bootstrap_decide(x, 1.0, alpha, n_boot, iter(seqs), s) for s in shifts]
@@ -607,10 +611,14 @@ def test_bootstrap_pair_reasons_follow_each_shifted_row():
 
 
 def test_bootstrap_step_holds_no_block_sized_gather():
-    # One 1000-row cell at n = 250, B = 1000.  A row block's uint16 index
-    # sequence is one (B, n) array (500 KB), and a step's offset indices and
-    # count matrix are (step, n) arrays (100 KB each); a per-row index copy
-    # and float gather of a block would add 8 MB each.
+    # One 1000-row cell at n = 250, B = 1000, in two 512-row blocks.  The
+    # call's one T*_b buffer is (512, B) floats (4 MB), which both blocks
+    # fill; a row block's uint16 index sequence is one (B, n) array
+    # (500 KB), a step's offset indices and count matrix are (step, n)
+    # arrays (100 KB each), and a block's gathered live rows 1 MB.  A
+    # second T*_b buffer alive at the block boundary would break the bound,
+    # and a per-row index copy or float gather of a block's step would add
+    # 51 MB each.
     x = np.random.default_rng(5).standard_normal((1000, 250))
     tracemalloc.start()
     try:

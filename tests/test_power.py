@@ -331,20 +331,20 @@ def test_table_1_tb_pairs_do_not_depend_on_threads_or_driver():
 
 
 def test_tb_chunk_first_block_rows_decide_as_bootstrap_t_test():
-    # Stream layout 4: the rows of a TB chunk's first row block (139 rows at
-    # n = 150) resample with one index sequence, drawn step by step from the
+    # Stream layout 5: the rows of a TB chunk's first row block (512 rows at
+    # every n) resample with one index sequence, drawn step by step from the
     # chunk's child stream 1 as bootstrap_t_test draws its resamples.  So
     # each of those rows decides, in the engine's pair pass, as the scalar
     # test decides it on that stream.
-    seed, n, b, rows = 6, 150, 200, 200
+    seed, n, b, rows = 6, 150, 200, 600
     null, alt = DesignId("1", 0, 3), DesignId("1", 1, 3)
     out = power_module._chunk_statistics(
         null, n, {"TB": [null, alt]}, rows, 0, seed, "quartic", 0.05, b)
     reject, reason = out[null, "TB"]
     stream = RandomStream(seed, ("1", 3, 0, n, 0))
     x = sample_design_matrix(null, rows, n, stream)
-    block = ker._BOOT_ELEMS // (ker._BOOT_STEP * n)
-    assert block == 139 and not reason[:block].any()
+    block = ker._BOOT_ROWS
+    assert block == 512 and not reason[:block].any()
     want = [bootstrap_t_test(row, 1.0, 0.05, b, stream.child(1)).reject for row in x[:block]]
     assert np.array_equal(reject[:block], want)
     assert 0 < np.count_nonzero(want) < block
@@ -495,12 +495,12 @@ def test_reproduce_table_render_byte_identical_across_threads():
     [
         ("table 2", "1df25e27a66a5dbd0fd72334e5a6ef9e29f241b00ae7ff22bb888f3886b5ba02"),
         ("table 3", "94d5ca04b21977247f54c500ac3ce53fa3e856c9d11d2c264ce868dc070f7839"),
-        ("TB D_02->D_12", "d9f74f0c1ac802ce25a5d1d6dff77751922c130d94becfb55dce22b85531b68d"),
+        ("TB D_02->D_12", "5f56d961fb5d083fdad513dfb3e0e2ced623de821baacc00eef763be3a715ee6"),
     ],
 )
 def test_table_output_snapshot(case, digest):
     # sha256 of fixed-seed outputs, recorded before the TN kernels were built
-    # from their base kernels (the TB plan re-recorded at stream layout 4).
+    # from their base kernels (the TB plan re-recorded at stream layout 5).
     # Tables stay byte-identical unless the stream layout changes, and a
     # layout bump updates these digests.
     if case == "TB D_02->D_12":
