@@ -80,12 +80,15 @@ def as_sample(x, min_n: int, what: str) -> np.ndarray:
     return arr
 
 
-def check_integers(**values) -> None:
+def check_integers(*, at_least=None, **values) -> None:
     """The one check of integer parameters: each named value must be a Python
-    or numpy integer, not a bool; the error names the parameter."""
+    or numpy integer, not a bool, and at least at_least when that is given;
+    the error names the parameter and its value."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if at_least is not None and value < at_least:
+            raise ValueError(f"{name} must be >= {at_least}, got {value}")
 
 
 def check_positive_finite(**values) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import check_integers
+from ._kernels import check_alpha, check_integers
 from .designs import RandomStream
 
 __all__ = [
@@ -125,12 +125,14 @@ def default_alpha_grid():
 
 
 def _alpha_vector(alphas) -> np.ndarray:
-    """alphas as a non-empty float vector with every entry in (0, 1)."""
+    """alphas as a non-empty float vector with every entry in (0, 1); the
+    first bad entry is named by check_alpha."""
     alphas = np.asarray(alphas, dtype=float)
     if alphas.ndim != 1 or alphas.size == 0:
         raise ValueError("alphas must be a non-empty vector")
-    if not np.all((alphas > 0.0) & (alphas < 1.0)):
-        raise ValueError("alpha must lie strictly between 0 and 1")
+    inside = (alphas > 0.0) & (alphas < 1.0)
+    if not inside.all():
+        check_alpha(float(alphas[np.argmin(inside)]))
     return alphas
 
 
@@ -491,12 +493,9 @@ def verify_propositions(seed: int = 20260815, n_models: int = 100, n_pairs: int 
     in sequence from the root stream RandomStream(seed), so the draws depend
     on n_models as well as on seed, and not on the block size.
     """
-    check_integers(seed=seed, n_models=n_models, n_pairs=n_pairs)
+    check_integers(at_least=0, seed=seed)
+    check_integers(at_least=1, n_models=n_models, n_pairs=n_pairs)
     gen = RandomStream(seed).generator()
-    if n_models < 1:
-        raise ValueError(f"n_models must be >= 1, got {n_models}")
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     grid = default_alpha_grid()
     rows = []
 

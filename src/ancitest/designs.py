@@ -86,9 +86,7 @@ class RandomStream:
     path: tuple = ()
 
     def __post_init__(self):
-        check_integers(root_seed=self.root_seed)
-        if self.root_seed < 0:
-            raise ValueError(f"root_seed must be non-negative, got {self.root_seed}")
+        check_integers(at_least=0, root_seed=self.root_seed)
 
     def child(self, *more) -> "RandomStream":
         return RandomStream(self.root_seed, self.path + tuple(more))
@@ -480,14 +478,11 @@ def sample_design_matrix(design: DesignId, rows: int, n: int, stream: RandomStre
     The whole matrix is produced by vectorized primitive draws in a fixed
     order, so the result depends only on (design, rows, n, stream).
     """
-    check_integers(rows=rows, n=n)
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
+    check_integers(at_least=1, rows=rows)
     entry = _entry(design)
     if entry.vector_dim:
         raise ValueError(f"{design} draws observation vectors; use sample_design")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    check_integers(at_least=2, n=n)
     gen = stream.generator()
     x = entry.base((rows, n), gen)
     if entry.shift:
@@ -501,10 +496,8 @@ def sample_design(design: DesignId, n: int, stream: RandomStream):
     For scalar designs the result is a length-n vector.  For the toy designs
     each draw is an observation vector, and the result has shape (n, dim).
     """
-    check_integers(n=n)
     entry = _entry(design)
     if not entry.vector_dim:
         return sample_design_matrix(design, 1, n, stream)[0]
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_integers(at_least=1, n=n)
     return entry.base((n, entry.vector_dim), stream.generator())

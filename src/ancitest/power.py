@@ -173,10 +173,10 @@ class StudyPlan:
             self.design_null.index,
         ):
             raise ValueError("design pair must share table and index")
-        _kernels.check_integers(**{f"ns[{i}]": n for i, n in enumerate(self.ns)})
+        _kernels.check_integers(at_least=10, **{f"ns[{i}]": n for i, n in enumerate(self.ns)})
         ns = tuple(int(n) for n in self.ns)
-        if not ns or min(ns) < 10:
-            raise ValueError(f"ns must be >= 10, got {min(ns, default='no sample size')}")
+        if not ns:
+            raise ValueError("ns must name at least one sample size")
         object.__setattr__(self, "ns", ns)
         _check_run(self.reps, self.alpha, self.moment_variant, self.bootstrap_b, self.root_seed)
 
@@ -191,15 +191,11 @@ def _test_record(test, design):
 
 def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
     """Checks shared by every public driver; each error names its parameter."""
-    _kernels.check_integers(reps=reps, bootstrap_b=bootstrap_b, seed=seed)
-    if reps < 1000:
-        raise ValueError(f"reps must be >= 1000 for reportable output, got {reps}")
+    _kernels.check_integers(at_least=1000, reps=reps)  # the least reportable run
+    _kernels.check_integers(at_least=100, bootstrap_b=bootstrap_b)
+    _kernels.check_integers(at_least=0, seed=seed)
     _rank_k(alpha, reps)
     _kernels.check_variant(moment_variant, "moment_variant")
-    if bootstrap_b < 100:
-        raise ValueError(f"bootstrap_b must be >= 100, got {bootstrap_b}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +277,7 @@ def _run_cells(cells, reps, root_seed, variant, alpha, bootstrap_b, threads):
     after all of them are merged, so that a chunk of an alternative is
     counted against its matched null's final rank threshold.
     """
-    _kernels.check_integers(threads=threads)
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    _kernels.check_integers(at_least=1, threads=threads)
     scores = _Scores(reps, alpha)
     paths = {}  # {(design, n): {test: designs it fills}}
     for (d, n), tests in cells.items():
@@ -473,11 +467,9 @@ def statistic_sample(
     """
     if _test_record(test, design).input == NULL_CHUNK:
         raise ValueError("the bootstrap decision has no scalar statistic")
-    _kernels.check_integers(n=n, reps=reps, root_seed=root_seed)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    if n < 10:
-        raise ValueError(f"n must be >= 10, got {n}")
+    _kernels.check_integers(at_least=10, n=n)
+    _kernels.check_integers(at_least=1, reps=reps)
+    _kernels.check_integers(at_least=0, root_seed=root_seed)
     _kernels.check_variant(moment_variant, "moment_variant")
     n, reps = int(n), int(reps)
     chunks = [_chunk_statistics(design, n, {test: [design]}, hi - lo, c, root_seed,

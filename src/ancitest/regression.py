@@ -47,14 +47,18 @@ __all__ = [
 def load_xy_csv(path, y_col: str, z_col: str, log_transform: bool = False):
     """Read two numeric columns; returns (y, z) arrays of equal length >= 3.
 
-    Errors name the offending column or 1-based data row.  With
+    Errors name the offending column or 1-based data row; a header that
+    repeats a name is an error.  A UTF-8 byte-order mark is skipped.  With
     log_transform, both columns must be strictly positive and are replaced
     by their natural logs.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file, no header row")
+        for i, col in enumerate(reader.fieldnames):
+            if col in reader.fieldnames[:i]:
+                raise ValueError(f"{path}: repeated column {col!r} in the header")
         for col in (y_col, z_col):
             if col not in reader.fieldnames:
                 raise ValueError(f"{path}: missing column {col!r}")
@@ -113,15 +117,11 @@ def _t_ratio(coef, se):
 
 def ols_fit(y, z) -> RegressionFit:
     """Least-squares line y = a + b z with textbook standard errors."""
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if y.ndim != 1 or z.ndim != 1 or y.size != z.size:
+    y = _kernels.as_sample(y, 3, "ols_fit y")
+    z = _kernels.as_sample(z, 3, "ols_fit z")
+    if y.size != z.size:
         raise ValueError("y and z must be vectors of equal length")
     n = y.size
-    if n < 3:
-        raise ValueError("need at least 3 observations")
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
-        raise ValueError("inputs contain non-finite values")
     zbar = float(z.mean())
     ybar = float(y.mean())
     dz = z - zbar
@@ -217,9 +217,8 @@ def make_fixture(n: int, seed: int):
     normal) and pinned by snapshot tests; changing it silently would
     invalidate every recorded frequency.
     """
-    _kernels.check_integers(n=n, seed=seed)
-    if n < 10:
-        raise ValueError(f"fixture size n must be >= 10, got {n}")
+    _kernels.check_integers(at_least=10, n=n)
+    _kernels.check_integers(at_least=0, seed=seed)
     gen = RandomStream(int(seed), ("fixture",)).generator()
     u = gen.random(n)
     z = gen.standard_normal(n)
@@ -304,12 +303,12 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
     calls, so the block size does not change the draws: a seed fixes the
     result.
     """
-    _kernels.check_integers(n_b=n_b, reps=reps, seed=seed)
+    _kernels.check_integers(n_b=n_b)
+    _kernels.check_integers(at_least=1, reps=reps)
+    _kernels.check_integers(at_least=0, seed=seed)
     arr = _kernels.as_sample(eps, 11, "resample study")
     n = arr.size
     check_resample_sizes((n_b,), n)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
     _kernels.check_alpha(alpha)
     gen = RandomStream(int(seed), ("resample", int(n_b))).generator()
     crit = _kernels.normal_upper(alpha / 2.0) ** 2

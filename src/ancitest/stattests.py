@@ -147,9 +147,7 @@ def bootstrap_t_test(
     arr = _kernels.as_sample(x, 2, "bootstrap_t_test")
     _kernels.check_alpha(alpha)
     _check_sigma(sigma)
-    _kernels.check_integers(n_boot=n_boot)
-    if n_boot < 100:
-        raise ValueError("n_boot must be at least 100")
+    _kernels.check_integers(at_least=100, n_boot=n_boot)
     if stream is None:
         raise ValueError("a RandomStream is required for resampling")
     if np.ptp(arr) == 0.0:
@@ -258,8 +256,7 @@ def thomas_transform(t_squared, n: int):
     Strictly increasing on its domain and tending to t^2 as n grows, so any
     rank-based thresholding of the squared statistic is unchanged by it.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
+    _kernels.check_integers(at_least=1, n=n)
     arr = np.asarray(t_squared, dtype=float)
     if np.any(arr < 0.0) or np.any(arr >= n):
         raise ValueError("t_squared must lie in [0, n)")

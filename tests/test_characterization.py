@@ -409,8 +409,10 @@ def test_statistic_length_mismatch_is_named(call, name):
 def test_level_powers_reject_any_alpha_outside_unit_interval():
     msg = "alpha must lie strictly between 0 and 1"
     model, t, a, tn = product_model(np.random.default_rng(13), 2, 2)
-    for bad in ([0.5, 1.0], [0.0, 0.5], [0.2, -0.1, 0.3], [0.5, float("nan")]):
-        with pytest.raises(ValueError, match=msg):
+    # A grid's error names its first bad entry, as the scalar check does.
+    for bad, first in (([0.5, 1.0, 2.0], r"1\.0"), ([0.0, 0.5], r"0\.0"),
+                       ([0.2, -0.1, 0.3], r"-0\.1"), ([0.5, float("nan")], "nan")):
+        with pytest.raises(ValueError, match=rf"^{msg}, got {first}$"):
             level_powers(TWO, LAM_TWO, bad)
         with pytest.raises(ValueError, match=msg):
             check_prop_2_2(TWO, LAM_TWO, bad)
@@ -652,7 +654,7 @@ def test_verify_propositions_small_run():
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"seed": -1}, r"seed must be non-negative, got -1"),
+        ({"seed": -1}, r"seed must be >= 0, got -1"),
         ({"n_models": 0}, r"n_models must be >= 1, got 0"),
         ({"n_pairs": -3}, r"n_pairs must be >= 1, got -3"),
         ({"seed": 1.5}, r"seed must be an integer, got 1\.5"),
@@ -661,7 +663,8 @@ def test_verify_propositions_small_run():
     ],
 )
 def test_verify_propositions_rejects_bad_input_by_name(kwargs, message):
-    with pytest.raises(ValueError, match=message):
+    # Anchored, so that a message naming another parameter (root_seed) fails.
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         verify_propositions(**{"n_models": 5, "n_pairs": 5, **kwargs})
 
 

@@ -36,6 +36,15 @@ def run_cli(*args, env_extra=None, **kw):
     )
 
 
+def test_console_entry_point_exits_zero(monkeypatch, capsys):
+    # pyproject.toml's ancitest script calls cli.entry, which reads sys.argv.
+    monkeypatch.setattr(sys, "argv", ["ancitest", "designs"])
+    with pytest.raises(SystemExit) as stop:
+        cli.entry()
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("table,design,description")
+
+
 def test_designs_listing():
     out = run_cli("designs")
     assert out.returncode == 0

@@ -213,14 +213,15 @@ def test_stream_path_validation():
 
 
 def test_negative_root_seed_rejected_by_name():
-    with pytest.raises(ValueError, match=r"root_seed must be non-negative, got -1"):
+    # Each entry point names its own seed parameter, not RandomStream's.
+    with pytest.raises(ValueError, match=r"^root_seed must be >= 0, got -1$"):
         RandomStream(-1, ("a",))
-    with pytest.raises(ValueError, match=r"root_seed must be non-negative, got -1"):
+    with pytest.raises(ValueError, match=r"^root_seed must be >= 0, got -1$"):
         statistic_sample("TN", DesignId("3", 0, 1), 50, 100, root_seed=-1)
     eps = make_fixture(100, 1)
-    with pytest.raises(ValueError, match=r"root_seed must be non-negative, got -1"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         resample_power_study(eps, 70, 100, seed=-1)
-    with pytest.raises(ValueError, match=r"root_seed must be non-negative, got -1"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         make_fixture(100, -1)
     # Seed 0 stays valid and its stream is unchanged.
     seq = np.random.SeedSequence(0, spawn_key=())

@@ -32,6 +32,7 @@ from ancitest import (
     median_test_To,
     median_test_TN,
     modified_mean_test,
+    ols_fit,
     pow_indicators,
     render_table,
     reproduce_table,
@@ -475,9 +476,9 @@ def test_both_drivers_give_one_score_per_cell(table, index):
 
 
 def test_drivers_reject_a_negative_seed_by_name():
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         reproduce_table("2", reps=1000, seed=-1)
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         estimate_power(_plan("To", D01_T1, D11_T1, [50], 1000, seed=-1))
 
 
@@ -518,22 +519,23 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: statistic_sample("To", D_01_TABLE_2, 50, 0, 1), r"reps must be >= 1, got 0"),
-        (lambda: statistic_sample("To", D_01_TABLE_2, 9, 100, 1), r"n must be >= 10, got 9"),
-        (lambda: make_fixture(7, 0), r"fixture size n must be >= 10, got 7"),
+        (lambda: statistic_sample("To", D_01_TABLE_2, 50, 0, 1), r"^reps must be >= 1, got 0$"),
+        (lambda: statistic_sample("To", D_01_TABLE_2, 9, 100, 1), r"^n must be >= 10, got 9$"),
+        (lambda: make_fixture(7, 0), r"^n must be >= 10, got 7$"),
         (lambda: median_test_To([1.0, 2.0, np.nan, np.inf]),
          r"median_test_To: sample contains non-finite values, first at index 2 \(nan\)"),
         (lambda: bootstrap_t_test([np.inf, 1.0], 1.0),
          r"bootstrap_t_test: sample contains non-finite values, first at index 0 \(inf\)"),
         (lambda: estimate_power(_plan("To", D01_T1, D11_T1, [50], 1000), threads=0),
-         r"threads must be >= 1, got 0"),
-        (lambda: _plan("To", D01_T1, D11_T1, [50, 9], 1000), r"ns must be >= 10, got 9"),
+         r"^threads must be >= 1, got 0$"),
+        (lambda: _plan("To", D01_T1, D11_T1, [50, 9], 1000), r"^ns\[1\] must be >= 10, got 9$"),
+        (lambda: _plan("To", D01_T1, D11_T1, [], 1000), r"^ns must name at least one sample size$"),
         (lambda: render_table(TableReport("2", 1000, 0, 0.05, "quartic", 1000, (25,), ()),
                               "json"),
          r"format must be 'csv' or 'markdown', got 'json'"),
         (lambda: resample_power_study(make_fixture(100, 0), 150, 1000),
          r"10 <= n_b < sample size 100, got n_b=150"),
-        (lambda: resample_power_study(make_fixture(100, 0), 70, 0), r"reps must be >= 1, got 0"),
+        (lambda: resample_power_study(make_fixture(100, 0), 70, 0), r"^reps must be >= 1, got 0$"),
         (lambda: median_test_To(np.ones((2, 5))),
          r"median_test_To: sample must be one-dimensional, got shape \(2, 5\)"),
         (lambda: resample_power_study(make_fixture(100, 0)[:9], 5, 100),
@@ -587,9 +589,13 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
         (lambda: toy_power_curve([0.1], sigma2=np.inf), r"^sigma2 must be positive and finite, got inf$"),
         (lambda: toy_three_obs_powers([1.0], sigma3=np.nan),
          r"^sigma3 must be positive and finite, got nan$"),
+        (lambda: ols_fit([1.0, np.nan, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]),
+         r"^ols_fit y: sample contains non-finite values, first at index 1 \(nan\)$"),
+        (lambda: ols_fit([1.0, 2.0, 3.0], [1.0, 2.0, -np.inf]),
+         r"^ols_fit z: sample contains non-finite values, first at index 2 \(-inf\)$"),
     ],
     ids=["statistic_sample-reps", "statistic_sample-n", "make_fixture-n", "test", "bootstrap",
-         "threads", "StudyPlan-ns", "render_table-format", "resample-n_b", "resample-reps",
+         "threads", "StudyPlan-ns", "StudyPlan-ns-empty", "render_table-format", "resample-n_b", "resample-reps",
          "test-shape", "resample-size", "t_test_known_sigma", "modified_mean_test",
          "median_test_TN", "symmetry_test", "wilcoxon_signed_rank", "t_test_known_sigma-sigma",
          "modified_mean_test-sigma", "bootstrap_t_test-sigma", "pow_indicators-alpha",
@@ -601,11 +607,14 @@ D_01_TABLE_2 = DesignId("2", 0, 1)
          "resample-n_b-integer", "resample-seed-integer", "make_fixture-seed-integer",
          "modified_mean_test-variant-before-sigma", "moment_pieces-variant",
          "toy_power_curve-sigma1-nan", "toy_power_curve-sigma2-inf",
-         "toy_three_obs_powers-sigma3-nan"],
+         "toy_three_obs_powers-sigma3-nan", "ols_fit-y-nan", "ols_fit-z-inf"],
 )
 def test_bad_input_errors_name_the_parameter_and_value(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+TOY_1 = DesignId("toy", 0, 1)
 
 
 @pytest.mark.parametrize(
@@ -625,10 +634,30 @@ def test_bad_input_errors_name_the_parameter_and_value(call, message):
         (lambda: reproduce_table("2", 1000, 1, threads=2.0), r"^threads must be an integer, got 2\.0$"),
         (lambda: RandomStream(1.5).generator(), r"^root_seed must be an integer, got 1\.5$"),
         (lambda: RandomStream(True), r"^root_seed must be an integer, got True$"),
+        (lambda: _plan("To", D01_T1, D11_T1, [50], 999), r"^reps must be >= 1000, got 999$"),
+        (lambda: _plan("To", D01_T1, D11_T1, [50], 1000, bootstrap_b=50),
+         r"^bootstrap_b must be >= 100, got 50$"),
+        (lambda: _plan("To", D01_T1, D11_T1, [np.int64(8)], 1000), r"^ns\[0\] must be >= 10, got 8$"),
+        (lambda: sample_design_matrix(D01_T1, 0, 25, RandomStream(1)), r"^rows must be >= 1, got 0$"),
+        (lambda: sample_design_matrix(D01_T1, 10, 1, RandomStream(1)), r"^n must be >= 2, got 1$"),
+        (lambda: sample_design(D01_T1, 1, RandomStream(1)), r"^n must be >= 2, got 1$"),
+        (lambda: sample_design(TOY_1, 0, RandomStream(1)), r"^n must be >= 1, got 0$"),
+        (lambda: sample_design(TOY_1, 2.5, RandomStream(1)), r"^n must be an integer, got 2\.5$"),
+        (lambda: bootstrap_t_test(np.arange(5.0), 1.0, n_boot=99, stream=RandomStream(1)),
+         r"^n_boot must be >= 100, got 99$"),
+        (lambda: thomas_transform(1.0, 2.5), r"^n must be an integer, got 2\.5$"),
+        (lambda: thomas_transform(0.5, True), r"^n must be an integer, got True$"),
+        (lambda: thomas_transform(0.5, 0), r"^n must be >= 1, got 0$"),
+        (lambda: ker.check_integers(at_least=0, seed=np.int64(-2)), r"^seed must be >= 0, got -2$"),
     ],
     ids=["bootstrap_t_test-n_boot", "sample_design_matrix-rows", "sample_design_matrix-n",
          "sample_design-n", "estimate_power-threads", "estimate_power-threads-bool",
-         "reproduce_table-threads", "RandomStream-root_seed", "RandomStream-root_seed-bool"],
+         "reproduce_table-threads", "RandomStream-root_seed", "RandomStream-root_seed-bool",
+         "StudyPlan-reps-bound", "StudyPlan-bootstrap_b-bound", "StudyPlan-ns-bound-numpy",
+         "sample_design_matrix-rows-bound", "sample_design_matrix-n-bound",
+         "sample_design-n-bound", "sample_design-toy-n-bound", "sample_design-toy-n",
+         "bootstrap_t_test-n_boot-bound", "thomas_transform-n-float", "thomas_transform-n-bool",
+         "thomas_transform-n-bound", "check_integers-numpy-bound"],
 )
 def test_integer_parameters_are_checked_by_name(call, message):
     with pytest.raises(ValueError, match=message):

@@ -57,6 +57,25 @@ def test_load_xy_csv_error_reporting(tmp_path):
         load_xy_csv(str(tmp_path / "absent.csv"), "y", "z")
 
 
+def test_load_xy_csv_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_text("residual,z\n1.0,4.0\n2.0,5.0\n3.0,6.0\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    y, z = load_xy_csv(str(path), "residual", "z")
+    np.testing.assert_array_equal(y, [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(z, [4.0, 5.0, 6.0])
+
+
+def test_load_xy_csv_rejects_a_repeated_column_by_name(tmp_path):
+    # csv.DictReader would keep the last of two equal names, here 9, 8, 7.
+    path = _write(tmp_path, "residual,residual\n1,9\n2,8\n3,7\n")
+    with pytest.raises(ValueError, match=r": repeated column 'residual' in the header$"):
+        load_xy_csv(path, "residual", "residual")
+    path = _write(tmp_path, "y,z,note,note\n1,2,a,b\n2,3,a,b\n3,4,a,b\n")
+    with pytest.raises(ValueError, match=r": repeated column 'note' in the header$"):
+        load_xy_csv(path, "y", "z")
+
+
 def test_load_xy_csv_log_transform(tmp_path):
     path = _write(tmp_path, "y,z\n1.0,2.0\n2.0,4.0\n4.0,8.0\n")
     y, z = load_xy_csv(path, "y", "z", log_transform=True)
