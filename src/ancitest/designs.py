@@ -50,26 +50,20 @@ class UnknownDesignError(ValueError):
 
 
 def _spawn_words(path):
-    """Map a mixed int/str path to a flat tuple of uint32 spawn-key words.
+    """Map a checked int/str path to a flat tuple of uint32 spawn-key words.
 
     Strings are hashed with sha256 so the mapping is stable across runs and
     platforms; built-in hash() is salted per process and must not be used here.
     """
     words = []
     for item in path:
-        if isinstance(item, bool):
-            raise TypeError("path elements must be int or str, not bool")
-        if isinstance(item, int):
-            if item < 0:
-                raise ValueError("path integers must be non-negative")
-            words.extend((1, item & 0xFFFFFFFF, (item >> 32) & 0xFFFFFFFF))
-        elif isinstance(item, str):
+        if isinstance(item, str):
             digest = hashlib.sha256(item.encode("utf-8")).digest()
             words.extend(
                 (2, int.from_bytes(digest[:4], "big"), int.from_bytes(digest[4:8], "big"))
             )
         else:
-            raise TypeError(f"unsupported path element type: {type(item)!r}")
+            words.extend((1, item & 0xFFFFFFFF, (item >> 32) & 0xFFFFFFFF))
     return tuple(words)
 
 
@@ -78,18 +72,23 @@ class RandomStream:
     """Value-like handle for a deterministic, independent random stream.
 
     Two streams with the same (root_seed, path) produce identical output;
-    distinct paths give statistically independent output.  Streams are cheap
-    to create and safe to send across threads.
+    distinct paths give statistically independent output.  A path holds
+    strings and non-negative integers, checked when the stream is made and
+    stored as int.  Streams are cheap to create and safe to send across threads.
     """
 
     root_seed: int
     path: tuple = ()
 
     def __post_init__(self):
-        check_integers(at_least=0, root_seed=self.root_seed)
+        ints = {f"path[{i}]": v for i, v in enumerate(self.path) if not isinstance(v, str)}
+        check_integers(at_least=0, root_seed=self.root_seed, **ints)
+        object.__setattr__(self, "root_seed", int(self.root_seed))
+        object.__setattr__(self, "path", tuple(v if isinstance(v, str) else int(v)
+                                               for v in self.path))
 
     def child(self, *more) -> "RandomStream":
-        return RandomStream(self.root_seed, self.path + tuple(more))
+        return RandomStream(self.root_seed, self.path + more)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(self.root_seed, spawn_key=_spawn_words(self.path))

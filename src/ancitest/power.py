@@ -178,7 +178,8 @@ class StudyPlan:
         if not ns:
             raise ValueError("ns must name at least one sample size")
         object.__setattr__(self, "ns", ns)
-        _check_run(self.reps, self.alpha, self.moment_variant, self.bootstrap_b, self.root_seed)
+        _check_run(self.reps, self.alpha, self.moment_variant, self.bootstrap_b,
+                   root_seed=self.root_seed)
 
 
 def _test_record(test, design):
@@ -189,11 +190,11 @@ def _test_record(test, design):
     return tests[test]
 
 
-def _check_run(reps, alpha, moment_variant, bootstrap_b, seed):
+def _check_run(reps, alpha, moment_variant, bootstrap_b, **seed):
     """Checks shared by every public driver; each error names its parameter."""
     _kernels.check_integers(at_least=1000, reps=reps)  # the least reportable run
     _kernels.check_integers(at_least=100, bootstrap_b=bootstrap_b)
-    _kernels.check_integers(at_least=0, seed=seed)
+    _kernels.check_integers(at_least=0, **seed)
     _rank_k(alpha, reps)
     _kernels.check_variant(moment_variant, "moment_variant")
 
@@ -534,7 +535,7 @@ def reproduce_table(
     """
     grid = table_grid(table)
     table = str(table)
-    _check_run(reps, alpha, moment_variant, bootstrap_b, seed)
+    _check_run(reps, alpha, moment_variant, bootstrap_b, seed=seed)
     designs = [d for d, _ in list_designs() if d.table == table]
     cells = {(d, n): grid["tests"] for d in designs for n in grid["ns"]}
     scores = _run_cells(cells, reps, seed, moment_variant, alpha, bootstrap_b, threads)

@@ -219,7 +219,7 @@ def make_fixture(n: int, seed: int):
     """
     _kernels.check_integers(at_least=10, n=n)
     _kernels.check_integers(at_least=0, seed=seed)
-    gen = RandomStream(int(seed), ("fixture",)).generator()
+    gen = RandomStream(seed, ("fixture",)).generator()
     u = gen.random(n)
     z = gen.standard_normal(n)
     z_logn = gen.standard_normal(n)
@@ -260,11 +260,12 @@ class MedianAnalysis:
     histogram_edges: tuple
 
 
+_TWO_SIDED_TESTS = {"W": wilcoxon_signed_rank, "To2": median_test_To, "TN2": median_test_TN}
+
+
 def residual_median_analysis(eps, alpha: float = 0.05) -> MedianAnalysis:
     arr = _kernels.as_sample(eps, 10, "median analysis")
-    w = wilcoxon_signed_rank(arr, side="two_sided", alpha=alpha)
-    to2 = two_sided(median_test_To(arr, alpha), alpha)
-    tn2 = two_sided(median_test_TN(arr, alpha), alpha)
+    out = {k: two_sided(test(arr, alpha), alpha) for k, test in _TWO_SIDED_TESTS.items()}
     counts, edges = np.histogram(arr, bins=20)
     moments = _kernels.moment_pieces(arr[None, :])
     return MedianAnalysis(
@@ -272,9 +273,9 @@ def residual_median_analysis(eps, alpha: float = 0.05) -> MedianAnalysis:
         mean=float(moments.mean[0]),
         variance=float(moments.s2[0]),
         alpha=float(alpha),
-        p_values={"W": w.p_value, "To2": to2.p_value, "TN2": tn2.p_value},
-        statistics={"W": w.statistic, "To2": to2.statistic, "TN2": tn2.statistic},
-        rejects={"W": w.reject, "To2": to2.reject, "TN2": tn2.reject},
+        p_values={k: o.p_value for k, o in out.items()},
+        statistics={k: o.statistic for k, o in out.items()},
+        rejects={k: o.reject for k, o in out.items()},
         histogram_counts=tuple(int(c) for c in counts),
         histogram_edges=tuple(float(e) for e in edges),
     )
@@ -310,7 +311,7 @@ def resample_power_study(eps, n_b: int, reps: int, alpha: float = 0.05, seed: in
     n = arr.size
     check_resample_sizes((n_b,), n)
     _kernels.check_alpha(alpha)
-    gen = RandomStream(int(seed), ("resample", int(n_b))).generator()
+    gen = RandomStream(seed, ("resample", n_b)).generator()
     crit = _kernels.normal_upper(alpha / 2.0) ** 2
     tests = ("W", "To", "TN")
     counts = dict.fromkeys(tests, 0)

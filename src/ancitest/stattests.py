@@ -9,11 +9,13 @@ test and the Monte Carlo engine share one formula.  The bootstrap test takes
 To, T*_b and its threshold from ``known_sigma_z`` and ``type7_quantile`` and
 keeps only its own draw and p-value.
 
-All rejection rules use strict inequality at the threshold.  Statistics that
-are undefined for a particular sample raise DegenerateStatistic with the
-kernel's named reason, except wilcoxon_signed_rank, which raises ValueError
-with the reason as its message; simulation callers score such replications
-as non-rejections.
+Every test but the bootstrap one turns its kernel's one-row result into an
+upper-tail outcome against the normal quantile in one place, and
+``two_sided`` squares any such outcome into the chi-square(1) rule.  All
+rejection rules use strict inequality at the threshold.  A statistic that is
+undefined for a particular sample raises DegenerateStatistic with the
+kernel's named reason; simulation callers score such replications as
+non-rejections.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ ONE_SIDED_UPPER = "one_sided_upper"
 TWO_SIDED_CHI2 = "two_sided_chi2"
 
 
-class DegenerateStatistic(ArithmeticError):
+class DegenerateStatistic(ArithmeticError, ValueError):
     """The statistic is undefined for this sample.
 
     The reason attribute names the failed condition so that simulation
-    drivers can tally degeneracy modes separately.
+    drivers can tally degeneracy modes separately.  It is a ValueError too,
+    since the sample is the input at fault.
     """
 
     def __init__(self, reason: str):
@@ -76,11 +79,16 @@ def _check_sigma(sigma, power: int = 1):
             raise ValueError(f"sigma**{power} overflows float64, got sigma={sigma}")
 
 
-def _outcome(scored, alpha):
-    """One-sided outcome of a one-row kernel result (stat, reason, parts),
-    with the parts as components; a nonzero reason raises
-    DegenerateStatistic naming it."""
-    stat, reason, parts = scored
+def _outcome(x, alpha, least, name, kernel, pieces=None):
+    """Upper-tail outcome of kernel on the sample x as a (1, n) row, or on
+    pieces(row) when pieces is given, with the kernel's parts as components.
+
+    The sample must be a finite 1-D array of at least `least` values; name
+    labels its errors.  A nonzero kernel reason raises DegenerateStatistic.
+    """
+    row = _kernels.as_sample(x, least, name)[None, :]
+    _kernels.check_alpha(alpha)
+    stat, reason, parts = kernel(row if pieces is None else pieces(row))
     if reason[0]:
         raise DegenerateStatistic(_kernels.REASONS[reason[0]])
     z = _kernels.normal_upper(alpha)
@@ -96,14 +104,15 @@ def _outcome(scored, alpha):
 
 def t_test_known_sigma(x, sigma: float, alpha: float = 0.05) -> TestOutcome:
     """Upper-tail mean test sqrt(n) * mean / sigma against the normal quantile."""
-    arr = _kernels.as_sample(x, 2, "t_test_known_sigma")
-    _kernels.check_alpha(alpha)
     _check_sigma(sigma)
-    # mean_to reads only the mean: the squared pieces may overflow at a
-    # large scale without touching the statistic.
-    with np.errstate(over="ignore", invalid="ignore"):
-        pieces = _kernels.moment_pieces(arr[None, :], sigma)
-    return _outcome(_kernels.mean_to(pieces), alpha)
+
+    def pieces(row):
+        # mean_to reads only the mean: the squared pieces may overflow at a
+        # large scale without touching the statistic.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _kernels.moment_pieces(row, sigma)
+
+    return _outcome(x, alpha, 2, "t_test_known_sigma", _kernels.mean_to, pieces)
 
 
 def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "quartic") -> TestOutcome:
@@ -116,11 +125,10 @@ def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "qua
     t_test_known_sigma.  The moment variant selects the centering constant of
     the squared-deviation variance estimators, see _kernels.MomentPieces.
     """
-    arr = _kernels.as_sample(x, 3, "modified_mean_test")
-    _kernels.check_alpha(alpha)
     _kernels.check_variant(variant)
     _check_sigma(sigma, 4 if variant == "quartic" else 2)
-    return _outcome(_kernels.mean_tn(_kernels.moment_pieces(arr[None, :], sigma, variant)), alpha)
+    return _outcome(x, alpha, 3, "modified_mean_test", _kernels.mean_tn,
+                    lambda row: _kernels.moment_pieces(row, sigma, variant))
 
 
 def bootstrap_t_test(
@@ -169,15 +177,9 @@ def bootstrap_t_test(
     )
 
 
-def _median_family(x, alpha, kernel, name):
-    arr = _kernels.as_sample(x, 4, name)
-    _kernels.check_alpha(alpha)
-    return _outcome(kernel(_kernels.median_pieces(arr[None, :])), alpha)
-
-
 def median_test_To(x, alpha: float = 0.05) -> TestOutcome:
     """Upper-tail median test 2 sqrt(n) median fhat(median)."""
-    return _median_family(x, alpha, _kernels.median_to, "median_test_To")
+    return _outcome(x, alpha, 4, "median_test_To", _kernels.median_to, _kernels.median_pieces)
 
 
 def median_test_TN(x, alpha: float = 0.05) -> TestOutcome:
@@ -186,7 +188,7 @@ def median_test_TN(x, alpha: float = 0.05) -> TestOutcome:
     Scales the base median statistic by S / w_hat, subtracts the studentized
     mean, and standardizes by sqrt(S^2 / w_hat^2 - 1).
     """
-    return _median_family(x, alpha, _kernels.median_tn, "median_test_TN")
+    return _outcome(x, alpha, 4, "median_test_TN", _kernels.median_tn, _kernels.median_pieces)
 
 
 _SYMMETRY = {"To": _kernels.sym_to, "T1": _kernels.median_to, "TN": _kernels.sym_tn}
@@ -206,11 +208,13 @@ def symmetry_test(x, which: str = "TN", alpha: float = 0.05) -> TestOutcome:
     """
     if which not in _SYMMETRY:
         raise ValueError("which must be one of 'To', 'T1', 'TN'")
-    return _median_family(x, alpha, _SYMMETRY[which], "symmetry_test")
+    return _outcome(x, alpha, 4, "symmetry_test", _SYMMETRY[which], _kernels.median_pieces)
 
 
 def two_sided(outcome: TestOutcome, alpha: float = 0.05) -> TestOutcome:
-    """Square a normal-referenced one-sided outcome into a chi-square rule."""
+    """Square a normal-referenced one-sided outcome into the chi-square(1)
+    rule: reject when statistic**2 strictly exceeds normal_upper(alpha/2)**2.
+    This is the one two-sided rule of the package."""
     _kernels.check_alpha(alpha)
     if outcome.side != ONE_SIDED_UPPER:
         raise ValueError("two_sided requires a one-sided normal-referenced outcome")
@@ -228,26 +232,17 @@ def two_sided(outcome: TestOutcome, alpha: float = 0.05) -> TestOutcome:
     )
 
 
-def wilcoxon_signed_rank(x, side: str = ONE_SIDED_UPPER, alpha: float = 0.05) -> TestOutcome:
-    """Signed-rank test via the normal approximation, computed by
+def wilcoxon_signed_rank(x, alpha: float = 0.05) -> TestOutcome:
+    """Upper-tail signed-rank test via the normal approximation, computed by
     ``_kernels.signed_rank`` on the one sample.
 
-    Exact zeros are dropped; at least five nonzero observations are
-    required.  Ties in the absolute values receive mid-ranks and the
-    approximation variance gets the tie correction sum(t^3 - t)/48.  No
-    continuity correction is applied.
+    Exact zeros are dropped; fewer than five nonzero observations raise
+    DegenerateStatistic.  Ties in the absolute values receive mid-ranks and
+    the approximation variance gets the tie correction sum(t^3 - t)/48.  No
+    continuity correction is applied.  two_sided(outcome, alpha) gives the
+    two-sided test.
     """
-    arr = _kernels.as_sample(x, 1, "wilcoxon_signed_rank")
-    _kernels.check_alpha(alpha)
-    if side not in (ONE_SIDED_UPPER, "two_sided"):
-        raise ValueError("side must be 'one_sided_upper' or 'two_sided'")
-    z, reason, parts = _kernels.signed_rank(arr[None, :])
-    if reason[0]:
-        raise ValueError(_kernels.REASONS[reason[0]])
-    one_sided = _outcome((z, reason, parts), alpha)
-    if side == ONE_SIDED_UPPER:
-        return one_sided
-    return two_sided(one_sided, alpha)
+    return _outcome(x, alpha, 1, "wilcoxon_signed_rank", _kernels.signed_rank)
 
 
 def thomas_transform(t_squared, n: int):

@@ -204,12 +204,21 @@ def test_stream_determinism_and_child_separation():
 
 
 def test_stream_path_validation():
-    with pytest.raises(TypeError):
-        RandomStream(0, (True,)).generator()
-    with pytest.raises(ValueError):
-        RandomStream(0, (-3,)).generator()
-    with pytest.raises(TypeError):
-        RandomStream(0, (2.5,)).generator()
+    # Each path element is checked when the stream is made, by position and
+    # value; numpy integers are stored as int and name the same stream.
+    with pytest.raises(ValueError, match=r"^path\[0\] must be an integer, got True$"):
+        RandomStream(0, (True,))
+    with pytest.raises(ValueError, match=r"^path\[0\] must be >= 0, got -3$"):
+        RandomStream(0, (-3,))
+    with pytest.raises(ValueError, match=r"^path\[1\] must be an integer, got 2\.5$"):
+        RandomStream(0, ("a", 2.5))
+    with pytest.raises(ValueError, match=r"^path\[2\] must be >= 0, got -1$"):
+        RandomStream(0, ("a",)).child(1, -1)
+    numpy_path = RandomStream(0, (np.int64(3), "a", np.uint32(7)))
+    assert numpy_path == RandomStream(0, (3, "a", 7))
+    assert [type(v) for v in numpy_path.path] == [int, str, int]
+    assert np.array_equal(numpy_path.generator().random(8),
+                          RandomStream(0, (3, "a", 7)).generator().random(8))
 
 
 def test_negative_root_seed_rejected_by_name():

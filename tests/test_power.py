@@ -410,7 +410,7 @@ def test_study_plan_validation():
         StudyPlan(**{**good, "moment_variant": "fixed"})
     with pytest.raises(ValueError, match="bootstrap_b"):
         StudyPlan(**{**good, "bootstrap_b": 50})
-    with pytest.raises(ValueError, match="seed"):
+    with pytest.raises(ValueError, match=r"^root_seed must be >= 0, got -1$"):
         StudyPlan(**{**good, "root_seed": -1})
     # Non-integer sizes, counts and seeds are errors, not truncated; numpy
     # integers are stored as int.
@@ -418,7 +418,7 @@ def test_study_plan_validation():
         StudyPlan(**{**good, "ns": (50, 40.5)})
     with pytest.raises(ValueError, match=r"^reps must be an integer, got 1000\.5$"):
         StudyPlan(**{**good, "reps": 1000.5})
-    with pytest.raises(ValueError, match=r"^seed must be an integer, got 0\.5$"):
+    with pytest.raises(ValueError, match=r"^root_seed must be an integer, got 0\.5$"):
         StudyPlan(**{**good, "root_seed": 0.5})
     with pytest.raises(ValueError, match=r"^bootstrap_b must be an integer, got False$"):
         StudyPlan(**{**good, "bootstrap_b": False})
@@ -478,7 +478,8 @@ def test_both_drivers_give_one_score_per_cell(table, index):
 def test_drivers_reject_a_negative_seed_by_name():
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         reproduce_table("2", reps=1000, seed=-1)
-    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+    # StudyPlan names its own field.
+    with pytest.raises(ValueError, match=r"^root_seed must be >= 0, got -1$"):
         estimate_power(_plan("To", D01_T1, D11_T1, [50], 1000, seed=-1))
 
 

@@ -215,6 +215,7 @@ def test_fixture_determinism_and_guards():
     assert np.array_equal(a, b)
     c = make_fixture(200, seed=8)
     assert not np.array_equal(a, c)
+    assert np.array_equal(make_fixture(np.int32(200), seed=np.int64(7)), a)
     with pytest.raises(ValueError):
         make_fixture(9, seed=0)
 
@@ -269,6 +270,7 @@ def test_resample_power_study_contract():
     a = resample_power_study(x, 70, reps=500, seed=3)
     b = resample_power_study(x, 70, reps=500, seed=3)
     assert a == b
+    assert resample_power_study(x, np.int64(70), reps=500, seed=np.uint8(3)) == a
     c = resample_power_study(x, 70, reps=500, seed=4)
     assert any(a[k] != c[k] for k in a)
     for v in a.values():

@@ -38,6 +38,7 @@ from ancitest import (
 )
 from ancitest import _kernels as ker
 from ancitest.regression import make_fixture
+from ancitest.stattests import TWO_SIDED_CHI2
 import scalar_oracles as orc
 
 Z95 = sps.norm.isf(0.05)
@@ -331,7 +332,7 @@ def test_wilcoxon_matches_scipy_normal_approximation():
         x = x[x != 0.0]
         if x.size < 5:
             continue
-        out = wilcoxon_signed_rank(x, side="one_sided_upper")
+        out = wilcoxon_signed_rank(x)
         ref = sps.wilcoxon(
             x,
             zero_method="wilcox",
@@ -370,21 +371,22 @@ def test_wilcoxon_hand_oracle_and_components():
 
 def test_wilcoxon_antisymmetry_and_two_sided():
     x = np.array([0.8, -0.4, 1.6, 2.2, -1.3, 0.9, 0.3, -2.7])
-    up = wilcoxon_signed_rank(x, side="one_sided_upper")
-    down = wilcoxon_signed_rank(-x, side="one_sided_upper")
+    up = wilcoxon_signed_rank(x)
+    down = wilcoxon_signed_rank(-x)
     assert up.statistic == pytest.approx(-down.statistic, abs=1e-12)
-    two = wilcoxon_signed_rank(x, side="two_sided")
+    two = two_sided(up, 0.05)
+    assert two.side == TWO_SIDED_CHI2
     assert two.statistic == pytest.approx(up.statistic**2, rel=1e-12)
     assert two.p_value == pytest.approx(sps.chi2.sf(up.statistic**2, 1), rel=1e-12)
 
 
 def test_wilcoxon_guards():
-    with pytest.raises(ValueError):
-        wilcoxon_signed_rank(np.zeros(10))
-    with pytest.raises(ValueError):
-        wilcoxon_signed_rank(np.array([1.0, -2.0, 3.0, 4.0]))
-    with pytest.raises(ValueError):
-        wilcoxon_signed_rank(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), side="lower")
+    # A degenerate sample raises DegenerateStatistic, a ValueError too.
+    for x in (np.zeros(10), np.array([1.0, -2.0, 3.0, 4.0])):
+        with pytest.raises(DegenerateStatistic, match="^fewer than 5 nonzero observations$"):
+            wilcoxon_signed_rank(x)
+        with pytest.raises(ValueError):
+            wilcoxon_signed_rank(x)
 
 
 def test_thomas_transform_oracle():
@@ -513,7 +515,6 @@ def _mean_tn_kernel(x):
          "zero squared-deviation variance (known sigma)"),
         (lambda r: modified_mean_test(r, 1.0), _mean_tn_kernel,
          np.array([-0.75, -0.75, 0.75, 0.75]), "zero squared-deviation variance"),
-        # W's one reason is an input error of the public test.
         (wilcoxon_signed_rank, ker.signed_rank, np.array([0.0, 1.0, -2.0, 0.0, 3.0, 4.0]),
          "fewer than 5 nonzero observations"),
     ],
@@ -525,8 +526,7 @@ def test_reachable_reasons_through_wrapper_and_kernel(public, kernel, row, reaso
     # w <= sqrt((n-1)/n) S < S, so D = S^2 - w^2 + (1/(2 fhat) - w)^2 > 0
     # and V = 1 - delta^2 > 0; and mu3 = mean(d (d^2 - c)) for any c gives
     # the standardizer 1 - mu3^2 / (S^2 var) >= 1/n by Cauchy-Schwarz.
-    error = ValueError if public is wilcoxon_signed_rank else DegenerateStatistic
-    with pytest.raises(error) as exc:
+    with pytest.raises(DegenerateStatistic) as exc:
         public(row)
     assert str(exc.value) == reason
     stat, code, _ = kernel(row[None, :])
