@@ -63,6 +63,8 @@ REASONS = (
 )
 CONSTANT, ZERO_MAD, NO_VARIANCE_GAP, DISPERSION_GAP, VARIANCE_FACTOR = range(1, 6)
 KNOWN_SQ_VAR, SQ_VAR, STANDARDIZER, FEW_NONZERO = range(6, 10)
+# Centering constants of the squared-deviation variances (MomentPieces).
+MOMENT_VARIANTS = ("quartic", "quadratic")
 
 
 def as_sample(x, min_n: int, what: str) -> np.ndarray:
@@ -99,10 +101,14 @@ def check_positive_finite(**values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def check_variant(variant, name: str = "variant") -> None:
-    """The one check of a moment variant, named name in the error."""
-    if variant not in ("quartic", "quadratic"):
-        raise ValueError(f"{name} must be 'quartic' or 'quadratic', got {variant!r}")
+def check_choice(choices, **values) -> None:
+    """The one check of enumerated options: each named value must be in the
+    tuple choices; the error names the parameter, the choices and its value."""
+    for name, value in values.items():
+        if value not in choices:
+            *most, last = (repr(c) for c in choices)
+            either = f"{', '.join(most)} or {last}" if most else last
+            raise ValueError(f"{name} must be {either}, got {value!r}")
 
 
 def check_alpha(alpha) -> None:
@@ -160,7 +166,7 @@ def centered_squares(d: np.ndarray, out=None):
 
 
 def moment_pieces(x: np.ndarray, sigma=None, variant: str = "quartic") -> MomentPieces:
-    check_variant(variant)
+    check_choice(MOMENT_VARIANTS, variant=variant)
     mean = x.mean(axis=1)
     d = x - mean[:, None]
     dd, s2 = centered_squares(d)

@@ -69,7 +69,7 @@ class DiscreteModel:
         f1 = np.asarray(self.f1, dtype=float)
         if f0.shape != f1.shape or f0.ndim != 1:
             raise ValueError("f0 and f1 must be vectors of equal length")
-        _check_models(np.array((f0, f1))[:, None])
+        _check_models(np.array((f0, f1))[:, None], ("f0", "f1"))
         object.__setattr__(self, "f0", tuple(float(v) for v in f0))
         object.__setattr__(self, "f1", tuple(float(v) for v in f1))
 
@@ -89,30 +89,42 @@ class FiniteStatistic:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        _check_statistics(vals[None])
+        _check_statistics(vals[None], "values")
         object.__setattr__(self, "values", tuple(float(v) for v in vals))
 
     def array(self):
         return np.array(self.values)
 
 
-def _check_models(f):
-    """DiscreteModel's checks on a (2, K, m) stack of models, f0 over f1;
-    a NaN probability fails them."""
+def _check_entries(ok, values, names, rule):
+    """Raise ValueError unless ok holds at every entry of values, one (K, m)
+    stack per name: the error names the stack (and row, when K > 1), the
+    rule, and the first failing entry's index and value."""
+    if ok.all():
+        return
+    s, k, j = np.unravel_index(np.argmin(ok), ok.shape)
+    name = names[s] if ok.shape[1] == 1 else f"{names[s]} row {k}"
+    raise ValueError(f"{name}: {rule}, first at index {j} ({values[s, k, j]})")
+
+
+def _check_models(f, names):
+    """DiscreteModel's checks on a (2, K, m) stack of models, f0 over f1,
+    named names; a NaN probability fails them."""
     if not 2 <= f.shape[2] <= 12:
-        raise ValueError("outcome count must lie in [2, 12]")
-    if not np.all(f > 0):
-        raise ValueError("probabilities must be strictly positive")
-    if not np.all(np.abs(f.sum(axis=2) - 1.0) <= TOL):
-        raise ValueError("probability vectors must sum to 1")
+        raise ValueError(f"outcome count must lie in [2, 12], got {f.shape[2]}")
+    _check_entries(f > 0, f, names, "probabilities must be strictly positive")
+    sums = f.sum(axis=2)
+    if not np.all(np.abs(sums - 1.0) <= TOL):
+        s, k = np.unravel_index(np.argmax(~(np.abs(sums - 1.0) <= TOL)), sums.shape)
+        raise ValueError(f"{names[s]}: probability vectors must sum to 1, got {sums[s, k]}")
 
 
-def _check_statistics(values):
-    """FiniteStatistic's checks on a stack of statistics, one row each."""
+def _check_statistics(values, name):
+    """FiniteStatistic's checks on a (K, m) stack of statistics named name."""
     if values.ndim != 2 or values.shape[1] < 2:
-        raise ValueError("statistic needs one value per outcome")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("statistic values must be finite")
+        raise ValueError(f"{name}: statistic needs one value per outcome")
+    _check_entries(np.isfinite(values)[None], values[None], (name,),
+                   "statistic values must be finite")
 
 
 def likelihood_ratio(model: DiscreteModel) -> FiniteStatistic:
@@ -292,8 +304,9 @@ def check_prop_2_2(model: DiscreteModel, t: FiniteStatistic, alpha_grid=None) ->
     The condition implies MP; the converse can fail for statistics that
     order outcomes like the likelihood ratio but carry different values.
     """
-    if np.any(t.array() < 0):
-        raise ValueError("statistic must be non-negative for the calibration condition")
+    tv = t.array()[None, None]
+    _check_entries(tv >= 0, tv, ("t",),
+                   "statistic must be non-negative for the calibration condition")
     alpha_grid = _alpha_grid(alpha_grid)
     f0, f1 = model.arrays()
     condition_violation = float(np.max(np.abs(f1 - _values(model, "t", t) * f0)))
@@ -321,8 +334,10 @@ def check_prop_2_3(model: DiscreteModel, t: FiniteStatistic, g_family) -> bool:
     f0, f1 = model.arrays()
     tv = _values(model, "t", t)
     gvs = [_values(model, f"g_family[{i}]", g) for i, g in enumerate(g_family)]
-    if any(np.any(gv < -TOL) or np.any(gv > 1.0 + TOL) for gv in gvs):
-        raise ValueError("family functions must map into [0, 1]")
+    for i, gv in enumerate(gvs):
+        g = gv[None, None]
+        _check_entries((g >= -TOL) & (g <= 1.0 + TOL), g, (f"g_family[{i}]",),
+                       "family functions must map into [0, 1]")
     singletons = {int(np.argmax(gv)) for gv in gvs
                   if np.count_nonzero(gv) == 1 and gv.max() == 1.0}
     if len(singletons) < model.m:
@@ -339,8 +354,8 @@ def check_prop_2_4(
     attained level pairs.  When it fails the dominance claim does not apply
     and the report says so.
     """
-    if np.any(t1.array() < 0):
-        raise ValueError("t1 must be non-negative")
+    tv = t1.array()[None, None]
+    _check_entries(tv >= 0, tv, ("t1",), "statistic must be non-negative")
     alpha_grid = _alpha_grid(alpha_grid)
     worst = _identity_violation(model, t1=t1, t2=t2)
     if worst > TOL:
@@ -589,9 +604,9 @@ def verify_propositions(seed: int = 20260815, n_models: int = 100, n_pairs: int 
             f0, f1, t = zip(*group)
             f, t = np.array((f0, f1)), np.array(t)
             lam = f[1] / f[0]
-            _check_models(f)
-            _check_statistics(t)
-            _check_statistics(lam)
+            _check_models(f, ("f0", "f1"))
+            _check_statistics(t, "t")
+            _check_statistics(lam, "likelihood ratio")
             gaps += np.max(_power_gaps(f, t, lam, grid), axis=1).tolist()
     add("np-dominance", [g <= TOL for g in gaps], max(0.0, *gaps),
         "likelihood ratio attains maximal power at every level")

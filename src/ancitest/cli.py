@@ -10,7 +10,12 @@ artifact can be reproduced from its manifest alone.  A subcommand without
 use unless --threads says otherwise; its output does not depend on the
 thread count, and the manifest records the count it ran with.
 
-Exit codes: 0 success, 2 usage error (argparse), 1 runtime failure; all
+Flags parse as plain int and float, and only the library call that reads a
+value checks it (analyze reads --reps and --seed only with --study).  Exit
+codes: 0 success; 2 for what argparse rejects (unparsable text, an
+unknown choice, a missing flag); 1 for any other failure, such as a value
+out of range, whose message is the library's and names the library's
+parameter (n_models for --models, bootstrap_b for --bootstrap-b).  All
 diagnostics go to stderr, all data to files or stdout.
 """
 
@@ -47,27 +52,6 @@ from .regression import (
 )
 
 __all__ = ["main"]
-
-
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
-
-
-def _non_negative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
-def _alpha_value(text):
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("alpha must lie strictly between 0 and 1")
-    return value
 
 
 def _available_cpus():
@@ -230,26 +214,26 @@ def _build_parser():
 
     p = sub.add_parser("tables", help="reproduce a power table")
     p.add_argument("--table", required=True, choices=["1", "2", "3"])
-    p.add_argument("--reps", type=_positive_int, default=55000)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--alpha", type=_alpha_value, default=0.05)
+    p.add_argument("--reps", type=int, default=55000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--moment-variant", choices=["quartic", "quadratic"], default="quartic")
-    p.add_argument("--bootstrap-b", type=_positive_int, default=1000)
+    p.add_argument("--bootstrap-b", type=int, default=1000)
     p.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    p.add_argument("--threads", type=_positive_int, default=_available_cpus())
+    p.add_argument("--threads", type=int, default=_available_cpus())
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("toy", help="closed-form toy power curves")
     p.add_argument("--figure", required=True, choices=["1a", "1b"])
-    p.add_argument("--alpha", type=_alpha_value, default=0.05)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_toy)
 
     p = sub.add_parser("verify", help="certify the finite-model test propositions")
-    p.add_argument("--seed", type=_non_negative_int, default=20260815)
-    p.add_argument("--models", type=_positive_int, default=100)
-    p.add_argument("--pairs", type=_positive_int, default=1000)
+    p.add_argument("--seed", type=int, default=20260815)
+    p.add_argument("--models", type=int, default=100)
+    p.add_argument("--pairs", type=int, default=1000)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("analyze", help="regression residual median analysis")
@@ -258,16 +242,16 @@ def _build_parser():
     p.add_argument("--zcol", default=None,
                    help="regressor column; omit when --ycol already holds residuals")
     p.add_argument("--log", action="store_true")
-    p.add_argument("--alpha", type=_alpha_value, default=0.05)
+    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--study", type=_nb_list, default=None, metavar="nb=70,80,90")
-    p.add_argument("--reps", type=_positive_int, default=10000)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--reps", type=int, default=10000, help="read only with --study")
+    p.add_argument("--seed", type=int, default=0, help="read only with --study")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("fixture", help="write the synthetic residual fixture")
-    p.add_argument("--n", type=_positive_int, default=100)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fixture)
 

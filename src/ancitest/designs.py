@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._kernels import check_integers
+from ._kernels import check_integers, check_positive_finite
 
 __all__ = [
     "DesignId",
@@ -108,12 +108,8 @@ class DesignParams:
     mean_abs_dev_about_median: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.density_at_median > 0:
-            raise ValueError("density at median must be positive")
-        if not self.mean_abs_dev_about_median > 0:
-            raise ValueError("mean absolute deviation must be positive")
+        check_positive_finite(sigma=self.sigma, density_at_median=self.density_at_median,
+                              mean_abs_dev_about_median=self.mean_abs_dev_about_median)
         # Jensen: E(X-mu)^4 >= (E(X-mu)^2)^2.
         if self.mu4 < self.sigma**4 - 1e-12:
             raise ValueError("mu4 violates the fourth-moment lower bound")

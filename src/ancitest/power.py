@@ -115,8 +115,7 @@ _TABLES = {
 def table_grid(table: str) -> dict:
     """Tests, sample sizes and registered design indices of one table."""
     table = str(table)
-    if table not in _TABLES:
-        raise ValueError(f"no such table: {table!r} (expected 1, 2 or 3)")
+    _kernels.check_choice(tuple(_TABLES), table=table)
     indices = tuple(d.index for d, _ in list_designs() if d.table == table and d.hypothesis == 0)
     return {"tests": tuple(_TABLES[table].tests), "ns": _TABLES[table].ns, "indices": indices}
 
@@ -184,10 +183,9 @@ class StudyPlan:
 
 def _test_record(test, design):
     """The record of test, which must be a column of the design's table."""
-    tests = _TABLES[design.table].tests if design.table in _TABLES else {}
-    if test not in tests:
-        raise ValueError(f"test {test!r} is not part of table {design.table}")
-    return tests[test]
+    _kernels.check_choice(tuple(_TABLES), table=design.table)
+    _kernels.check_choice(tuple(_TABLES[design.table].tests), test=test)
+    return _TABLES[design.table].tests[test]
 
 
 def _check_run(reps, alpha, moment_variant, bootstrap_b, **seed):
@@ -196,7 +194,7 @@ def _check_run(reps, alpha, moment_variant, bootstrap_b, **seed):
     _kernels.check_integers(at_least=100, bootstrap_b=bootstrap_b)
     _kernels.check_integers(at_least=0, **seed)
     _rank_k(alpha, reps)
-    _kernels.check_variant(moment_variant, "moment_variant")
+    _kernels.check_choice(_kernels.MOMENT_VARIANTS, moment_variant=moment_variant)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +469,7 @@ def statistic_sample(
     _kernels.check_integers(at_least=10, n=n)
     _kernels.check_integers(at_least=1, reps=reps)
     _kernels.check_integers(at_least=0, root_seed=root_seed)
-    _kernels.check_variant(moment_variant, "moment_variant")
+    _kernels.check_choice(_kernels.MOMENT_VARIANTS, moment_variant=moment_variant)
     n, reps = int(n), int(reps)
     chunks = [_chunk_statistics(design, n, {test: [design]}, hi - lo, c, root_seed,
                                 moment_variant, 0.05, 1000)[design, test]
@@ -569,6 +567,7 @@ def _csv(header, rows) -> str:
 def render_table(report: TableReport, fmt: str = "csv") -> str:
     """Stable text rendering: Design, Test, then PowA/Pow per sample size,
     three decimals."""
+    _kernels.check_choice(("csv", "markdown"), format=fmt)
     header = ["design", "test"]
     for n in report.ns:
         header += [f"powa_n{n}", f"pow_n{n}"]
@@ -580,14 +579,8 @@ def render_table(report: TableReport, fmt: str = "csv") -> str:
         body.append(cells)
     if fmt == "csv":
         return _csv(header, body)
-    if fmt == "markdown":
-        lines = [
-            "| " + " | ".join(header) + " |",
-            "| " + " | ".join("---" for _ in header) + " |",
-        ]
-        lines += ["| " + " | ".join(cells) + " |" for cells in body]
-        return "\n".join(lines) + "\n"
-    raise ValueError(f"format must be 'csv' or 'markdown', got {fmt!r}")
+    rows = [header, ["---"] * len(header), *body]
+    return "".join("| " + " | ".join(cells) + " |\n" for cells in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,11 @@ keeps only its own draw and p-value.
 
 Every test but the bootstrap one turns its kernel's one-row result into an
 upper-tail outcome against the normal quantile in one place, and
-``two_sided`` squares any such outcome into the chi-square(1) rule.  All
-rejection rules use strict inequality at the threshold.  A statistic that is
-undefined for a particular sample raises DegenerateStatistic with the
-kernel's named reason; simulation callers score such replications as
-non-rejections.
+``two_sided`` squares any such outcome, and only such an outcome (side
+ONE_SIDED_UPPER), into the chi-square(1) rule.  All rejection rules use
+strict inequality at the threshold.  A statistic that is undefined for a
+particular sample raises DegenerateStatistic with the kernel's named
+reason; simulation callers score such replications as non-rejections.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .designs import RandomStream
 __all__ = [
     "DegenerateStatistic",
     "TestOutcome",
+    "ONE_SIDED_BOOTSTRAP",
     "ONE_SIDED_UPPER",
     "TWO_SIDED_CHI2",
     "bootstrap_t_test",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 ONE_SIDED_UPPER = "one_sided_upper"
+ONE_SIDED_BOOTSTRAP = "one_sided_bootstrap"
 TWO_SIDED_CHI2 = "two_sided_chi2"
 
 
@@ -125,7 +127,7 @@ def modified_mean_test(x, sigma: float, alpha: float = 0.05, variant: str = "qua
     t_test_known_sigma.  The moment variant selects the centering constant of
     the squared-deviation variance estimators, see _kernels.MomentPieces.
     """
-    _kernels.check_variant(variant)
+    _kernels.check_choice(_kernels.MOMENT_VARIANTS, variant=variant)
     _check_sigma(sigma, 4 if variant == "quartic" else 2)
     return _outcome(x, alpha, 3, "modified_mean_test", _kernels.mean_tn,
                     lambda row: _kernels.moment_pieces(row, sigma, variant))
@@ -150,14 +152,15 @@ def bootstrap_t_test(
     resample means come from the engine's count-matrix product
     (_kernels.resample_means), so they equal the gathered means
     x[idx].mean() up to a few rounding errors.  A zero-range sample raises
-    DegenerateStatistic, as the engine scores it.
+    DegenerateStatistic, as the engine scores it.  The outcome's side,
+    ONE_SIDED_BOOTSTRAP, keeps two_sided from replacing its quantile.
     """
     arr = _kernels.as_sample(x, 2, "bootstrap_t_test")
     _kernels.check_alpha(alpha)
     _check_sigma(sigma)
     _kernels.check_integers(at_least=100, n_boot=n_boot)
-    if stream is None:
-        raise ValueError("a RandomStream is required for resampling")
+    if not isinstance(stream, RandomStream):
+        raise ValueError(f"stream must be a RandomStream, got {stream!r}")
     if np.ptp(arr) == 0.0:
         raise DegenerateStatistic(_kernels.REASONS[_kernels.CONSTANT])
     n = arr.size
@@ -170,7 +173,7 @@ def bootstrap_t_test(
     return TestOutcome(
         statistic=to,
         threshold=q,
-        side=ONE_SIDED_UPPER,
+        side=ONE_SIDED_BOOTSTRAP,
         reject=bool(to > q),
         p_value=float(np.mean(tstar >= to)),
         components={"bootstrap_quantile": q, "n_boot": n_boot},
@@ -206,18 +209,17 @@ def symmetry_test(x, which: str = "TN", alpha: float = 0.05) -> TestOutcome:
     with D = S^2 - w/fhat + 1/(4 fhat^2), delta = (w/(2 S fhat) - S)/sqrt(D)
     and V = 1 - delta^2 (the expanded forms of V reduce to this).
     """
-    if which not in _SYMMETRY:
-        raise ValueError("which must be one of 'To', 'T1', 'TN'")
+    _kernels.check_choice(tuple(_SYMMETRY), which=which)
     return _outcome(x, alpha, 4, "symmetry_test", _SYMMETRY[which], _kernels.median_pieces)
 
 
 def two_sided(outcome: TestOutcome, alpha: float = 0.05) -> TestOutcome:
     """Square a normal-referenced one-sided outcome into the chi-square(1)
     rule: reject when statistic**2 strictly exceeds normal_upper(alpha/2)**2.
-    This is the one two-sided rule of the package."""
+    This is the one two-sided rule of the package; outcome.side must be
+    ONE_SIDED_UPPER."""
     _kernels.check_alpha(alpha)
-    if outcome.side != ONE_SIDED_UPPER:
-        raise ValueError("two_sided requires a one-sided normal-referenced outcome")
+    _kernels.check_choice((ONE_SIDED_UPPER,), **{"outcome.side": outcome.side})
     stat = outcome.statistic**2
     threshold = _kernels.normal_upper(alpha / 2.0) ** 2
     components = dict(outcome.components)

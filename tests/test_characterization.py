@@ -183,6 +183,48 @@ def test_model_and_statistic_validation():
     assert TWO.m == 2
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DiscreteModel((0.5, 0.5), (1.0, 0.0)),
+         r"f1: probabilities must be strictly positive, first at index 1 \(0\.0\)"),
+        (lambda: DiscreteModel((0.5, np.nan, 0.5), (0.2, 0.3, 0.5)),
+         r"f0: probabilities must be strictly positive, first at index 1 \(nan\)"),
+        (lambda: DiscreteModel((0.5, 0.5), (0.5, 0.4)),
+         r"f1: probability vectors must sum to 1, got 0\.9"),
+        (lambda: DiscreteModel((0.5, 0.5), (0.5, 0.5, 0.0)),
+         r"f0 and f1 must be vectors of equal length"),
+        (lambda: DiscreteModel(tuple([1.0 / 13] * 13), tuple([1.0 / 13] * 13)),
+         r"outcome count must lie in \[2, 12\], got 13"),
+        (lambda: FiniteStatistic((1.0, np.nan)),
+         r"values: statistic values must be finite, first at index 1 \(nan\)"),
+        (lambda: FiniteStatistic((1.0,)), r"values: statistic needs one value per outcome"),
+        (lambda: check_prop_2_2(TWO, FiniteStatistic((0.5, -1.5))),
+         r"t: statistic must be non-negative for the calibration condition, "
+         r"first at index 1 \(-1\.5\)"),
+        (lambda: check_prop_2_4(TWO, FiniteStatistic((-0.5, 1.5)), LAM_TWO),
+         r"t1: statistic must be non-negative, first at index 0 \(-0\.5\)"),
+        (lambda: check_prop_2_3(TWO, LAM_TWO, singleton_indicators(2)
+                                + [FiniteStatistic((0.5, 1.25))]),
+         r"g_family\[2\]: family functions must map into \[0, 1\], first at index 1 \(1\.25\)"),
+    ],
+    ids=["f1-zero", "f0-nan", "f1-sum", "length", "outcomes", "values-nan", "values-short",
+         "prop_2_2-t", "prop_2_4-t1", "prop_2_3-g_family"],
+)
+def test_verifier_input_errors_name_the_argument_and_entry(call, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        call()
+
+
+def test_stacked_model_checks_name_the_row():
+    f = np.full((2, 3, 2), 0.5)
+    characterization._check_models(f, ("f0", "f1"))
+    f[1, 2, 0] = -0.1
+    with pytest.raises(ValueError, match=r"^f1 row 2: probabilities must be strictly "
+                                         r"positive, first at index 0 \(-0\.1\)$"):
+        characterization._check_models(f, ("f0", "f1"))
+
+
 def test_np_dominance_pairs_get_the_model_checks(monkeypatch):
     # The pairs are drawn as arrays, not as DiscreteModel objects; a pair
     # whose last probability vector has a zero entry still fails the model

@@ -212,6 +212,58 @@ def test_usage_errors_exit_two(tmp_path):
         assert run_cli("analyze", "--csv", "f.csv", "--ycol", "y", "--study", study).returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tables", "--table", "2", "--reps", "0"], "reps must be >= 1000, got 0"),
+        (["tables", "--table", "2", "--reps", "500"], "reps must be >= 1000, got 500"),
+        (["tables", "--table", "1", "--bootstrap-b", "0"], "bootstrap_b must be >= 100, got 0"),
+        (["tables", "--table", "1", "--bootstrap-b", "50"], "bootstrap_b must be >= 100, got 50"),
+        (["tables", "--table", "2", "--reps", "1000", "--threads", "0"],
+         "threads must be >= 1, got 0"),
+        (["tables", "--table", "2", "--alpha", "0"],
+         "alpha must lie strictly between 0 and 1, got 0.0"),
+        (["tables", "--table", "2", "--alpha", "1.5"],
+         "alpha must lie strictly between 0 and 1, got 1.5"),
+        (["tables", "--table", "2", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["fixture", "--n", "0"], "n must be >= 10, got 0"),
+        (["fixture", "--n", "5"], "n must be >= 10, got 5"),
+        (["verify", "--models", "0"], "n_models must be >= 1, got 0"),
+        (["verify", "--pairs", "0"], "n_pairs must be >= 1, got 0"),
+        (["toy", "--figure", "1a", "--alpha", "1"],
+         "alpha must lie strictly between 0 and 1, got 1.0"),
+    ],
+)
+def test_flag_values_are_checked_by_the_library(argv, message, tmp_path, capsys):
+    # Flags parse as plain int and float; a value out of range exits 1 with
+    # the library's message, which names the library's parameter.
+    if argv[0] != "verify":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_analyze_reads_reps_and_seed_only_with_study(tmp_path, capsys):
+    data = tmp_path / "resid.csv"
+    assert cli.main(["fixture", "--out", str(data)]) == 0
+    base = ["analyze", "--csv", str(data), "--ycol", "residual", "--reps", "0", "--seed", "-1"]
+    assert cli.main(base) == 0
+    capsys.readouterr()
+    assert cli.main(base + ["--study", "nb=70"]) == 1
+    assert capsys.readouterr().err == "error: reps must be >= 1, got 0\n"
+
+
+def test_unparsable_values_and_choices_exit_two(capsys):
+    for argv in (["tables", "--table", "2", "--reps", "abc", "--out", "x.csv"],
+                 ["tables", "--table", "9", "--out", "x.csv"],
+                 ["verify", "--models", "1.5"]):
+        with pytest.raises(SystemExit) as stop:
+            cli.main(argv)
+        assert stop.value.code == 2
+    assert "argument --models: invalid int value: '1.5'" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_one(tmp_path):
     res = run_cli("analyze", "--csv", str(tmp_path / "none.csv"), "--ycol", "y")
     assert res.returncode == 1

@@ -9,6 +9,7 @@ and a snapshot of each design's first draws pins the draw order.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,17 @@ def test_registry_params_match_scipy_oracle(design):
     for field, value in want.items():
         tol = 2e-8 if field == "mean_abs_dev_about_median" else 1e-8
         assert getattr(got, field) == pytest.approx(value, abs=tol), field
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigma", math.inf), ("sigma", 0.0), ("density_at_median", math.nan),
+     ("mean_abs_dev_about_median", -1.0)],
+)
+def test_design_params_scales_have_one_check(field, value):
+    # The scales go through _kernels.check_positive_finite, which names them.
+    with pytest.raises(ValueError, match=rf"^{field} must be positive and finite, got {value}$"):
+        replace(design_params(DesignId("1", 0, 1)), **{field: value})
 
 
 def test_pinned_shift_sizes():

@@ -29,7 +29,9 @@ each of its decisions is the one-shift decision of its shift on the same
 indices.
 Each TN kernel must follow the base kernels it reads, and both bootstrap
 paths must take To, T*_b and their threshold from known_sigma_z and
-type7_quantile.
+type7_quantile.  The variance gate bounds the resampling share of TB's
+Monte Carlo error on fixed data, so a change to TB's draws or arithmetic
+that correlates its resamples fails by name.
 """
 
 import ast
@@ -531,6 +533,30 @@ def test_bootstrap_layout_4_snapshot(seed, rows, n, n_boot, packed_sha256, resam
     )
     assert hashlib.sha256(np.packbits(reject).tobytes()).hexdigest() == packed_sha256
     assert parts["resamples"].sum() == resamples
+
+
+def test_bootstrap_variance_gate():
+    # The statistical gate of stream layouts 4 and 5 (BENCH_27_tb.json,
+    # BENCH_30_tb.json): on fixed data, Var(PowA | data) over 200 generator
+    # seeds may exceed layout 4's by at most 0.1 p (1 - p) / reps per shift.
+    # Both bounds come from the committed records, not from this run.  Rows
+    # that shared one resample index across steps would read about 1.9e-5
+    # and 6.3e-5 here.
+    x = sample_design_matrix(DesignId("1", 0, 2), 1000, 250, RandomStream(1, ("vargate",)))
+    powa = np.array([
+        ker.bootstrap_mean_reject(x, 1.0, 0.05, 1000,
+                                  RandomStream(g, ("vargate", "boot")).child(1).generator(),
+                                  (0.0, 0.1))[0].mean(axis=1)
+        for g in range(200)
+    ])
+    var = powa.var(axis=0, ddof=1)
+    assert var[0] <= 3.42e-6 + 6.88e-6
+    assert var[1] <= 1.40e-5 + 2.50e-5
+    # A rule that never rejected would pass the variance bounds: the mean
+    # rates must stay at the records' 0.0743 and 0.510, here known to about
+    # 1.5e-4 and 2.7e-4.
+    assert abs(powa[:, 0].mean() - 0.0743) < 0.002
+    assert abs(powa[:, 1].mean() - 0.510) < 0.005
 
 
 @pytest.mark.parametrize("n", [15, 250])

@@ -26,8 +26,10 @@ from ancitest import (
     median_test_TN,
     median_test_To,
     modified_mean_test,
+    render_table,
     reproduce_table,
     resample_power_study,
+    statistic_sample,
     symmetry_test,
     t_test_known_sigma,
     thomas_transform,
@@ -37,8 +39,9 @@ from ancitest import (
     wilcoxon_signed_rank,
 )
 from ancitest import _kernels as ker
+from ancitest.power import TableReport, table_grid
 from ancitest.regression import make_fixture
-from ancitest.stattests import TWO_SIDED_CHI2
+from ancitest.stattests import ONE_SIDED_BOOTSTRAP, ONE_SIDED_UPPER, TWO_SIDED_CHI2
 import scalar_oracles as orc
 
 Z95 = sps.norm.isf(0.05)
@@ -154,8 +157,10 @@ def test_bootstrap_t_test_contract():
     )
     assert a.threshold == a.components["bootstrap_quantile"]
     assert 0.0 <= a.p_value <= 1.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^stream must be a RandomStream, got None$"):
         bootstrap_t_test(x, sigma=1.0)
+    with pytest.raises(ValueError, match=r"^stream must be a RandomStream, got Generator\(PCG64\)"):
+        bootstrap_t_test(x, sigma=1.0, stream=np.random.default_rng(1))
     with pytest.raises(ValueError):
         bootstrap_t_test(x, sigma=1.0, n_boot=50, stream=RandomStream(5))
 
@@ -193,6 +198,20 @@ def test_bootstrap_scalar_matches_batched_kernel():
                 at_or_above = n_boot - np.searchsorted(tstar, out.statistic, side="left")
                 assert out.p_value == at_or_above / n_boot
     assert len(decisions) == 195 and 20 < sum(decisions) < 175
+
+
+def test_two_sided_refuses_a_bootstrap_outcome():
+    # The bootstrap outcome's threshold is its own quantile; squaring it into
+    # the chi-square(1) rule would read threshold 3.841 and p 0.495.
+    x = np.random.default_rng(3).exponential(size=40) - 0.8
+    out = bootstrap_t_test(x, sigma=1.0, n_boot=1000, stream=RandomStream(1))
+    assert out.side == ONE_SIDED_BOOTSTRAP
+    assert out.threshold == pytest.approx(1.424, abs=5e-4)
+    assert out.p_value == 0.216
+    msg = r"^outcome\.side must be 'one_sided_upper', got 'one_sided_bootstrap'$"
+    with pytest.raises(ValueError, match=msg):
+        two_sided(out)
+    assert two_sided(t_test_known_sigma(x, sigma=1.0)).side == TWO_SIDED_CHI2
 
 
 def test_median_test_To_composition_oracle():
@@ -582,3 +601,59 @@ def test_scalar_alpha_has_one_check(call, alpha):
         ker.check_alpha(alpha)
     with pytest.raises(ValueError, match=msg):
         call(alpha)
+
+
+_REPORT = TableReport("2", 1000, 0, 0.05, "quartic", 1000, (25,), ())
+_VARIANTS = "'quartic' or 'quadratic'"
+_SIDE = "outcome.side must be 'one_sided_upper'"
+
+
+@pytest.mark.parametrize(
+    "call, choices, name, value, message",
+    [
+        (lambda: reproduce_table("2", reps=1000, seed=0, moment_variant="cubic"),
+         ker.MOMENT_VARIANTS, "moment_variant", "cubic",
+         f"moment_variant must be {_VARIANTS}, got 'cubic'"),
+        (lambda: StudyPlan("To", DesignId("1", 0, 1), DesignId("1", 1, 1), (50,), 1000, 0,
+                           moment_variant="Quartic"),
+         ker.MOMENT_VARIANTS, "moment_variant", "Quartic",
+         f"moment_variant must be {_VARIANTS}, got 'Quartic'"),
+        (lambda: statistic_sample("To", DesignId("2", 0, 1), 50, 100, 1, moment_variant=None),
+         ker.MOMENT_VARIANTS, "moment_variant", None,
+         f"moment_variant must be {_VARIANTS}, got None"),
+        (lambda: modified_mean_test(_X, 1.0, variant="quartic "),
+         ker.MOMENT_VARIANTS, "variant", "quartic ",
+         f"variant must be {_VARIANTS}, got 'quartic '"),
+        (lambda: ker.moment_pieces(_X[None], 1.0, "bogus"),
+         ker.MOMENT_VARIANTS, "variant", "bogus", f"variant must be {_VARIANTS}, got 'bogus'"),
+        (lambda: table_grid(4), ("1", "2", "3"), "table", "4",
+         "table must be '1', '2' or '3', got '4'"),
+        (lambda: reproduce_table("toy", reps=1000, seed=0), ("1", "2", "3"), "table", "toy",
+         "table must be '1', '2' or '3', got 'toy'"),
+        (lambda: statistic_sample("To", DesignId("toy", 0, 1), 50, 100, 1), ("1", "2", "3"),
+         "table", "toy", "table must be '1', '2' or '3', got 'toy'"),
+        (lambda: StudyPlan("W", DesignId("1", 0, 1), DesignId("1", 1, 1), (50,), 1000, 0),
+         ("To", "TN", "TB"), "test", "W", "test must be 'To', 'TN' or 'TB', got 'W'"),
+        (lambda: render_table(_REPORT, "json"), ("csv", "markdown"), "format", "json",
+         "format must be 'csv' or 'markdown', got 'json'"),
+        (lambda: symmetry_test(_X, "T2"), ("To", "T1", "TN"), "which", "T2",
+         "which must be 'To', 'T1' or 'TN', got 'T2'"),
+        (lambda: two_sided(two_sided(median_test_To(_X))), (ONE_SIDED_UPPER,), "outcome.side",
+         TWO_SIDED_CHI2, f"{_SIDE}, got 'two_sided_chi2'"),
+        (lambda: two_sided(bootstrap_t_test(_X, 1.0, stream=RandomStream(1))), (ONE_SIDED_UPPER,),
+         "outcome.side", ONE_SIDED_BOOTSTRAP, f"{_SIDE}, got 'one_sided_bootstrap'"),
+    ],
+    ids=["reproduce_table-moment_variant", "StudyPlan-moment_variant",
+         "statistic_sample-moment_variant", "modified_mean_test-variant", "moment_pieces-variant",
+         "table_grid-table", "reproduce_table-table", "statistic_sample-table", "StudyPlan-test",
+         "render_table-format", "symmetry_test-which",
+         "two_sided-two_sided", "two_sided-bootstrap"],
+)
+def test_enumerated_options_have_one_check(call, choices, name, value, message):
+    # Every enumerated option goes through _kernels.check_choice, whose
+    # message names the parameter, lists the choices and shows the value.
+    msg = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=msg):
+        ker.check_choice(choices, **{name: value})
+    with pytest.raises(ValueError, match=msg):
+        call()
